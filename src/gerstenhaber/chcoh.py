@@ -80,17 +80,38 @@ class ChContext:
         # when f1 only hits degree -1 letters, every coboundary term references
         # arguments of degree exactly deg(W)+1, enabling exact degree pruning
         self.f1_shifts_by_one = all(a.degree == -1 for a in self.f1)
-        self._rep_words: dict[int, list] = {}
+        self._multisets: dict[int, dict[int, list]] = {}
+        self._rep_words: dict[tuple, list] = {}
 
-    def rep_words(self, length: int) -> list:
-        """All representative words of the given length, in canonical order."""
-        words = self._rep_words.get(length)
+    def _multisets_by_degree(self, length: int) -> dict:
+        """Letter multisets of one length keyed by their letter-degree sum;
+        enumerating them builds no quotient table."""
+        by_deg = self._multisets.get(length)
+        if by_deg is None:
+            by_deg = {}
+            for ms in combinations_with_replacement(self.source.letters, length):
+                by_deg.setdefault(sum(a.degree for a in ms), []).append(ms)
+            self._multisets[length] = by_deg
+        return by_deg
+
+    def rep_words(self, length: int, degrees=None) -> list:
+        """All representative words of the given length, in canonical order.
+
+        With ``degrees``, only the words whose letter-degree sum lies in it
+        (the same order), and only their multisets are tabulated.
+        """
+        by_deg = self._multisets_by_degree(length)
+        if degrees is not None:
+            degrees = frozenset(d for d in degrees if d in by_deg)
+        words = self._rep_words.get((length, degrees))
         if words is None:
             words = []
-            for ms in combinations_with_replacement(self.source.letters, length):
-                words.extend(self.quotient.representatives(ms))
+            for deg, multisets in by_deg.items():
+                if degrees is None or deg in degrees:
+                    for ms in multisets:
+                        words.extend(self.quotient.representatives(ms))
             words.sort(key=packet_sort_key)
-            self._rep_words[length] = words
+            self._rep_words[length, degrees] = words
         return words
 
 
@@ -140,10 +161,25 @@ def _linmap_apply(ctx: ChContext, spec, v: Vec) -> Vec:
     return out
 
 
-def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True):
-    """Yield (coefficient, linmap spec, canonical argument monomial)."""
+def _arg_shape(lens, drop, length=0) -> tuple:
+    """The shape left when the parts at ``drop`` are replaced by one part of
+    ``length`` letters (by none when 0)."""
+    parts = [p for i, p in enumerate(lens) if i not in drop]
+    if length:
+        parts.append(length)
+    return tuple(sorted(parts))
+
+
+def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
+               shapes=None):
+    """Yield (coefficient, linmap spec, canonical argument monomial).
+
+    With ``shapes``, term families whose argument shape is not in it are not
+    built; a cochain vanishing off those shapes gets nothing from them.
+    """
     n = len(mono)
     degs = [pdeg(w) for w in mono]
+    lens = [len(w) for w in mono]
     quo = ctx.quotient
 
     def splice(j: int, values: dict, base: Fraction, spec):
@@ -162,6 +198,8 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True)
         for j in range(n):
             packet = mono[j]
             if len(packet) < 2:
+                continue
+            if shapes is not None and _arg_shape(lens, (j,), lens[j] - 1) not in shapes:
                 continue
             a_first, a_last = packet[0], packet[-1]
             f1a = ctx.f1.get(a_first)
@@ -186,6 +224,9 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True)
     if bracket_part:
         for j in range(n):
             for k in range(j + 1, n):
+                if shapes is not None and \
+                        _arg_shape(lens, (j, k), lens[j] + lens[k] - 1) not in shapes:
+                    continue
                 rest = [mono[i] for i in range(n) if i != j and i != k]
                 perm = [j, k] + [i for i in range(n) if i != j and i != k]
                 eps = koszul_sign(degs, perm)
@@ -197,6 +238,8 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True)
                         terms.append((base * cw * sign, ("id",), key))
         for j in range(n):
             if len(mono[j]) != 1 or n == 1:
+                continue
+            if shapes is not None and _arg_shape(lens, (j,)) not in shapes:
                 continue
             f1a = ctx.f1.get(mono[j][0])
             if not f1a:
@@ -218,10 +261,11 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True)
 
 
 def d_ch_value(feval, mono: Mono, ctx: ChContext, product_part=True,
-               bracket_part=True) -> Vec:
-    """Value of the coboundary of the cochain ``feval`` on one monomial."""
+               bracket_part=True, shapes=None) -> Vec:
+    """Value of the coboundary of the cochain ``feval`` on one monomial;
+    ``shapes`` as in ``d_ch_terms``."""
     out: Vec = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, product_part, bracket_part):
+    for coeff, spec, arg in d_ch_terms(mono, ctx, product_part, bracket_part, shapes):
         v = feval(arg)
         if v:
             add_scaled(out, _linmap_apply(ctx, spec, v), coeff)
@@ -239,28 +283,16 @@ def d_ell_value(feval, mono, ctx) -> Vec:
 def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     """The coboundary of a cochain as a stored cochain, one level up.
 
-    Evaluates on every monomial of every shape reachable from the level's
-    shapes inside the truncation; raises TruncationError when a shape
-    reachable from f's own support would fall outside the window.
+    Evaluates on every monomial of ``_coboundary_monomials``; raises
+    TruncationError when a shape reachable from f's own support would fall
+    outside the window.
     """
-    fshapes = set(f.shapes())
-    bad = [s for s in reachable_shapes(fshapes)
-           if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
-    if bad:
-        raise TruncationError(f"required shapes outside truncation: {bad}")
-    skip_ok = ctx.f1_shifts_by_one and f.degree_support is not None
+    shapes = _term_shapes(f, trunc)
     values: dict = {}
-    for shape in reachable_shapes(level_shapes(f.level, trunc.nmax)):
-        if sum(shape) > trunc.Nmax or len(shape) > trunc.nmax:
-            continue
-        if not referenced_shapes(shape) & fshapes:
-            continue
-        for mono in monomials_for_shape(ctx, shape):
-            if skip_ok and (mono_deg(mono) + 1) not in f.degree_support:
-                continue  # every term evaluates f in degrees where it vanishes
-            val = d_ch_value(f.eval, mono, ctx)
-            if val:
-                values[mono] = val
+    for mono in _coboundary_monomials(f, ctx, trunc):
+        val = d_ch_value(f.eval, mono, ctx, shapes=shapes)
+        if val:
+            values[mono] = val
     return Cochain(values, f.level + 1)
 
 
@@ -407,42 +439,96 @@ def referenced_shapes(shape) -> set:
     return out
 
 
-def monomials_for_shape(ctx: ChContext, shape) -> list:
-    """Canonical basis monomials of one shape over the context letters."""
-    by_len: dict[int, int] = {}
-    for p in shape:
-        by_len[p] = by_len.get(p, 0) + 1
-    groups = []
-    for p in sorted(by_len):
-        words = ctx.rep_words(p)
-        choices = []
-        for combo in combinations_with_replacement(range(len(words)), by_len[p]):
-            packs = [words[i] for i in combo]
-            ok = True
-            for a, b in zip(packs, packs[1:]):
-                if a == b and pdeg(a) % 2:
-                    ok = False
-                    break
-            if ok:
-                choices.append(packs)
-        groups.append(choices)
-    out = []
-
-    def rec(i, acc):
-        if i == len(groups):
-            out.append(tuple(acc))
-            return
-        for packs in groups[i]:
-            rec(i + 1, acc + packs)
-
-    rec(0, [])
+def _word_degrees(ctx: ChContext, by_len: dict, degrees) -> dict:
+    """Per packet length, the letter-degree sums a packet of that length can
+    have in a monomial of the shape ``by_len`` whose degree lies in
+    ``degrees`` (a monomial's degree is its letter degrees minus its packet
+    count)."""
+    sums = {p: ctx._multisets_by_degree(p).keys() for p in by_len}
+    n = sum(by_len.values())
+    out = {}
+    for p in by_len:
+        rest = {0}  # letter-degree sums of the other packets together
+        for q, count in by_len.items():
+            for _ in range(count - (q == p)):
+                rest = {r + s for r in rest for s in sums[q]}
+        out[p] = {w for w in sums[p] if any(w + r - n in degrees for r in rest)}
     return out
 
 
-def monomials_for_level(ctx: ChContext, N: int, nmax: int):
-    for shape in level_shapes(N, nmax):
-        for mono in monomials_for_shape(ctx, shape):
-            yield mono
+def monomials_for_shape(ctx: ChContext, shape, degrees=None) -> list:
+    """Canonical basis monomials of one shape over the context letters.
+
+    With ``degrees``, only the monomials whose ``mono_deg`` lies in it, in the
+    same order; only the packets that can reach one of them are tabulated.
+    """
+    by_len: dict[int, int] = {}
+    for p in shape:
+        by_len[p] = by_len.get(p, 0) + 1
+    allowed = None if degrees is None else _word_degrees(ctx, by_len, degrees)
+    groups = []
+    for p in sorted(by_len):
+        words = ctx.rep_words(p, None if allowed is None else allowed[p])
+        wdeg = [pdeg(w) for w in words]
+        choices = []
+        for combo in combinations_with_replacement(range(len(words)), by_len[p]):
+            if any(i == j and wdeg[i] % 2 for i, j in zip(combo, combo[1:])):
+                continue  # a repeated odd packet squares to zero
+            deg = 0 if degrees is None else sum(wdeg[i] for i in combo)
+            choices.append(([words[i] for i in combo], deg))
+        groups.append(choices)
+    # need[i]: degrees that the groups before i plus group i must sum to for
+    # the later groups to complete them into ``degrees``
+    need = None
+    if degrees is not None:
+        need = [set(degrees)]
+        for choices in reversed(groups[1:]):
+            gdegs = {deg for _, deg in choices}
+            need.insert(0, {t - g for t in need[0] for g in gdegs})
+    out = []
+
+    def rec(i, acc, deg):
+        if i == len(groups):
+            out.append(tuple(acc))
+            return
+        for packs, gdeg in groups[i]:
+            if need is None or deg + gdeg in need[i]:
+                rec(i + 1, acc + packs, deg + gdeg)
+
+    rec(0, [], 0)
+    return out
+
+
+def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation):
+    """Monomials one level above f on which d(f) can be nonzero, by shape.
+
+    Raises TruncationError when a shape reachable from f's own support falls
+    outside the window.  Shapes whose coboundary never evaluates f on one of
+    its shapes are skipped.  When the letter morphism is supported in degree
+    -1, every coboundary term evaluates f one degree up, so with a declared
+    degree support only the monomials of degree s - 1 are enumerated.
+    """
+    fshapes = f.shapes()
+    bad = [s for s in reachable_shapes(fshapes)
+           if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
+    if bad:
+        raise TruncationError(f"required shapes outside truncation: {bad}")
+    degrees = None
+    if ctx.f1_shifts_by_one and f.degree_support is not None:
+        degrees = {s - 1 for s in f.degree_support}
+    for shape in reachable_shapes(level_shapes(f.level, trunc.nmax)):
+        if sum(shape) > trunc.Nmax or len(shape) > trunc.nmax:
+            continue
+        if referenced_shapes(shape) & fshapes:
+            yield from monomials_for_shape(ctx, shape, degrees)
+
+
+def _term_shapes(f, trunc: Truncation):
+    """The argument shapes ``d_ch_terms`` needs for f: f's shapes, or None
+    when f has every shape of its level inside the window, so that no term
+    family can be skipped."""
+    fshapes = f.shapes()
+    return None if fshapes >= set(level_shapes(f.level, trunc.nmax)) else fshapes
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +541,12 @@ def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
     window, otherwise a TruncationError reports the missing shapes instead of
     silently shrinking the check.
     """
-    fshapes = set(f.shapes())
-    targets = reachable_shapes(fshapes)
-    bad = [s for s in targets if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
-    if bad:
-        raise TruncationError(f"required shapes outside truncation: {bad}")
-    skip_ok = ctx.f1_shifts_by_one and f.degree_support is not None
+    shapes = _term_shapes(f, trunc)
     checked = 0
-    for shape in reachable_shapes(level_shapes(f.level, trunc.nmax)):
-        if sum(shape) > trunc.Nmax or len(shape) > trunc.nmax:
-            continue
-        if not referenced_shapes(shape) & fshapes:
-            continue  # every coboundary term evaluates f where it vanishes
-        for mono in monomials_for_shape(ctx, shape):
-            if skip_ok and (mono_deg(mono) + 1) not in f.degree_support:
-                continue
-            checked += 1
-            val = d_ch_value(f.eval, mono, ctx)
-            if val:
-                return (False, mono) if report else False
+    for mono in _coboundary_monomials(f, ctx, trunc):
+        checked += 1
+        if d_ch_value(f.eval, mono, ctx, shapes=shapes):
+            return (False, mono) if report else False
     return (True, checked) if report else True
 
 
@@ -484,6 +557,9 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     coboundary term references arguments of degree deg(W)+1 when the letter
     morphism is supported in degree -1); each block is decided by an exact
     rank comparison, and a preimage is assembled when every block is solvable.
+    With a declared degree support only the blocks of those row degrees are
+    built and solved: every other block has right-hand side zero, which zero
+    solves.
     """
     N = f.level
     if N < 1:
@@ -496,14 +572,16 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     if missing:
         raise TruncationError(f"cochain shapes outside truncation: {missing}")
 
+    degrees = f.degree_support
+    col_degrees = None if degrees is None else {s + 1 for s in degrees}
     cols_by_deg: dict[int, list] = {}
     for shape in src_shapes:
-        for mono in monomials_for_shape(ctx, shape):
+        for mono in monomials_for_shape(ctx, shape, col_degrees):
             cols_by_deg.setdefault(mono_deg(mono), []).append(mono)
 
     rows_by_deg: dict[int, list] = {}
     for shape in row_shapes:
-        for mono in monomials_for_shape(ctx, shape):
+        for mono in monomials_for_shape(ctx, shape, degrees):
             rows_by_deg.setdefault(mono_deg(mono), []).append(mono)
 
     tletters = ctx.target.letters

@@ -93,6 +93,9 @@ def cmd_dims(args) -> int:
     if args.d < 1:
         sys.stderr.write("need a spatial dimension d >= 1\n")
         return 2
+    if args.kmax is not None and args.kmax < 0:
+        sys.stderr.write("need a tensor degree bound kmax >= 0\n")
+        return 2
     d = args.d
     kmax = d if args.kmax is None else min(args.kmax, d)
     rows = [(k, len(pv_basis(d, k))) for k in range(kmax + 1)]
@@ -124,8 +127,12 @@ def cmd_cocycle(args) -> int:
     if args.d < 3:
         sys.stderr.write("the 3-cochain needs d >= 3 for a nonzero value\n")
         return 2
-    ctx = real_polyvec_context(args.d, args.kmax)
-    trunc = Truncation(args.d, args.kmax or args.d, args.Nmax, args.nmax)
+    if args.kmax is not None and args.kmax < 1:
+        sys.stderr.write("the 3-cochain lives on vector fields: need kmax >= 1\n")
+        return 2
+    kmax = args.d if args.kmax is None else min(args.kmax, args.d)
+    ctx = real_polyvec_context(args.d, kmax)
+    trunc = Truncation(args.d, kmax, args.Nmax, args.nmax)
     f3 = f3_111(args.d, ctx)
     from .ginfty import mono_key
     from .polyvec import hom_letter

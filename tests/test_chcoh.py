@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from gerstenhaber.ginfty import (big_delta, kappa, mono_deg, mono_key, pdeg)
 from gerstenhaber.graded import Letter
 from gerstenhaber.polyvec import Polyvec, hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import ShuffleQuotient
+from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient, word_deg
 from gerstenhaber.suites import suite_chcoh
 from gerstenhaber.symco import LieData, d_chevalley_classical
 from gerstenhaber.tensorco import add_term
@@ -137,7 +138,8 @@ def test_d_ell_is_classical_chevalley_on_vector_fields():
         assert not {k: v for k, v in got.items() if v}
 
 
-def test_coboundary_roundtrip_small():
+def roundtrip_small():
+    """A seeded level-3 coboundary f = d(g) at d=2 and its preimage."""
     rng = SplitMix64(73)
     ctx = real_polyvec_context(2)
     one = ctx.target.letters[0]
@@ -155,13 +157,127 @@ def test_coboundary_roundtrip_small():
             if v:
                 dg[mono] = v
     f = Cochain(dg, 3)
-    pre = is_coboundary(f, ctx, trunc)
+    return ctx, trunc, f, is_coboundary(f, ctx, trunc)
+
+
+def test_coboundary_roundtrip_small():
+    ctx, trunc, f, pre = roundtrip_small()
     assert pre is not None
     for shape in reachable_shapes(level_shapes(2, 4)):
         for mono in monomials_for_shape(ctx, shape):
             assert d_ch_value(pre.eval, mono, ctx) == f.eval(mono)
     zero = is_coboundary(Cochain({}, 3), ctx, trunc)
     assert zero is not None and zero.is_zero()
+
+
+def test_coboundary_roundtrip_small_golden_preimage():
+    """The preimage, monomial order included, is pinned: solving only the
+    blocks of f's degree support gives the one that solving every block
+    gives."""
+    _, _, _, pre = roundtrip_small()
+    text = repr([(tuple(tuple(a.ident for a in w) for w in mono),
+                  sorted((str(a.ident), str(c)) for a, c in val.items()))
+                 for mono, val in pre.values.items()])
+    assert len(pre.values) == 14
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0e2034727db9ea9ad4ba176077ec0030abdb40bfc2c0ddafbf039615c9eed66f"
+
+
+@pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])
+def test_degree_restricted_enumeration_keeps_order(d, kmax):
+    """Restricted to degrees, the enumerators return exactly the filtered
+    full lists, in the same order, from a cold context."""
+    full_ctx = real_polyvec_context(d, kmax)
+    for p in (1, 2, 3):
+        words = full_ctx.rep_words(p)
+        for deg in sorted({word_deg(w) for w in words}):
+            ctx = real_polyvec_context(d, kmax)
+            assert ctx.rep_words(p, {deg}) == [w for w in words if word_deg(w) == deg]
+    for N in (1, 2, 3):
+        for shape in level_shapes(N, 4):
+            full = monomials_for_shape(full_ctx, shape)
+            degs = sorted({mono_deg(m) for m in full})
+            for deg in degs:
+                ctx = real_polyvec_context(d, kmax)
+                assert monomials_for_shape(ctx, shape, {deg}) == \
+                    [m for m in full if mono_deg(m) == deg]
+            pair = set(degs[:2])
+            assert monomials_for_shape(real_polyvec_context(d, kmax), shape, pair) == \
+                [m for m in full if mono_deg(m) in pair]
+
+
+def test_headline_decision_builds_only_deciding_tables():
+    """Deciding f3 at d=3, k<=1 tabulates, among the length-3 multisets, only
+    those of the deciding row block (letter-degree sum -2); the lazily built
+    tables equal eagerly built ones."""
+    ctx = real_polyvec_context(3, 1)
+    f3 = f3_111(3, ctx)
+    trunc = Truncation(3, 1, 4, 4)
+    assert is_cocycle(f3, ctx, trunc)
+    assert is_coboundary(f3, ctx, trunc) is None
+    built = sorted(ctx.quotient.tables)
+    long = [ms for ms in built if len(ms) == 3]
+    assert len(long) == 9
+    assert all(sum(a.degree for a in ms) == -2 for ms in long)
+    eager = build_quotient(ctx.source.letters, 3)
+    assert len(eager.tables) == 285
+    assert ctx.quotient.dump_json(long) == eager.dump_json(long)
+    assert ctx.quotient.dump_json(built) == eager.dump_json(built)
+
+
+def pruning_contexts(rng):
+    """The polyvector context (degree -1 letter morphism, zero target
+    bracket) and a sandbox mapped identically onto itself, whose nonzero
+    target bracket exercises the target-bracket terms."""
+    sandbox = sandbox_gerstenhaber(rng)
+    return [
+        real_polyvec_context(2, 1),
+        ChContext(sandbox, sandbox, {a: {a: Fraction(1)} for a in sandbox.letters}),
+    ]
+
+
+def test_d_ch_pruning_matches_full_evaluation():
+    """Enumerating d(g) by g's degrees and shapes drops only zero values:
+    the result equals d_ch_value on every level-3 monomial, in order."""
+    from gerstenhaber.chcoh import d_ch
+
+    rng = SplitMix64(77)
+    for ctx in pruning_contexts(rng):
+        trunc = Truncation(2, 1, 4, 4)
+        for shapes in ([(2,)], [(1, 1)], level_shapes(2, 4)):
+            vals = {}
+            for shape in shapes:
+                for mono in monomials_for_shape(ctx, shape):
+                    if rng.randrange(3) == 0:
+                        vals[mono] = {b: Fraction(rng.randint(1, 3))
+                                      for b in ctx.target.letters
+                                      if rng.randrange(2) == 0}
+            g = Cochain(vals, 2)
+            full = {}
+            for shape in reachable_shapes(level_shapes(2, 4)):
+                for mono in monomials_for_shape(ctx, shape):
+                    v = d_ch_value(g.eval, mono, ctx)
+                    if v:
+                        full[mono] = v
+            assert full
+            assert list(d_ch(g, ctx, trunc).values.items()) == list(full.items())
+
+
+def test_d_ch_terms_shape_filter_is_exact():
+    """Restricted to argument shapes, d_ch_terms returns exactly the full
+    term list filtered by argument shape, in order."""
+    from gerstenhaber.chcoh import d_ch_terms
+
+    rng = SplitMix64(78)
+    for ctx in pruning_contexts(rng):
+        for shape in level_shapes(3, 4) + level_shapes(4, 4):
+            monos = monomials_for_shape(ctx, shape)
+            for mono in [monos[rng.randrange(len(monos))] for _ in range(4) if monos]:
+                full = d_ch_terms(mono, ctx)
+                for keep in level_shapes(len(sum(mono, ())) - 1, 4):
+                    want = [t for t in full
+                            if tuple(sorted(len(w) for w in t[2])) == keep]
+                    assert d_ch_terms(mono, ctx, shapes={keep}) == want
 
 
 def test_truncation_insufficiency_reported():

@@ -66,6 +66,35 @@ def test_cocycle_rejects_low_dimension(capsys):
     assert code == 2
 
 
+def test_cocycle_rejects_kmax_zero(capsys):
+    code, out, err = run(capsys, "cocycle", "--d", "3", "--kmax", "0")
+    assert code == 2 and out == ""
+    assert "kmax >= 1" in err
+
+
+def test_cocycle_rejects_negative_kmax(capsys):
+    code, out, err = run(capsys, "cocycle", "--d", "3", "--kmax", "-1")
+    assert code == 2 and out == ""
+    assert "kmax >= 1" in err
+
+
+def test_dims_rejects_negative_kmax(capsys):
+    code, out, err = run(capsys, "dims", "--d", "3", "--kmax", "-2")
+    assert code == 2 and out == ""
+    assert "kmax >= 0" in err
+
+
+def test_cocycle_clamps_and_reports_kmax(capsys):
+    code, out, _ = run(capsys, "cocycle", "--d", "3", "--kmax", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["truncation"]["kmax"] == 1
+    code, out, _ = run(capsys, "cocycle", "--d", "3", "--kmax", "9",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["truncation"]["kmax"] == 3
+
+
 def test_differential_deterministic_and_product(tmp_path, capsys):
     out1 = tmp_path / "m1.json"
     out2 = tmp_path / "m2.json"
