@@ -28,7 +28,8 @@ from itertools import combinations_with_replacement
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign
-from .ginfty import Mono, mono_deg, mono_key, packet_sort_key, pdeg, add_mono
+from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_key,
+                     packet_sort_key, pdeg)
 from .shuffleco import ShuffleQuotient
 from .tensorco import add_scaled, add_term
 
@@ -270,14 +271,6 @@ def d_ch_value(feval, mono: Mono, ctx: ChContext, product_part=True,
         if v:
             add_scaled(out, _linmap_apply(ctx, spec, v), coeff)
     return out
-
-
-def d_m_value(feval, mono, ctx) -> Vec:
-    return d_ch_value(feval, mono, ctx, True, False)
-
-
-def d_ell_value(feval, mono, ctx) -> Vec:
-    return d_ch_value(feval, mono, ctx, False, True)
 
 
 def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
@@ -534,6 +527,24 @@ def _term_shapes(f, trunc: Truncation):
 # ---------------------------------------------------------------------------
 # cocycle / coboundary decisions
 
+def _block_matrix(ctx: ChContext, rows: list, cols: list) -> SparseMat:
+    """Exact coboundary matrix from the ``cols`` monomials to the ``rows``
+    monomials; row ri * nt + i and column ci * nt + i carry target letter i
+    (nt target letters).  Terms on arguments outside ``cols`` are dropped."""
+    tindex = {a: i for i, a in enumerate(ctx.target.letters)}
+    nt = len(tindex)
+    col_index = {m: i for i, m in enumerate(cols)}
+    mat = SparseMat(len(rows) * nt, len(cols) * nt)
+    for ri, W in enumerate(rows):
+        for (arg, lo, li), c in d_ch_row(W, ctx).items():
+            ci = col_index.get(arg)
+            if ci is not None:
+                r = ri * nt + tindex[lo]
+                cc = ci * nt + tindex[li]
+                mat[r, cc] = mat[r, cc] + c
+    return mat
+
+
 def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
     """Whether d(f) vanishes on every monomial inside the truncation.
 
@@ -590,24 +601,13 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     preimage: dict = {}
     for dW, rows in rows_by_deg.items():
         cols = cols_by_deg.get(dW + 1, [])
-        col_index = {m: i for i, m in enumerate(cols)}
-        mat = SparseMat(len(rows) * nt, len(cols) * nt)
         b: dict[int, Fraction] = {}
-        any_b = False
         for ri, W in enumerate(rows):
-            for (arg, lo, li), c in d_ch_row(W, ctx).items():
-                ci = col_index.get(arg)
-                if ci is not None:
-                    r = ri * nt + tindex[lo]
-                    cc = ci * nt + tindex[li]
-                    mat[r, cc] = mat[r, cc] + c
-            fv = f.eval(W)
-            for lo, c in fv.items():
+            for lo, c in f.eval(W).items():
                 b[ri * nt + tindex[lo]] = c
-                any_b = True
-        if not any_b and not cols:
+        if not b and not cols:
             continue
-        x = solve_in_column_span(mat, b)
+        x = solve_in_column_span(_block_matrix(ctx, rows, cols), b)
         if x is None:
             return None
         for ci, c in x.items():
@@ -634,236 +634,18 @@ def assemble_matrix(ctx: ChContext, src_shapes, row_shapes=None):
     rows = []
     for shape in row_shapes:
         rows.extend(monomials_for_shape(ctx, shape))
-    tletters = ctx.target.letters
-    tindex = {a: i for i, a in enumerate(tletters)}
-    nt = len(tletters)
-    col_index = {m: i for i, m in enumerate(cols)}
-    mat = SparseMat(len(rows) * nt, len(cols) * nt)
-    for ri, W in enumerate(rows):
-        for (arg, lo, li), c in d_ch_row(W, ctx).items():
-            ci = col_index.get(arg)
-            if ci is None:
-                continue
-            r = ri * nt + tindex[lo]
-            cc = ci * nt + tindex[li]
-            mat[r, cc] = mat[r, cc] + c
-    return mat, rows, cols
+    return _block_matrix(ctx, rows, cols), rows, cols
 
 
 # ---------------------------------------------------------------------------
-# morphism reconstruction (tableaux)
-
-def _compositions(p: int):
-    """All ways to cut a length-p packet into contiguous nonempty parts."""
-    out = []
-    for mask in range(1 << (p - 1)):
-        parts = []
-        start = 0
-        for i in range(p - 1):
-            if mask & (1 << i):
-                parts.append((start, i + 1))
-                start = i + 1
-        parts.append((start, p))
-        out.append(parts)
-    return out
-
-
-def _column_assignments(part_counts, t):
-    """Assignments of each row's parts to strictly increasing columns in 1..t."""
-    from itertools import combinations as comb
-
-    rows = []
-    for r in part_counts:
-        rows.append(list(comb(range(t), r)))
-    out = []
-
-    def rec(i, acc):
-        if i == len(rows):
-            out.append(list(acc))
-            return
-        for choice in rows[i]:
-            rec(i + 1, acc + [choice])
-
-    rec(0, [])
-    return out
-
-
-def _wdeg(word) -> int:
-    return sum(a.degree for a in word)
-
-
-def tableau_sign(cols, tcells) -> int:
-    """Sign carrying a tableau from reading order to column order.
-
-    Cells are consumed column by column, inside a column in row order; pulling
-    a cell out of the remaining reading-order sequence crosses every cell
-    still in front of it.  Crossing factors are Koszul signs on word degrees,
-    with a suspension marker on one side in all but one case:
-
-      crossing cell   crossed cell    factor exponent (word degrees)
-      whole           whole           (ws+1)(wc+1)
-      whole           piece            ws (wc+1)
-      piece joining   piece            ws (wc+1)
-      piece opening   piece            ws  wc
-      piece           whole           (ws+1) wc
-
-    and a piece that opens a new column, is not the last piece of its row and
-    crossed at least one piece contributes one extra (-1)^(its word degree).
-    The convention is pinned by the comorphism identities; it has been checked
-    against the cocrochet-recursion lift on every shape with at most two cut
-    packets of length at most 2 plus uncut packets, and on single packets of
-    length up to 4.
-    """
-    remaining = list(tcells)
-    e = 0
-    for col in cols:
-        for ci, c in enumerate(col):
-            idx = next(i for i, r in enumerate(remaining) if r[0] == c[0])
-            skipped = remaining[:idx]
-            opens = ci == 0
-            not_row_last = c[3] and c[4] < c[5] - 1
-            wc = _wdeg(c[2]) % 2
-            skipped_piece = any(s[3] for s in skipped)
-            for s in skipped:
-                ws = _wdeg(s[2]) % 2
-                if not c[3]:
-                    e += (ws + 1) * (wc + 1) if not s[3] else ws * (wc + 1)
-                elif not s[3]:
-                    e += (ws + 1) * wc
-                elif not opens:
-                    e += ws * (wc + 1)
-                else:
-                    e += ws * wc
-            if c[3] and opens and not_row_last and skipped_piece:
-                e += wc
-            remaining.pop(idx)
-    return -1 if e % 2 else 1
-
-
-# shapes on which tableau_sign has been verified against the recursion lift;
-# all-singleton shapes only admit the trivial tableau and are always safe
-TABLEAU_SAFE_SHAPES = {
-    (1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 1),
-    (1, 1, 2), (1, 1, 3), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 1, 1),
-}
-
-
-def _tableau_safe(shape) -> bool:
-    return shape in TABLEAU_SAFE_SHAPES or all(p == 1 for p in shape)
-
-
-def _iter_tableaux(mono: Mono):
-    """Yield (columns, reading-order cells) over all admissible tableaux.
-
-    A cell is (uid, row, word, is_piece, piece_index, row_piece_count).
-    Cut parts are contiguous, occupy strictly increasing columns, every
-    column holds at least one part (wholes attach to part columns) and the
-    column count exceeds the cut count by one.
-    """
-    n = len(mono)
-    all_cuts = [_compositions(len(w)) for w in mono]
-
-    def rec(j, chosen):
-        if j < n:
-            for cuts in all_cuts[j]:
-                yield from rec(j + 1, chosen + [cuts])
-            return
-        tcells = []
-        uid = 0
-        rowcells = {}
-        for i in range(n):
-            rowcells[i] = []
-            cnt = len(chosen[i])
-            for piidx, (s, e) in enumerate(chosen[i]):
-                c = (uid, i, mono[i][s:e], cnt > 1, piidx, cnt)
-                tcells.append(c)
-                rowcells[i].append(c)
-                uid += 1
-        cut_rows = [i for i in range(n) if len(chosen[i]) > 1]
-        if not cut_rows:
-            yield [list(tcells)], tcells
-            return
-        t = sum(len(c) - 1 for c in chosen) + 1
-        part_counts = [len(chosen[i]) for i in cut_rows]
-        whole_rows = [i for i in range(n) if len(chosen[i]) == 1]
-        for assign in _column_assignments(part_counts, t):
-            colparts = [[] for _ in range(t)]
-            for ri, row in enumerate(cut_rows):
-                for piidx, colu in enumerate(assign[ri]):
-                    colparts[colu].append(rowcells[row][piidx])
-            if any(not cp for cp in colparts):
-                continue
-
-            def place(w, acc):
-                if w == len(whole_rows):
-                    cols = [
-                        sorted(colparts[cidx] + acc[cidx], key=lambda c: c[1])
-                        for cidx in range(t)
-                    ]
-                    yield cols, tcells
-                    return
-                row = whole_rows[w]
-                for cidx in range(t):
-                    if colparts[cidx]:
-                        acc2 = [list(c) for c in acc]
-                        acc2[cidx].append(rowcells[row][0])
-                        yield from place(w + 1, acc2)
-
-            yield from place(0, [[] for _ in range(t)])
-
-    yield from rec(0, [])
-
-
-def tableau_terms(mono: Mono, taylor, source_quotient: ShuffleQuotient,
-                  target_quotient: ShuffleQuotient) -> dict:
-    """Single-packet component of the lifted bicoalgebra morphism.
-
-    Sums the signed tableaux: each column's cells (reduced to representative
-    words) form a monomial handed to the Taylor family, the column values form
-    one output word, reduced in the target quotient.  Returns
-    {representative output word: coefficient}.
-    """
-    out: dict = {}
-    for cols, tcells in _iter_tableaux(mono):
-        sign = Fraction(tableau_sign(cols, tcells))
-        val = {(): sign}
-        dead = False
-        for col in cols:
-            colvec: dict = {}
-            stack = [([], Fraction(1), 0)]
-            while stack:
-                ws, c, i = stack.pop()
-                if i == len(col):
-                    cm, csign = mono_key(ws)
-                    if cm is not None:
-                        for a, ca in taylor(cm).items():
-                            add_term(colvec, a, c * ca * csign)
-                    continue
-                for rw, rc in source_quotient.reduce_word(col[i][2]).items():
-                    stack.append((ws + [rw], c * rc, i + 1))
-            if not colvec:
-                dead = True
-                break
-            nxt: dict = {}
-            for w, cw in val.items():
-                for a, ca in colvec.items():
-                    add_term(nxt, w + (a,), cw * ca)
-            val = nxt
-        if dead:
-            continue
-        for w, cw in val.items():
-            add_scaled(out, target_quotient.reduce_word(w), cw)
-    return out
-
+# morphism reconstruction
 
 def _kappa1_word(w, quo: ShuffleQuotient) -> dict:
     """Packet cocrochet of one word, on representative pairs."""
-    from .ginfty import pdeg as _pdeg
-
     out: dict = {}
     for j in range(1, len(w)):
         u, v = w[:j], w[j:]
-        ud, vd = _pdeg(u), _pdeg(v)
+        ud, vd = pdeg(u), pdeg(v)
         cut = Fraction(-1 if ud % 2 == 0 else 1)
         for uw, cu in quo.reduce_word(u).items():
             for vw, cv in quo.reduce_word(v).items():
@@ -880,11 +662,10 @@ def recursion_single(mono: Mono, taylor, source_quotient: ShuffleQuotient,
     The component on a monomial is the Taylor value plus the unique solution P
     of  kappa(P) = (F (x) F) kappa(monomial)  restricted to single-packet
     pairs; the uncut solve is an exact linear system over candidate
-    representative words.  Used as the independent oracle for the tableau
-    convention and as the lift on shapes outside TABLEAU_SAFE_SHAPES.
+    representative words.  ``cache`` holds the components already lifted, so
+    sub-monomials shared by several cuts are solved once.  The paper's signed
+    tableau sum gives the same components; the tests keep it as the oracle.
     """
-    from .ginfty import kappa as _kappa
-
     if mono in cache:
         return cache[mono]
     base: dict = {}
@@ -894,7 +675,7 @@ def recursion_single(mono: Mono, taylor, source_quotient: ShuffleQuotient,
         cache[mono] = base
         return base
     R: dict = {}
-    for (m1, m2), c in _kappa(mono, source_quotient).items():
+    for (m1, m2), c in kappa(mono, source_quotient).items():
         F1 = recursion_single(m1, taylor, source_quotient, target_quotient, cache)
         F2 = recursion_single(m2, taylor, source_quotient, target_quotient, cache)
         for w1, c1 in F1.items():
@@ -952,9 +733,8 @@ def reconstruct_morphism(taylor: TaylorFamily, source_quotient: ShuffleQuotient,
     """Lift a Taylor family to the bicoalgebra morphism.
 
     Returns (full, single): ``single`` maps a canonical source monomial to its
-    single-packet component {output word: coefficient} via the signed tableau
-    sum (falling back to the recursion lift on shapes where the tableau sign
-    convention has not been pinned); ``full`` assembles the whole morphism as
+    single-packet component {output word: coefficient} by the cocrochet
+    recursion (``recursion_single``); ``full`` assembles the whole morphism as
     the sum over unordered packet partitions of products of single components,
     with the Koszul regrouping sign.  The lift satisfies both comorphism
     identities, which is how the sign conventions are validated.
@@ -962,9 +742,6 @@ def reconstruct_morphism(taylor: TaylorFamily, source_quotient: ShuffleQuotient,
     rec_cache: dict = {}
 
     def single(mono: Mono) -> dict:
-        shape = tuple(sorted(len(w) for w in mono))
-        if _tableau_safe(shape):
-            return tableau_terms(mono, taylor, source_quotient, target_quotient)
         return recursion_single(mono, taylor, source_quotient, target_quotient,
                                 rec_cache)
 

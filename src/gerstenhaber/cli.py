@@ -14,9 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .chcoh import (ChContext, Truncation, TruncationError, assemble_matrix,
-                    f3_111, is_cocycle, is_coboundary, level_shapes,
-                    monomials_for_shape, real_polyvec_context)
+from .chcoh import (Truncation, TruncationError, assemble_matrix, f3_111,
+                    is_cocycle, is_coboundary, level_shapes,
+                    real_polyvec_context)
 from .polyvec import basis as pv_basis
 from .suites import SUITES, run_suites
 
@@ -66,6 +66,17 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+def _kmax(args, least: int, why: str):
+    """The tensor degree bound: d without --kmax, else --kmax clamped to d;
+    None, after a usage message, when --kmax is below ``least``."""
+    if args.kmax is None:
+        return args.d
+    if args.kmax < least:
+        sys.stderr.write(f"{why}: need kmax >= {least}\n")
+        return None
+    return min(args.kmax, args.d)
+
+
 def cmd_verify(args) -> int:
     names = SUITE_ALIASES.get(args.suite)
     if names is None:
@@ -93,11 +104,10 @@ def cmd_dims(args) -> int:
     if args.d < 1:
         sys.stderr.write("need a spatial dimension d >= 1\n")
         return 2
-    if args.kmax is not None and args.kmax < 0:
-        sys.stderr.write("need a tensor degree bound kmax >= 0\n")
+    kmax = _kmax(args, 0, "tensor degree bound")
+    if kmax is None:
         return 2
     d = args.d
-    kmax = d if args.kmax is None else min(args.kmax, d)
     rows = [(k, len(pv_basis(d, k))) for k in range(kmax + 1)]
     ctx = real_polyvec_context(d, kmax)
     qdims = []
@@ -127,10 +137,9 @@ def cmd_cocycle(args) -> int:
     if args.d < 3:
         sys.stderr.write("the 3-cochain needs d >= 3 for a nonzero value\n")
         return 2
-    if args.kmax is not None and args.kmax < 1:
-        sys.stderr.write("the 3-cochain lives on vector fields: need kmax >= 1\n")
+    kmax = _kmax(args, 1, "the 3-cochain lives on vector fields")
+    if kmax is None:
         return 2
-    kmax = args.d if args.kmax is None else min(args.kmax, args.d)
     ctx = real_polyvec_context(args.d, kmax)
     trunc = Truncation(args.d, kmax, args.Nmax, args.nmax)
     f3 = f3_111(args.d, ctx)
@@ -184,7 +193,13 @@ def cmd_differential(args) -> int:
         return 2
     if args.operator != "dch":
         return _cmd_differential_classical(args)
-    ctx = real_polyvec_context(args.d, args.kmax)
+    if args.nmax < 1:
+        sys.stderr.write("need a packet count bound nmax >= 1\n")
+        return 2
+    kmax = _kmax(args, 0, "tensor degree bound")
+    if kmax is None:
+        return 2
+    ctx = real_polyvec_context(args.d, kmax)
     shapes = level_shapes(args.level, args.nmax)
     mat, rows, cols = assemble_matrix(ctx, shapes)
     if args.format == "matrixmarket":
@@ -198,10 +213,8 @@ def _cmd_differential_classical(args) -> int:
     """Hochschild / Chevalley / Harrison coboundary matrices for the dual
     numbers respectively the two dimensional solvable Lie algebra."""
     from .exactlin import SparseMat
-    from .graded import Letter
-    from .shuffleco import ShuffleQuotient, shifted
-    from .suites import random_assoc_algebra
-    from .prng import SplitMix64
+    from .graded import Letter, shifted
+    from .shuffleco import ShuffleQuotient
     from .symco import LieData, d_chevalley_classical
     from .tensorco import Bimodule, d_hochschild
     from itertools import product as iproduct

@@ -59,31 +59,20 @@ class SparseMat:
         return out
 
     def mul(self, other: "SparseMat") -> "SparseMat":
+        """Row-by-row (Gustavson) product: row i of the result accumulates
+        A[i, k] * (row k of B) over the nonzero A[i, k]."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in other.entries.items():
-            cols.setdefault(c, {})[r] = v
-        rows = self.rows()
+        brows = other.rows()
         out = SparseMat(self.nrows, other.ncols)
-        for j, col in cols.items():
-            for i in range(self.nrows):
-                row = rows[i]
-                if not row:
-                    continue
-                s = Fraction(0)
-                if len(row) < len(col):
-                    for k, v in row.items():
-                        w = col.get(k)
-                        if w is not None:
-                            s += v * w
-                else:
-                    for k, w in col.items():
-                        v = row.get(k)
-                        if v is not None:
-                            s += v * w
+        for i, row in enumerate(self.rows()):
+            acc: dict[int, Fraction] = {}
+            for k, v in row.items():
+                for j, w in brows[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            for j, s in acc.items():
                 if s:
-                    out[i, j] = s
+                    out.entries[i, j] = s
         return out
 
     def mul_vec(self, x: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -160,16 +149,6 @@ def _echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
         if prow == nrows:
             break
     return rowdicts, pivots
-
-
-def rref(m: SparseMat) -> tuple[SparseMat, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    rows, pivots = _echelonize(m.rows(), m.ncols)
-    out = SparseMat(m.nrows, m.ncols)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            out[r, c] = v
-    return out, pivots
 
 
 def rank(m: SparseMat) -> int:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import Letter, koszul_sign
+from .graded import Letter, koszul_sign, word_deg
 from .polyvec import basis as pv_basis
 from .polyvec import hom_letter, letter_polyvec, schouten, wedge
-from .shuffleco import ShuffleQuotient, Word, word_deg
+from .shuffleco import ShuffleQuotient, Word
 from .tensorco import add_scaled, add_term, elem_eq
 
 Vec = dict   # dict[Letter, Fraction]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import koszul_sign, unshuffle_sign
-from .shuffleco import ShuffleQuotient, Word, word_deg
+from .graded import koszul_sign, unshuffle_sign, word_deg
+from .shuffleco import ShuffleQuotient, Word
 from .tensorco import add_term
 
 Mono = tuple      # tuple[Word, ...] canonical
@@ -64,18 +64,6 @@ def add_pair(acc: PairElem, left_packets, right_packets, coeff: Fraction):
     if right is None:
         return
     add_term(acc, (left, right), sl * sr * coeff)
-
-
-def expand_packet_values(fixed, position_values, coeff, emit):
-    """Multilinear helper: one slot per dict word -> coefficient."""
-    stack = [(list(fixed), coeff, 0)]
-    while stack:
-        packs, c, i = stack.pop()
-        if i == len(position_values):
-            emit(packs, c)
-            continue
-        for w, cw in position_values[i].items():
-            stack.append((packs + [w], c * cw, i + 1))
 
 
 def big_delta(mono: Mono) -> PairElem:
@@ -180,14 +168,6 @@ def lm_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> M
     return out
 
 
-def apply_to_elem(op, elem: MonoElem) -> MonoElem:
-    out: MonoElem = {}
-    for mono, c in elem.items():
-        for m2, c2 in op(mono).items():
-            add_term(out, m2, c * c2)
-    return out
-
-
 def pair_apply_left(op, pairs: PairElem) -> PairElem:
     """(op (x) id) with no crossing sign: op acts on the left factor."""
     out: PairElem = {}
@@ -204,13 +184,4 @@ def pair_apply_right(op, op_degree: int, pairs: PairElem) -> PairElem:
         sign = -1 if (op_degree % 2) and (mono_deg(a) % 2) else 1
         for m2, c2 in op(b).items():
             add_term(out, (a, m2), sign * c * c2)
-    return out
-
-
-def pair_swap(pairs: PairElem) -> PairElem:
-    """Graded flip of the two tensor factors."""
-    out: PairElem = {}
-    for (a, b), c in pairs.items():
-        sign = -1 if (mono_deg(a) % 2) and (mono_deg(b) % 2) else 1
-        add_term(out, (b, a), sign * c)
     return out

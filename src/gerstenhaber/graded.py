@@ -28,6 +28,16 @@ class Letter:
         return f"L({self.ident},{self.degree})"
 
 
+def word_deg(word: Sequence[Letter]) -> int:
+    """Degree of a word: the sum of its letter degrees."""
+    return sum(a.degree for a in word)
+
+
+def shifted(letter: Letter) -> Letter:
+    """The same symbol viewed one shift down (degree lowered by 1)."""
+    return Letter(letter.ident, letter.degree - 1)
+
+
 def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     """Sign of the graded permutation sending position k to ``perm[k]``.
 
@@ -60,28 +70,3 @@ def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
     leftset = set(left)
     right = [i for i in range(len(degrees)) if i not in leftset]
     return koszul_sign(degrees, list(left) + right)
-
-
-def swap_sign(deg_a: int, deg_b: int) -> int:
-    """Sign of the graded flip a (x) b -> b (x) a."""
-    return -1 if (deg_a % 2) and (deg_b % 2) else 1
-
-
-def decalage_sign(degrees: Sequence[int]) -> int:
-    """Sign of the chosen isomorphism between a wedge word and a symmetric word.
-
-    For letters of (shifted) degrees x_1..x_n the sign is
-    (-1)^(sum_j (n-j) * x_j), with j starting at 1.
-    """
-    n = len(degrees)
-    e = sum((n - j) * degrees[j - 1] for j in range(1, n + 1))
-    return -1 if e % 2 else 1
-
-
-def shift_degree(shift: int, unshifted: int) -> int:
-    """Degree in V[shift] of an element of degree ``unshifted`` in V."""
-    return unshifted - shift
-
-
-def parity(degree: int) -> int:
-    return degree % 2

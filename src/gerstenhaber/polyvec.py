@@ -211,11 +211,6 @@ def mu2(a: Polyvec, b: Polyvec) -> Polyvec:
     return wedge(a, b).scale(sign)
 
 
-def shifted_bracket(a: Polyvec, b: Polyvec) -> Polyvec:
-    """The Schouten bracket seen on G[1], where it has degree 0."""
-    return schouten(a, b)
-
-
 def f1(a: Polyvec) -> Fraction:
     """Projection onto the constants: the value for k = 0, else 0.
 

@@ -9,8 +9,6 @@ deliberately not used.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 MASK = (1 << 64) - 1
 
 
@@ -47,9 +45,3 @@ class SplitMix64:
         for _ in range(k):
             out.append(pool.pop(self.randrange(len(pool))))
         return out
-
-    def fraction(self, num_bound: int = 3, den_bound: int = 2) -> Fraction:
-        """Small nonzero-biased rational, numerator in [-num_bound, num_bound]."""
-        num = self.randint(-num_bound, num_bound)
-        den = self.randint(1, den_bound)
-        return Fraction(num, den)

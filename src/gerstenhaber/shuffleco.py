@@ -15,20 +15,11 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import Letter, koszul_sign
+from .graded import koszul_sign, shifted, word_deg
 from .tensorco import add_scaled, add_term
 
 Word = tuple   # tuple[Letter, ...]
 Elem = dict    # dict[Word, Fraction]
-
-
-def word_deg(word: Word) -> int:
-    return sum(a.degree for a in word)
-
-
-def shifted(letter: Letter) -> Letter:
-    """The same symbol viewed one shift down (degree lowered by 1)."""
-    return Letter(letter.ident, letter.degree - 1)
 
 
 def bat(a: Word, b: Word) -> Elem:

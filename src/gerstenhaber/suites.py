@@ -14,17 +14,14 @@ from .genv import (GerstBasis, h_bracket, h_bracket_elem, h_bracket_raw, h_mu,
                    h_mu_elem, polyvec_basis, sandbox_gerstenhaber)
 from .ginfty import (big_delta, kappa, ell_on_packets, lm_on_packets,
                      m_on_packets, mono_deg, mono_key, pair_apply_left,
-                     pair_apply_right, pair_swap, pdeg)
-from .graded import Letter, koszul_sign
+                     pair_apply_right)
+from .graded import Letter, shifted, word_deg
 from .prng import SplitMix64
 from .shuffleco import (ShuffleQuotient, bat, bat3, bat_elem, delta,
-                        delta_elem, d_harrison, lift_coderivation,
-                        lift_morphism, mu, shifted, word_deg)
-from .symco import (LieData, d_chevalley, ell_lift, ell2, sym_coproduct,
-                    sym_key)
+                        delta_elem, d_harrison, mu)
+from .symco import LieData, d_chevalley, ell_lift, sym_coproduct, sym_key
 from .tensorco import (Bimodule, FiniteAlgebra, add_scaled, add_term,
-                       coderivation_lift_tensor, d_hochschild, deconcat,
-                       elem_eq, m_differential, m2, word_sdeg)
+                       d_hochschild, deconcat, m_differential)
 
 Result = tuple  # (name, bool, str)
 
@@ -151,7 +148,7 @@ def suite_tensorco(seed: int, trials: int) -> list:
         for (a, b), c in deconcat(w).items():
             for w2, c2 in mdiff({a: Fraction(1)}).items():
                 add_term(lhs, (w2, b), c * c2)
-            s = -1 if word_sdeg(a) % 2 else 1
+            s = -1 if word_deg(a) % 2 else 1
             for w2, c2 in mdiff({b: Fraction(1)}).items():
                 add_term(lhs, (a, w2), s * c * c2)
         rhs: dict = {}
@@ -205,7 +202,7 @@ def suite_symco(seed: int, trials: int) -> list:
         # cocommutativity
         swapped: dict = {}
         for (a, b), c in cop.items():
-            s = -1 if (word_sdeg_sym(a) % 2 and word_sdeg_sym(b) % 2) else 1
+            s = -1 if ((word_deg(a) - len(a)) % 2 and (word_deg(b) - len(b)) % 2) else 1
             add_term(swapped, (b, a), s * c)
         if swapped != cop:
             bad = f"cocommutativity fails on {word}"
@@ -262,10 +259,6 @@ def suite_symco(seed: int, trials: int) -> list:
             break
     results.append(("symco: Chevalley coboundary squares to zero", bad is None, bad))
     return results
-
-
-def word_sdeg_sym(word) -> int:
-    return sum(a.degree - 1 for a in word)
 
 
 def _eval_sym(table, letters):
@@ -608,11 +601,12 @@ def suite_ginfty(seed: int, trials: int) -> list:
 
 
 def suite_chcoh(seed: int, trials: int) -> list:
-    from .chcoh import (ChContext, Cochain, d_ch_value, level_shapes,
-                        monomials_for_shape, reachable_shapes, real_target)
+    from .chcoh import (ChContext, Cochain, Truncation, d_ch, is_cocycle,
+                        level_shapes, monomials_for_shape, real_target)
 
     rng = SplitMix64(seed)
     results = []
+    trunc = Truncation(2, 1, 4, 4)
 
     bad = None
     for t in range(max(1, trials // 10)):
@@ -626,22 +620,10 @@ def suite_chcoh(seed: int, trials: int) -> list:
             for mono in monomials_for_shape(ctx, shape):
                 if rng.randrange(3) == 0:
                     vals[mono] = {one: Fraction(rng.randint(-2, 2))}
-        g = Cochain(vals, 2)
-        dg = {}
-        for shape in reachable_shapes(level_shapes(2, 3)):
-            for mono in monomials_for_shape(ctx, shape):
-                v = d_ch_value(g.eval, mono, ctx)
-                if v:
-                    dg[mono] = v
-        dgc = Cochain(dg, 3)
-        for shape in reachable_shapes(reachable_shapes(level_shapes(2, 3))):
-            for mono in monomials_for_shape(ctx, shape):
-                if d_ch_value(dgc.eval, mono, ctx):
-                    bad = f"d_CH^2 != 0 at {mono}"
-                    break
-            if bad:
-                break
-        if bad:
+        dg = d_ch(Cochain(vals, 2), ctx, trunc)
+        ok, where = is_cocycle(dg, ctx, trunc, report=True)
+        if not ok:
+            bad = f"d_CH^2 != 0 at {where}"
             break
     results.append(("chcoh: combined coboundary squares to zero", bad is None, bad))
     return results

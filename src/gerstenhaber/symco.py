@@ -217,17 +217,6 @@ def ell_lift(data: LieData):
     return ell
 
 
-def eval_cochain(cochain: dict, letters, default=None) -> Vec:
-    """Evaluate a stored cochain on a list of letters, canonicalizing first."""
-    word, sign = sym_key(letters)
-    if word is None:
-        return {}
-    val = cochain.get(word)
-    if val is None:
-        return {} if default is None else default(word)
-    return {k: sign * v for k, v in val.items()}
-
-
 def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):
     """Graded Chevalley coboundary of an n-cochain F on S^n(g[1]) valued in h[1].
 

@@ -2,7 +2,7 @@
 
 Letters of a ``FiniteAlgebra`` carry their unshifted degree.  Tensor words
 live over the shifted copy of the basis: their letters are the same symbols
-with the degree lowered by one (``shifted_letter``), and every sign below
+with the degree lowered by one (``graded.shifted``), and every sign below
 reads those shifted degrees directly.  An element is a sparse dict
 word -> Fraction.
 """
@@ -11,21 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import Letter
+from .graded import Letter, shifted, word_deg
 
 Word = tuple  # tuple[Letter, ...] with shifted degrees
 Elem = dict   # dict[Word, Fraction]
 Vec = dict    # dict[Letter, Fraction], an element of the algebra or module
-
-
-def shifted_letter(letter: Letter) -> Letter:
-    """The same symbol one shift down."""
-    return Letter(letter.ident, letter.degree - 1)
-
-
-def word_sdeg(word: Word) -> int:
-    """Degree of a word of shifted letters."""
-    return sum(a.degree for a in word)
 
 
 def add_term(acc: dict, key, coeff: Fraction):
@@ -220,7 +210,7 @@ def m2(a: Letter, b: Letter, alg: FiniteAlgebra) -> Vec:
     product, returned over shifted letters."""
     sign = -1 if a.degree % 2 else 1
     prod = alg.mul_letters(alg.by_ident[a.ident], alg.by_ident[b.ident])
-    return {shifted_letter(c): sign * v for c, v in prod.items()}
+    return {shifted(c): sign * v for c, v in prod.items()}
 
 
 def coderivation_lift_tensor(taylor: dict, q: int):
@@ -245,7 +235,7 @@ def coderivation_lift_tensor(taylor: dict, q: int):
                 for j in range(0, n - r + 1):
                     sign = 1
                     if q % 2:
-                        if word_sdeg(word[:j]) % 2:
+                        if word_deg(word[:j]) % 2:
                             sign = -1
                     val = Qr(word[j : j + r])
                     for letter, c in val.items():
@@ -283,7 +273,7 @@ def d_hochschild(C, n: int, alg: FiniteAlgebra, module: Bimodule,
         if len(word) != n:
             raise ValueError(f"expected word of length {n}")
         out: Vec = {}
-        sign = -1 if (word_sdeg(word[:-1]) + 1) % 2 else 1
+        sign = -1 if (word_deg(word[:-1]) + 1) % 2 else 1
         last = alg.by_ident[word[-1].ident]
         add_scaled(out, module.act_right(C(word[:-1]), last), Fraction(sign))
         e = (word[0].degree + 1) * (1 + value_parity)
@@ -291,12 +281,12 @@ def d_hochschild(C, n: int, alg: FiniteAlgebra, module: Bimodule,
         first = alg.by_ident[word[0].ident]
         add_scaled(out, module.act_left(first, C(word[1:])), Fraction(sign))
         for j in range(n - 1):
-            sign = -1 if (word_sdeg(word[: j + 1]) + 1) % 2 else 1
+            sign = -1 if (word_deg(word[: j + 1]) + 1) % 2 else 1
             prod = alg.mul_letters(
                 alg.by_ident[word[j].ident], alg.by_ident[word[j + 1].ident]
             )
             for letter, c in prod.items():
-                neww = word[:j] + (shifted_letter(letter),) + word[j + 2 :]
+                neww = word[:j] + (shifted(letter),) + word[j + 2 :]
                 add_scaled(out, C(neww), -Fraction(sign) * c)
         return out
 

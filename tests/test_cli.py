@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from gerstenhaber.cli import main
@@ -93,6 +94,51 @@ def test_cocycle_clamps_and_reports_kmax(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["truncation"]["kmax"] == 3
+
+
+def test_differential_rejects_negative_kmax(capsys):
+    code, out, err = run(capsys, "differential", "--d", "2", "--kmax", "-1",
+                         "--level", "1")
+    assert code == 2 and out == ""
+    assert "kmax >= 0" in err
+
+
+def test_differential_rejects_nmax_zero(capsys):
+    code, out, err = run(capsys, "differential", "--d", "2", "--nmax", "0",
+                         "--level", "1")
+    assert code == 2 and out == ""
+    assert "nmax >= 1" in err
+
+
+def test_differential_clamps_kmax(capsys):
+    code, out, _ = run(capsys, "differential", "--d", "2", "--kmax", "5",
+                       "--level", "1")
+    assert code == 0
+    assert out == run(capsys, "differential", "--d", "2", "--kmax", "2",
+                      "--level", "1")[1]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_all_golden_digest(capsys):
+    """The seeded verify report at 50 trials, pinned byte for byte."""
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7",
+                       "--trials", "50")
+    assert code == 0
+    assert sha256(out) == \
+        "4f66f44eeb0dedd939c2e9f2b36b9721a27fbaf0ebdff54395d4f0c0fa7718fa"
+
+
+def test_differential_golden_digest(capsys):
+    """The exported level-2 coboundary matrix at d=2, k<=1, pinned byte for
+    byte."""
+    code, out, _ = run(capsys, "differential", "--d", "2", "--kmax", "1",
+                       "--level", "2")
+    assert code == 0
+    assert sha256(out) == \
+        "f111598a7f93ebea26e6003e02b4a6a15d1583b1f5715bbf37a877af1a487078"
 
 
 def test_differential_deterministic_and_product(tmp_path, capsys):

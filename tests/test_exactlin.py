@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from gerstenhaber.exactlin import (SparseMat, kernel_basis, rank, rref,
+import pytest
+
+from gerstenhaber.exactlin import (SparseMat, kernel_basis, rank,
                                    solve_in_column_span)
 from gerstenhaber.prng import SplitMix64
 
@@ -15,23 +17,6 @@ def mat(rows):
 
 def dense(m):
     return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
-
-
-def test_rref_identity():
-    m = mat([[1, 0], [0, 1]])
-    r, pivots = rref(m)
-    assert r == m and pivots == [0, 1]
-
-
-def test_rref_rank_one():
-    r, pivots = rref(mat([[1, 2], [2, 4]]))
-    assert dense(r) == [[1, 2], [0, 0]]
-    assert pivots == [0]
-
-
-def test_rref_zero():
-    r, pivots = rref(SparseMat(3, 3))
-    assert r.is_zero() and pivots == []
 
 
 def test_rank_cases():
@@ -107,6 +92,52 @@ def test_kernel_vectors_annihilate():
         m = rand_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
         for vec in kernel_basis(m):
             assert m.mul_vec(vec) == {}
+
+
+def rand_sparse(rng, nr, nc):
+    """Entries p/q with |p| <= 2, q <= 2 on about half of the cells; a
+    seeded choice of rows and columns stays empty."""
+    empty_rows = {i for i in range(nr) if rng.randrange(4) == 0}
+    empty_cols = {j for j in range(nc) if rng.randrange(4) == 0}
+    m = SparseMat(nr, nc)
+    for i in range(nr):
+        for j in range(nc):
+            if i not in empty_rows and j not in empty_cols and rng.randrange(2):
+                m[i, j] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return m
+
+
+def test_mul_matches_dense_triple_loop():
+    """Seeded rectangular products equal the dense triple loop, store no
+    zeros, and include entries whose terms cancel."""
+    rng = SplitMix64(6)
+    nonzero = cancelled = 0
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 7) for _ in range(3))
+        a, b = rand_sparse(rng, n, k), rand_sparse(rng, k, m)
+        da, db = dense(a), dense(b)
+        want = [[Fraction(0)] * m for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                terms = [da[i][t] * db[t][j] for t in range(k)]
+                want[i][j] = sum(terms, Fraction(0))
+                cancelled += not want[i][j] and any(terms)
+        prod = a.mul(b)
+        assert (prod.nrows, prod.ncols) == (n, m)
+        assert dense(prod) == want
+        assert all(prod.entries.values())
+        nonzero += bool(prod.entries)
+    assert nonzero > 30 and cancelled > 0
+
+
+def test_mul_cancellation_and_dimension_check():
+    a = mat([[1, 1], [0, 0], [2, -1]])
+    b = mat([[1, 2], [-1, 2]])
+    prod = a.mul(b)
+    assert dense(prod) == [[0, 4], [0, 0], [3, 2]]
+    assert sorted(prod.entries) == [(0, 1), (2, 0), (2, 1)]
+    with pytest.raises(ValueError):
+        a.mul(a)
 
 
 def test_exports_roundtrip():

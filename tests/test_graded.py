@@ -1,5 +1,4 @@
-from gerstenhaber.graded import (decalage_sign, koszul_sign, shift_degree,
-                                 swap_sign, unshuffle_sign)
+from gerstenhaber.graded import koszul_sign, unshuffle_sign
 from gerstenhaber.prng import SplitMix64
 
 
@@ -60,20 +59,3 @@ def test_unshuffle_and_swap():
     # pulling position 2 of (a,b,c) to the front crosses a and b
     assert unshuffle_sign([1, 1, 1], [2]) == 1
     assert unshuffle_sign([1, 0, 1], [2]) == -1
-    assert swap_sign(1, 1) == -1 and swap_sign(1, 2) == 1
-
-
-def test_decalage():
-    assert decalage_sign([7]) == 1
-    assert decalage_sign([1, 1]) == -1
-    assert decalage_sign([0, 0, 0]) == 1
-    # exponent sum_j (n-j) x_j
-    assert decalage_sign([1, 1, 1]) == (-1) ** (2 + 1)
-
-
-def test_shift_degree():
-    assert shift_degree(1, 1) == 0
-    assert shift_degree(1, 0) == -1
-    assert shift_degree(0, 5) == 5
-    # one more shift on a two-letter packet: a1 + a2 - 1
-    assert shift_degree(1, 3) == 2

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from gerstenhaber.graded import Letter
+from gerstenhaber.graded import Letter, shifted
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.suites import random_assoc_algebra, suite_tensorco
 from gerstenhaber.tensorco import (Bimodule, FiniteAlgebra,
                                    coderivation_lift_tensor, d_hochschild,
                                    deconcat, extended_algebra, m2,
-                                   m_differential, shifted_letter)
+                                   m_differential)
 
 ONE = Letter(("a", "1"), 0)
 X = Letter(("a", "x"), 0)
@@ -36,20 +36,20 @@ def test_deconcat_examples():
 
 def test_m2_signs():
     alg = nilpotent_algebra()
-    s1, sx = shifted_letter(ONE), shifted_letter(X)
+    s1, sx = shifted(ONE), shifted(X)
     # both letters have shifted degree -1: sign (-1)^(-1) = -1
     assert m2(s1, sx, alg) == {sx: Fraction(-1)}
     assert m2(sx, sx, alg) == {}
     # a letter of even shifted degree keeps the plain product
     even = Letter(("b", "e"), 1)
     alg2 = FiniteAlgebra([even], {})
-    assert m2(shifted_letter(even), shifted_letter(even), alg2) == {}
+    assert m2(shifted(even), shifted(even), alg2) == {}
 
 
 def test_coderivation_lift_displayed_sum():
     alg = nilpotent_algebra()
     m = m_differential(alg)
-    s1, sx = shifted_letter(ONE), shifted_letter(X)
+    s1, sx = shifted(ONE), shifted(X)
     # on a 2-letter word: single term m2
     assert m({(s1, s1): Fraction(1)}) == {(s1,): Fraction(-1)}
     # on a 3-letter word: m2 in place 1, then (-1)^(a1) m2 in place 2
@@ -61,7 +61,7 @@ def test_coderivation_lift_displayed_sum():
 
 def test_coderivation_identity_family():
     alg = nilpotent_algebra()
-    s1, sx = shifted_letter(ONE), shifted_letter(X)
+    s1, sx = shifted(ONE), shifted(X)
     lift = coderivation_lift_tensor({1: lambda w: {w[0]: Fraction(1)}}, 0)
     word = (s1, sx, s1)
     assert lift({word: Fraction(1)}) == {word: Fraction(3)}
@@ -70,7 +70,7 @@ def test_coderivation_identity_family():
 def test_hochschild_example():
     alg = nilpotent_algebra()
     module = Bimodule.regular(alg)
-    s1, sx = shifted_letter(ONE), shifted_letter(X)
+    s1, sx = shifted(ONE), shifted(X)
     table = {(sx,): {ONE: Fraction(1)}}
     C = lambda w: table.get(w, {})
     dC = d_hochschild(C, 2, alg, module)
@@ -86,7 +86,7 @@ def test_hochschild_square_brute_force():
     for _ in range(20):
         alg = random_assoc_algebra(rng)
         module = Bimodule.regular(alg)
-        letters = [shifted_letter(a) for a in alg.letters]
+        letters = [shifted(a) for a in alg.letters]
         arity = rng.randint(1, 2)
         table = {}
         for w in iproduct(letters, repeat=arity):
