@@ -640,21 +640,6 @@ def assemble_matrix(ctx: ChContext, src_shapes, row_shapes=None):
 # ---------------------------------------------------------------------------
 # morphism reconstruction
 
-def _kappa1_word(w, quo: ShuffleQuotient) -> dict:
-    """Packet cocrochet of one word, on representative pairs."""
-    out: dict = {}
-    for j in range(1, len(w)):
-        u, v = w[:j], w[j:]
-        ud, vd = pdeg(u), pdeg(v)
-        cut = Fraction(-1 if ud % 2 == 0 else 1)
-        for uw, cu in quo.reduce_word(u).items():
-            for vw, cv in quo.reduce_word(v).items():
-                add_term(out, (uw, vw), cut * cu * cv)
-                s = cut if (ud * vd) % 2 == 0 else -cut
-                add_term(out, (vw, uw), s * cu * cv)
-    return out
-
-
 def recursion_single(mono: Mono, taylor, source_quotient: ShuffleQuotient,
                      target_quotient: ShuffleQuotient, cache: dict) -> dict:
     """Single-packet lift via the cocrochet comorphism identity.
@@ -692,15 +677,13 @@ def recursion_single(mono: Mono, taylor, source_quotient: ShuffleQuotient,
         pidx = {p: i for i, p in enumerate(pairs)}
         ents: dict = {}
         for ci, w in enumerate(cands):
-            for pr, c in _kappa1_word(w, target_quotient).items():
+            for ((u,), (v,)), c in kappa((w,), target_quotient).items():
+                pr = (u, v)
                 if pr not in pidx:
                     pidx[pr] = len(pidx)
                     pairs.append(pr)
                 ents[(pidx[pr], ci)] = ents.get((pidx[pr], ci), Fraction(0)) + c
-        mat = SparseMat(len(pairs), len(cands))
-        for rc, v in ents.items():
-            if v:
-                mat[rc] = v
+        mat = SparseMat(len(pairs), len(cands), ents)
         x = solve_in_column_span(mat, {pidx[p]: c for p, c in R.items()})
         if x is None:
             raise ArithmeticError(f"uncut solve failed on {mono}")

@@ -108,7 +108,7 @@ class SparseMat:
         )
 
 
-def _echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
+def echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
     """In-place row echelon with unit pivots and full back-elimination.
 
     Returns (reduced rows, pivot column list).  Row order is preserved up to
@@ -152,13 +152,13 @@ def _echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
 
 
 def rank(m: SparseMat) -> int:
-    _, pivots = _echelonize(m.rows(), m.ncols)
+    _, pivots = echelonize(m.rows(), m.ncols)
     return len(pivots)
 
 
 def kernel_basis(m: SparseMat) -> list[dict[int, Fraction]]:
     """Basis of the right null space, one sparse column vector per free column."""
-    rows, pivots = _echelonize(m.rows(), m.ncols)
+    rows, pivots = echelonize(m.rows(), m.ncols)
     pivset = set(pivots)
     basis = []
     for free in range(m.ncols):
@@ -191,7 +191,7 @@ def solve_in_column_span(
     for r, v in b.items():
         if v:
             rows[r][aug] = Fraction(v)
-    rows, pivots = _echelonize(rows, m.ncols + 1)
+    rows, pivots = echelonize(rows, m.ncols + 1)
     if pivots and pivots[-1] == aug:
         return None
     x: dict[int, Fraction] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import koszul_sign, unshuffle_sign, word_deg
+from .graded import bipartitions, koszul_sign, word_deg
 from .shuffleco import ShuffleQuotient, Word
 from .tensorco import add_term
 
@@ -67,21 +67,9 @@ def add_pair(acc: PairElem, left_packets, right_packets, coeff: Fraction):
 
 
 def big_delta(mono: Mono) -> PairElem:
-    """Cocommutative coproduct: signed sum over proper factor bipartitions."""
-    n = len(mono)
-    degs = [pdeg(w) for w in mono]
-    out: PairElem = {}
-    for mask in range(1, (1 << n) - 1):
-        left = [i for i in range(n) if mask & (1 << i)]
-        right = [i for i in range(n) if not mask & (1 << i)]
-        sign = unshuffle_sign(degs, left)
-        add_pair(
-            out,
-            [mono[i] for i in left],
-            [mono[i] for i in right],
-            Fraction(sign),
-        )
-    return out
+    """Cocommutative coproduct: signed sum over proper factor bipartitions.
+    Both sides of a canonical monomial are canonical with sign +1."""
+    return bipartitions(mono, [pdeg(w) for w in mono])
 
 
 def kappa(mono: Mono, quotient: ShuffleQuotient) -> PairElem:

@@ -8,6 +8,7 @@ are the single source of those signs; only parities of degrees matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 
@@ -70,3 +71,24 @@ def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
     leftset = set(left)
     right = [i for i in range(len(degrees)) if i not in leftset]
     return koszul_sign(degrees, list(left) + right)
+
+
+def bipartitions(items: Sequence, degrees: Sequence[int]) -> dict:
+    """Signed sum over the proper bipartitions of ``items``.
+
+    Returns {(items_I, items_J): coefficient}, summing the unshuffle signs
+    eps(x / x_I, x_J) of all nonempty proper I with that pair of sides; both
+    sides keep their order, so a sorted tuple splits into sorted tuples.
+    """
+    n = len(items)
+    out: dict = {}
+    for mask in range(1, (1 << n) - 1):
+        left = [i for i in range(n) if mask & (1 << i)]
+        right = [i for i in range(n) if not mask & (1 << i)]
+        key = (tuple(items[i] for i in left), tuple(items[i] for i in right))
+        s = out.get(key, 0) + Fraction(unshuffle_sign(degrees, left))
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out

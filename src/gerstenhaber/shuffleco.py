@@ -4,9 +4,11 @@ Letters here carry the degree of the *shifted* space directly (for an algebra
 letter of unshifted degree k this is k - 1); all shuffle signs are Koszul
 signs on these degrees.  The quotient of the n-fold tensor space by the span
 of all proper shuffle images is presented, per letter multiset, by a fixed
-reduction table computed once by exact Gaussian elimination: words are ordered
-lexicographically by ident, eliminated (pivot) words are rewritten into the
-chosen representative words.
+reduction table: the shuffle images are brought to reduced row echelon form
+by ``exactlin.echelonize`` with words ordered lexicographically by ident, and
+eliminated (pivot) words are rewritten into the remaining representative
+words.  The coderivation lifts and the Harrison coboundary are the tensor
+ones of ``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import koszul_sign, shifted, word_deg
-from .tensorco import add_scaled, add_term
+from .exactlin import echelonize
+from .graded import koszul_sign, word_deg
+from .tensorco import (add_scaled, add_term, coderivation_lift_tensor,
+                       d_hochschild, m2)
 
 Word = tuple   # tuple[Letter, ...]
 Elem = dict    # dict[Word, Fraction]
@@ -116,60 +120,17 @@ class ShuffleQuotient:
                 f"word length {len(multiset)} exceeds quotient bound {self.max_len}"
             )
         words = _distinct_permutations(list(multiset))
-        n = len(multiset)
-        if n == 1:
-            table = {words[0]: {words[0]: Fraction(1)}}
-            self.tables[multiset] = table
-            self.reps[multiset] = words
-            return table
-        word_index = {w: i for i, w in enumerate(words)}
-        # Row echelon basis of the shuffle subspace, rows keyed by pivot word.
-        pivots: dict[Word, dict[Word, Fraction]] = {}
-        order: list[Word] = []
-
-        def insert(row: dict):
-            for w in order:
-                c = row.get(w)
-                if c:
-                    prow = pivots[w]
-                    for u, v in prow.items():
-                        s = row.get(u, 0) - c * v
-                        if s:
-                            row[u] = s
-                        else:
-                            row.pop(u, None)
-            if not row:
-                return
-            piv = min(row, key=lambda w: word_index[w])
-            inv = 1 / row[piv]
-            if inv != 1:
-                for u in list(row):
-                    row[u] *= inv
-            for w in order:
-                prow = pivots[w]
-                c = prow.get(piv)
-                if c:
-                    for u, v in row.items():
-                        s = prow.get(u, 0) - c * v
-                        if s:
-                            prow[u] = s
-                        else:
-                            prow.pop(u, None)
-            pivots[piv] = row
-            order.append(piv)
-
-        for w in words:
-            for p in range(1, n):
-                insert(dict(bat(w[:p], w[p:])))
-        reps = [w for w in words if w not in pivots]
-        table = {}
-        for w in words:
-            if w in pivots:
-                table[w] = {u: -v for u, v in pivots[w].items() if u != w}
-            else:
-                table[w] = {w: Fraction(1)}
+        index = {w: i for i, w in enumerate(words)}
+        # One row per proper split of each word; a single letter has none.
+        rows = [{index[u]: c for u, c in bat(w[:p], w[p:]).items()}
+                for w in words for p in range(1, len(w))]
+        rows, pivots = echelonize(rows, len(words))
+        table = {w: {w: Fraction(1)} for w in words}
+        for row, col in zip(rows, pivots):
+            table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
+        pivset = set(pivots)
         self.tables[multiset] = table
-        self.reps[multiset] = reps
+        self.reps[multiset] = [w for i, w in enumerate(words) if i not in pivset]
         return table
 
     def representatives(self, letters) -> list:
@@ -291,31 +252,16 @@ def lift_morphism(taylor: dict, quotient_out: ShuffleQuotient):
 
 
 def lift_coderivation(taylor: dict, q: int, quotient: ShuffleQuotient):
-    """Unique cocrochet coderivation of degree q with the given Taylor parts.
-
-        Q(a_[1,n]) = sum_(r,j) (-1)^(q * deg a_[1,j])
-                     a_[1,j] (x) Q_r(a_[j+1,j+r]) (x) a_[j+r+1,n]
-    """
-
-    def Q(word: Word) -> Elem:
-        out: Elem = {}
-        n = len(word)
-        for r, Qr in taylor.items():
-            if r > n:
-                continue
-            for j in range(0, n - r + 1):
-                sign = 1
-                if q % 2 and word_deg(word[:j]) % 2:
-                    sign = -1
-                for letter, c in Qr(word[j : j + r]).items():
-                    add_term(out, word[:j] + (letter,) + word[j + r :], Fraction(sign) * c)
-        return quotient.reduce(out)
-
-    return Q
+    """Unique cocrochet coderivation of degree q with the given Taylor parts:
+    the tensor coderivation lift of a word (``coderivation_lift_tensor``),
+    reduced in the quotient."""
+    lift = coderivation_lift_tensor(taylor, q)
+    return lambda word: quotient.reduce(lift({word: Fraction(1)}))
 
 
 def mu(alg, quotient: ShuffleQuotient):
-    """C-infinity differential: the degree 1 coderivation lifting the shifted product.
+    """C-infinity differential: the degree 1 coderivation lifting the shifted
+    product ``tensorco.m2``, reduced.
 
     ``alg`` is a graded-commutative FiniteAlgebra; words are over the shifted
     letters of its basis.  mu(a_[1,n]) = sum_k (-1)^(a_1+...+a_(k-1))
@@ -323,18 +269,7 @@ def mu(alg, quotient: ShuffleQuotient):
     """
     if not alg.commutative:
         raise ValueError("mu needs a graded-commutative algebra")
-
-    def m2s(word: Word) -> dict:
-        a, b = word
-        sign = -1 if a.degree % 2 else 1
-        return {
-            shifted(c): Fraction(sign) * v
-            for c, v in alg.mul_letters(
-                alg.by_ident[a.ident], alg.by_ident[b.ident]
-            ).items()
-        }
-
-    return lift_coderivation({2: m2s}, 1, quotient)
+    return lift_coderivation({2: lambda w: m2(w[0], w[1], alg)}, 1, quotient)
 
 
 def validate_harrison_cochain(C: dict, quotient: ShuffleQuotient):
@@ -349,7 +284,8 @@ def d_harrison(C: dict, n: int, alg, module, quotient: ShuffleQuotient):
 
     ``C`` maps representative (n-1)-letter words (shifted letters) to module
     elements; the algebra must be concentrated in degree 0 (the classical
-    case).  The value on an n-letter class is
+    case).  This is the Hochschild coboundary of C read through the quotient;
+    with every shifted letter of degree -1 its value on an n-letter class is
 
         a_1.C(a_2...a_n) + sum_j (-1)^j C(a_1 ... a_j a_(j+1) ... a_n)
         + (-1)^n C(a_1...a_(n-1)).a_n
@@ -361,31 +297,10 @@ def d_harrison(C: dict, n: int, alg, module, quotient: ShuffleQuotient):
             raise ValueError("Harrison coboundary is for ungraded algebras")
     validate_harrison_cochain(C, quotient)
 
-    def evalC(elem: Elem) -> dict:
+    def evalC(word: Word) -> dict:
         out: dict = {}
-        for word, coeff in quotient.reduce(elem).items():
-            add_scaled(out, C.get(word, {}), coeff)
+        for rep, coeff in quotient.reduce_word(word).items():
+            add_scaled(out, C.get(rep, {}), coeff)
         return out
 
-    def dC(word: Word) -> dict:
-        if len(word) != n:
-            raise ValueError(f"expected word of length {n}")
-        out: dict = {}
-        a1 = alg.by_ident[word[0].ident]
-        an = alg.by_ident[word[-1].ident]
-        add_scaled(out, module.act_left(a1, evalC({word[1:]: Fraction(1)})))
-        for j in range(n - 1):
-            prod = alg.mul_letters(
-                alg.by_ident[word[j].ident], alg.by_ident[word[j + 1].ident]
-            )
-            sign = -1 if (j + 1) % 2 else 1
-            for letter, c in prod.items():
-                neww = word[:j] + (shifted(letter),) + word[j + 2 :]
-                add_scaled(out, evalC({neww: Fraction(1)}), Fraction(sign) * c)
-        sign = -1 if n % 2 else 1
-        add_scaled(
-            out, module.act_right(evalC({word[:-1]: Fraction(1)}), an), Fraction(sign)
-        )
-        return out
-
-    return dC
+    return d_hochschild(evalC, n, alg, module)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import Letter, koszul_sign, unshuffle_sign
+from .graded import Letter, bipartitions, koszul_sign
 from .tensorco import add_scaled, add_term, elem_eq
 
 Vec = dict   # dict[Letter, Fraction]
@@ -157,21 +157,10 @@ def lie_with_module(g: LieData, vletters, action, shift: int = 0) -> LieData:
 
 
 def sym_coproduct(word) -> dict:
-    """Coproduct of a symmetric word: signed sum over proper bipartitions.
-
-    Returns {(left_word, right_word): coefficient}.  Subwords of a sorted word
-    stay sorted, so no re-canonicalization is needed.
-    """
-    n = len(word)
-    out: dict = {}
-    degs = [sdeg(a) for a in word]
-    for mask in range(1, (1 << n) - 1):
-        left = [i for i in range(n) if mask & (1 << i)]
-        right = [i for i in range(n) if not mask & (1 << i)]
-        sign = unshuffle_sign(degs, left)
-        key = (tuple(word[i] for i in left), tuple(word[i] for i in right))
-        add_term(out, key, Fraction(sign))
-    return out
+    """Coproduct of a symmetric word: signed sum over proper bipartitions,
+    {(left_word, right_word): coefficient}; subwords of a sorted word stay
+    sorted."""
+    return bipartitions(word, [sdeg(a) for a in word])
 
 
 def ell2(data: LieData, a: Letter, b: Letter) -> Vec:

@@ -16,12 +16,12 @@ from gerstenhaber.genv import (h_bracket, h_bracket_elem, h_mu, h_mu_elem,
 from gerstenhaber.ginfty import (big_delta, ell_on_packets, kappa,
                                  lm_on_packets, m_on_packets, mono_deg,
                                  mono_key, pair_apply_left, pair_apply_right)
-from gerstenhaber.graded import Letter
+from gerstenhaber.graded import Letter, word_deg
 from gerstenhaber.polyvec import basis as pv_basis
 from gerstenhaber.polyvec import hom_letter
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (ShuffleQuotient, bat, bat3, bat_elem,
-                                    delta, delta_elem, word_deg)
+                                    delta, delta_elem)
 from gerstenhaber.suites import (random_assoc_algebra, random_lie,
                                  suite_shuffle, suite_symco, suite_tensorco)
 from gerstenhaber.symco import LieData, d_chevalley_classical

@@ -11,10 +11,10 @@ from gerstenhaber.chcoh import (ChContext, Cochain, TaylorFamily, Truncation,
                                 reconstruct_morphism, recursion_single)
 from gerstenhaber.genv import sandbox_gerstenhaber, zero_gerstenhaber
 from gerstenhaber.ginfty import Mono, big_delta, kappa, mono_deg, mono_key
-from gerstenhaber.graded import Letter
+from gerstenhaber.graded import Letter, word_deg
 from gerstenhaber.polyvec import Polyvec, hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient, word_deg
+from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
 from gerstenhaber.suites import suite_chcoh
 from gerstenhaber.symco import LieData, d_chevalley_classical
 from gerstenhaber.tensorco import add_scaled, add_term
@@ -277,6 +277,40 @@ def test_d_ch_terms_shape_filter_is_exact():
                     want = [t for t in full
                             if tuple(sorted(len(w) for w in t[2])) == keep]
                     assert d_ch_terms(mono, ctx, shapes={keep}) == want
+
+
+def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
+    """With the zero letter morphism no term detaches a letter or reaches
+    the target bracket, so d_ch(f)(W) = -sum c f(m) over l + m on packets
+    (``ginfty.lm_on_packets``, written independently).  This pins the sign
+    of the bracket part against the product part, which d_CH^2 = 0 alone
+    does not."""
+    from gerstenhaber.genv import polyvec_basis
+    from gerstenhaber.ginfty import lm_on_packets
+
+    rng = SplitMix64(79)
+    compared = nonzero = 0
+    for source in (polyvec_basis(2, 1), sandbox_gerstenhaber(rng),
+                   polyvec_basis(2, 2)):
+        ctx = ChContext(source, real_target(), {})
+        one = ctx.target.letters[0]
+        vals = {}
+        for shape in level_shapes(2, 4):
+            for mono in monomials_for_shape(ctx, shape):
+                if rng.randrange(3) == 0:
+                    vals[mono] = {one: Fraction(rng.choice([-2, -1, 1, 2]))}
+        f = Cochain(vals, 2)
+        monos = [m for shape in level_shapes(3, 4)
+                 for m in monomials_for_shape(ctx, shape)]
+        step = -(-len(monos) // 150)
+        for W in monos[::step]:
+            want: dict = {}
+            for m, c in lm_on_packets(W, ctx.source, ctx.quotient).items():
+                add_scaled(want, f.eval(m), -c)
+            assert d_ch_value(f.eval, W, ctx) == want, W
+            compared += 1
+            nonzero += bool(want)
+    assert compared >= 300 and nonzero >= 50
 
 
 def test_truncation_insufficiency_reported():

@@ -1,13 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from gerstenhaber.graded import Letter
+from gerstenhaber.genv import polyvec_basis
+from gerstenhaber.graded import Letter, shifted
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (ShuffleQuotient, bat, bat3, bat_elem,
                                     build_quotient, d_harrison, delta,
                                     lift_coderivation, lift_morphism, mu,
-                                    shifted, validate_harrison_cochain)
+                                    validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
 from gerstenhaber.tensorco import Bimodule, FiniteAlgebra
 
@@ -221,6 +223,21 @@ def test_quotient_json_dump():
     quo = ShuffleQuotient()
     payload = json.loads(quo.dump_json([[A, B], [E, E]]))
     assert payload[0]["dim"] == 1 and payload[1]["dim"] == 1
+
+
+def test_quotient_tables_golden_digest():
+    """Representatives and every table coefficient of the polyvector letters
+    at d = 2, k <= 2 (letter degrees -1, 0, 1) up to length 4, pinned as
+    sorted content: the key order inside a table row is not part of the
+    contract."""
+    quo = build_quotient(polyvec_basis(2, 2).letters, 4)
+    assert len(quo.tables) == 494
+    h = hashlib.sha256()
+    for ms in sorted(quo.tables):
+        content = sorted((w, sorted(row.items())) for w, row in quo.tables[ms].items())
+        h.update(repr((ms, content, quo.reps[ms])).encode())
+    assert h.hexdigest() == \
+        "67f2f28bf64cc90e2e9dc4edf5c5c4085791f69d9f66c2ed111b48d1343572f5"
 
 
 def test_suite_green():
