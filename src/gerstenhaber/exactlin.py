@@ -1,15 +1,18 @@
 """Exact rational sparse linear algebra.
 
 Everything is done over Q with ``fractions.Fraction`` (always lowest terms,
-positive denominator), so rank / kernel / span decisions are exact.  Pivoting
-is deterministic: columns are processed left to right and the pivot row is the
-one with the lowest index among the rows not yet used.
+positive denominator), so rank / kernel / span decisions are exact.  The one
+eliminator, ``echelonize``, works fraction-free on integer multiples of the
+rows and returns ``Fraction`` rows.  Pivoting is deterministic: columns are
+processed left to right and the pivot row is the one with the lowest index
+among the rows not yet used.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -32,7 +35,8 @@ class SparseMat:
         r, c = rc
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry {rc} outside {self.nrows}x{self.ncols}")
-        v = Fraction(v)
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
         if v == 0:
             self.entries.pop(rc, None)
         else:
@@ -109,46 +113,67 @@ class SparseMat:
 
 
 def echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
-    """In-place row echelon with unit pivots and full back-elimination.
+    """Reduced row echelon form with unit pivots and full back-elimination.
 
-    Returns (reduced rows, pivot column list).  Row order is preserved up to
-    the deterministic swaps (lowest-index nonzero row becomes the pivot row).
+    Returns (reduced rows, pivot column list); row i < len(pivots) is the
+    row of pivot i, and every later row is empty.  Columns are processed left
+    to right and the pivot row is the lowest-index nonzero row not yet used.
+
+    The elimination is fraction-free: each row is scaled to integers, a step
+    is row = p*row - f*piv followed by division by the gcd of the row, and
+    only the final pivot rows are divided by their pivots.  Every integer
+    row is a nonzero multiple of the row the same steps over Q would hold,
+    so pivots, swaps and the reduced rows are those of the rational
+    elimination.
     """
+    rows = []
+    for rowdict in rowdicts:
+        den = lcm(*(v.denominator for v in rowdict.values()))
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in rowdict.items() if v}
+        g = gcd(*row.values())
+        rows.append({c: v // g for c, v in row.items()} if g > 1 else row)
     pivots: list[int] = []
     prow = 0
-    nrows = len(rowdicts)
+    nrows = len(rows)
     for col in range(ncols):
         sel = None
         for r in range(prow, nrows):
-            if rowdicts[r].get(col):
+            if col in rows[r]:
                 sel = r
                 break
         if sel is None:
             continue
-        rowdicts[prow], rowdicts[sel] = rowdicts[sel], rowdicts[prow]
-        piv = rowdicts[prow]
-        inv = 1 / piv[col]
-        if inv != 1:
-            for c in list(piv):
-                piv[c] *= inv
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        piv = rows[prow]
+        p = piv[col]
         for r in range(nrows):
-            if r == prow:
+            row = rows[r]
+            f = row.get(col)
+            if f is None or r == prow:
                 continue
-            f = rowdicts[r].get(col)
-            if not f:
-                continue
-            row = rowdicts[r]
+            g = gcd(p, f)
+            mp, mf = p // g, f // g
+            if mp != 1:
+                for c in row:
+                    row[c] *= mp
             for c, v in piv.items():
-                s = row.get(c, Fraction(0)) - f * v
+                s = row.get(c, 0) - mf * v
                 if s:
                     row[c] = s
                 else:
-                    row.pop(c, None)
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
         pivots.append(col)
         prow += 1
         if prow == nrows:
             break
-    return rowdicts, pivots
+    out = [{c: Fraction(v, row[col]) for c, v in row.items()}
+           for row, col in zip(rows, pivots)]
+    return out + rows[prow:], pivots
 
 
 def rank(m: SparseMat) -> int:
@@ -178,11 +203,14 @@ def solve_in_column_span(
 ) -> Optional[dict[int, Fraction]]:
     """Some exact x with m.x = b, or None when b is outside the column span.
 
-    Free variables are set to 0, so the answer is deterministic.
+    Free variables are set to 0, so the answer is deterministic.  A sequence
+    b must have exactly ``m.nrows`` entries; a dict is keyed by row.
     """
     if not isinstance(b, dict):
+        b = list(b)
+        if len(b) != m.nrows:
+            raise ValueError("right-hand side has wrong length")
         b = {i: Fraction(v) for i, v in enumerate(b) if v}
-        # length check happens below through nrows bound
     for r in b:
         if not 0 <= r < m.nrows:
             raise ValueError("right-hand side has wrong length")

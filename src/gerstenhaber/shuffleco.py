@@ -2,13 +2,17 @@
 
 Letters here carry the degree of the *shifted* space directly (for an algebra
 letter of unshifted degree k this is k - 1); all shuffle signs are Koszul
-signs on these degrees.  The quotient of the n-fold tensor space by the span
-of all proper shuffle images is presented, per letter multiset, by a fixed
-reduction table: the shuffle images are brought to reduced row echelon form
-by ``exactlin.echelonize`` with words ordered lexicographically by ident, and
-eliminated (pivot) words are rewritten into the remaining representative
-words.  The coderivation lifts and the Harrison coboundary are the tensor
-ones of ``tensorco`` read through that reduction.
+signs on these degrees.  One integer-coded kernel, ``_shuffle``, computes
+every signed two-word shuffle: ``bat`` decodes it to letters, and the
+quotient tables use it directly.  The quotient of the n-fold tensor space by
+the span of all proper shuffle images is presented, per letter multiset, by
+a fixed reduction table: the letters are coded 0..k-1 in sorted order, one
+split u|v of each word with (len u, u) <= (len v, v) gives a shuffle row
+(the split v|u only repeats it up to sign), ``exactlin.echelonize`` brings
+the integer rows to reduced row echelon form with words ordered
+lexicographically, and eliminated (pivot) words are rewritten into the
+remaining representative words.  The coderivation lifts and the Harrison
+coboundary are the tensor ones of ``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
@@ -26,29 +30,50 @@ Word = tuple   # tuple[Letter, ...]
 Elem = dict    # dict[Word, Fraction]
 
 
+def _shuffle(a: tuple, b: tuple, odd) -> dict:
+    """Signed sum of all shuffles of two integer-coded words.
+
+    ``odd[c]`` is the parity of letter code c.  Returns {coded word: int};
+    the Koszul sign is the parity of the (odd a-letter, odd b-letter)
+    inversions, counted while each word is built: placing an odd b[j] in
+    front of a[i:] flips the sign when ``tail[i]``, the parity of the odd
+    letters of a[i:], is 1.  Words come in the lexicographic order of their
+    a-positions, and an entry whose terms cancel is dropped where it cancels.
+    """
+    p, q = len(a), len(b)
+    tail = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        tail[i] = tail[i + 1] ^ odd[a[i]]
+    out: dict = {}
+
+    def walk(i, j, word, sign):
+        if i == p or j == q:
+            w = word + a[i:] + b[j:]
+            s = out.get(w, 0) + sign
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+            return
+        walk(i + 1, j, word + (a[i],), sign)
+        walk(i, j + 1, word + (b[j],),
+             -sign if odd[b[j]] and tail[i] else sign)
+
+    walk(0, 0, (), 1)
+    return out
+
+
 def bat(a: Word, b: Word) -> Elem:
     """Signed sum of all (p,q)-shuffles of the words a and b."""
-    p, q = len(a), len(b)
-    if p < 1 or q < 1:
+    if not a or not b:
         raise ValueError("shuffle factors must be nonempty")
-    letters = a + b
-    degs = [x.degree for x in letters]
-    out: Elem = {}
-    for pos in combinations(range(p + q), p):
-        perm = [0] * (p + q)
-        bi = p
-        posset = set(pos)
-        ai = 0
-        for k in range(p + q):
-            if k in posset:
-                perm[k] = ai
-                ai += 1
-            else:
-                perm[k] = bi
-                bi += 1
-        sign = koszul_sign(degs, perm)
-        add_term(out, tuple(letters[i] for i in perm), Fraction(sign))
-    return out
+    code: dict = {}
+    for x in a + b:
+        code.setdefault(x, len(code))
+    letters = list(code)
+    odd = [x.degree % 2 for x in letters]
+    raw = _shuffle(tuple(code[x] for x in a), tuple(code[x] for x in b), odd)
+    return {tuple(letters[c] for c in w): Fraction(v) for w, v in raw.items()}
 
 
 def bat_elem(x: Elem, y: Elem) -> Elem:
@@ -119,12 +144,20 @@ class ShuffleQuotient:
             raise ValueError(
                 f"word length {len(multiset)} exceeds quotient bound {self.max_len}"
             )
-        words = _distinct_permutations(list(multiset))
-        index = {w: i for i, w in enumerate(words)}
-        # One row per proper split of each word; a single letter has none.
-        rows = [{index[u]: c for u, c in bat(w[:p], w[p:]).items()}
-                for w in words for p in range(1, len(w))]
-        rows, pivots = echelonize(rows, len(words))
+        # Code the distinct letters 0..k-1 in sorted order, so coded words
+        # come out in the lexicographic order of the Letter words.
+        alphabet = sorted(set(multiset))
+        code = {x: i for i, x in enumerate(alphabet)}
+        odd = [x.degree % 2 for x in alphabet]
+        coded = _distinct_permutations([code[x] for x in multiset])
+        index = {w: i for i, w in enumerate(coded)}
+        # One row per proper split u|v with (len u, u) <= (len v, v): the
+        # split v|u of the word v+u gives the row bat(v, u) = +-bat(u, v).
+        rows = [{index[x]: c for x, c in _shuffle(w[:p], w[p:], odd).items()}
+                for w in coded for p in range(1, len(w))
+                if (p, w[:p]) <= (len(w) - p, w[p:])]
+        rows, pivots = echelonize(rows, len(coded))
+        words = [tuple(alphabet[c] for c in w) for w in coded]
         table = {w: {w: Fraction(1)} for w in words}
         for row, col in zip(rows, pivots):
             table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gerstenhaber.exactlin import (SparseMat, kernel_basis, rank,
+from gerstenhaber.exactlin import (SparseMat, echelonize, kernel_basis, rank,
                                    solve_in_column_span)
 from gerstenhaber.prng import SplitMix64
 
@@ -35,6 +37,16 @@ def test_solve_column():
     m = mat([[1], [2]])
     assert solve_in_column_span(m, [2, 4]) == {0: Fraction(2)}
     assert solve_in_column_span(m, [1, 0]) is None
+
+
+def test_solve_rejects_short_sequence():
+    with pytest.raises(ValueError, match="wrong length"):
+        solve_in_column_span(mat([[1], [1]]), [1])
+
+
+def test_solve_rejects_long_sequence():
+    with pytest.raises(ValueError, match="wrong length"):
+        solve_in_column_span(mat([[1], [1]]), [1, 1, 0])
 
 
 def test_kernel_cases():
@@ -150,3 +162,95 @@ def test_exports_roundtrip():
     payload = json.loads(m.to_json())
     assert payload["nrows"] == 2 and payload["ncols"] == 2
     assert [e for e in payload["entries"] if e[0] == 0][0][2] == "1/2"
+
+
+def echelonize_fraction(rowdicts: list[dict[int, Fraction]], ncols: int):
+    """In-place row echelon with unit pivots and full back-elimination.
+
+    Returns (reduced rows, pivot column list).  Row order is preserved up to
+    the deterministic swaps (lowest-index nonzero row becomes the pivot row).
+    """
+    pivots: list[int] = []
+    prow = 0
+    nrows = len(rowdicts)
+    for col in range(ncols):
+        sel = None
+        for r in range(prow, nrows):
+            if rowdicts[r].get(col):
+                sel = r
+                break
+        if sel is None:
+            continue
+        rowdicts[prow], rowdicts[sel] = rowdicts[sel], rowdicts[prow]
+        piv = rowdicts[prow]
+        inv = 1 / piv[col]
+        if inv != 1:
+            for c in list(piv):
+                piv[c] *= inv
+        for r in range(nrows):
+            if r == prow:
+                continue
+            f = rowdicts[r].get(col)
+            if not f:
+                continue
+            row = rowdicts[r]
+            for c, v in piv.items():
+                s = row.get(c, Fraction(0)) - f * v
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+        pivots.append(col)
+        prow += 1
+        if prow == nrows:
+            break
+    return rowdicts, pivots
+
+
+# Rationals p/q with small p and q, so random rows are often dependent.
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """A SparseMat with 0-6 rows and 0-6 columns, about half its cells
+    nonzero, some rows empty and some rows repeated or scaled copies."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m = SparseMat(nr, nc)
+    for i in range(nr):
+        kind = draw(st.sampled_from(("random", "random", "empty", "copy")))
+        if kind == "copy" and i:
+            src, scale = draw(st.integers(0, i - 1)), draw(rationals)
+            for j in range(nc):
+                m[i, j] = scale * m[src, j]
+        elif kind != "empty":
+            for j in range(nc):
+                if draw(st.booleans()):
+                    m[i, j] = draw(rationals)
+    return m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_echelonize_matches_fraction_oracle(m):
+    """The fraction-free eliminator returns the rational elimination's
+    reduced rows, row for row, and its pivots."""
+    assert echelonize(m.rows(), m.ncols) == echelonize_fraction(m.rows(), m.ncols)
+    aug = m.ncols + 1   # with a right-hand side column, as the solver does
+    rows = m.rows()
+    for i, row in enumerate(rows):
+        if i % 2:
+            row[m.ncols] = Fraction(i, 3)
+    assert echelonize([dict(r) for r in rows], aug) == echelonize_fraction(rows, aug)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rank_nullity_and_solve_roundtrip(m, data):
+    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    x = {j: data.draw(rationals) for j in range(m.ncols)}
+    b = m.mul_vec(x)
+    for rhs in (dict(b), [b.get(i, 0) for i in range(m.nrows)]):
+        sol = solve_in_column_span(m, rhs)
+        assert sol is not None
+        assert m.mul_vec(sol) == b

@@ -1,17 +1,20 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber.genv import polyvec_basis
-from gerstenhaber.graded import Letter, shifted
+from gerstenhaber.graded import Letter, koszul_sign, shifted, word_deg
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import (ShuffleQuotient, bat, bat3, bat_elem,
-                                    build_quotient, d_harrison, delta,
+from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
+                                    bat_elem, build_quotient, d_harrison, delta,
                                     lift_coderivation, lift_morphism, mu,
                                     validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
-from gerstenhaber.tensorco import Bimodule, FiniteAlgebra
+from gerstenhaber.tensorco import Bimodule, FiniteAlgebra, add_term
 
 A = Letter(("w", "a"), 0)   # even
 B = Letter(("w", "b"), 0)
@@ -225,6 +228,14 @@ def test_quotient_json_dump():
     assert payload[0]["dim"] == 1 and payload[1]["dim"] == 1
 
 
+def tables_digest(quo) -> str:
+    h = hashlib.sha256()
+    for ms in sorted(quo.tables):
+        content = sorted((w, sorted(row.items())) for w, row in quo.tables[ms].items())
+        h.update(repr((ms, content, quo.reps[ms])).encode())
+    return h.hexdigest()
+
+
 def test_quotient_tables_golden_digest():
     """Representatives and every table coefficient of the polyvector letters
     at d = 2, k <= 2 (letter degrees -1, 0, 1) up to length 4, pinned as
@@ -232,12 +243,64 @@ def test_quotient_tables_golden_digest():
     contract."""
     quo = build_quotient(polyvec_basis(2, 2).letters, 4)
     assert len(quo.tables) == 494
-    h = hashlib.sha256()
-    for ms in sorted(quo.tables):
-        content = sorted((w, sorted(row.items())) for w, row in quo.tables[ms].items())
-        h.update(repr((ms, content, quo.reps[ms])).encode())
-    assert h.hexdigest() == \
+    assert tables_digest(quo) == \
         "67f2f28bf64cc90e2e9dc4edf5c5c4085791f69d9f66c2ed111b48d1343572f5"
+
+
+def test_quotient_tables_golden_digest_d3():
+    """The same pin for the letters of polyvec_basis(3, 1) up to length 3:
+    the tables the d = 3, k <= 1 cocycle and coboundary decisions read."""
+    quo = build_quotient(polyvec_basis(3, 1).letters, 3)
+    assert len(quo.tables) == 285
+    assert tables_digest(quo) == \
+        "3227f066003466214c0118bd4bbb0cece11ec4fe86324494fc9544cc31ec1894"
+
+
+def bat_koszul(a: Word, b: Word) -> Elem:
+    """Signed sum of all (p,q)-shuffles of the words a and b."""
+    p, q = len(a), len(b)
+    if p < 1 or q < 1:
+        raise ValueError("shuffle factors must be nonempty")
+    letters = a + b
+    degs = [x.degree for x in letters]
+    out: Elem = {}
+    for pos in combinations(range(p + q), p):
+        perm = [0] * (p + q)
+        bi = p
+        posset = set(pos)
+        ai = 0
+        for k in range(p + q):
+            if k in posset:
+                perm[k] = ai
+                ai += 1
+            else:
+                perm[k] = bi
+                bi += 1
+        sign = koszul_sign(degs, perm)
+        add_term(out, tuple(letters[i] for i in perm), Fraction(sign))
+    return out
+
+
+# Three letters of each parity; short words over them repeat letters often.
+PARITY_LETTERS = [Letter(("h", i), deg) for i, deg in enumerate((-1, 0, 1, 2, -1, 0))]
+words = st.lists(st.sampled_from(PARITY_LETTERS), min_size=1, max_size=4).map(tuple)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(words, words)
+def test_bat_matches_koszul_oracle(a, b):
+    """The integer kernel gives the permutation-sign shuffle, coefficient
+    for coefficient and in the same key order."""
+    assert list(bat(a, b).items()) == list(bat_koszul(a, b).items())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(words)
+def test_bat_of_odd_word_with_itself_vanishes(u):
+    if word_deg(u) % 2:
+        assert bat(u, u) == {} == bat_koszul(u, u)
+    else:
+        assert bat(u, u) == bat_koszul(u, u)
 
 
 def test_suite_green():
