@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import SparseMat, solve_in_column_span
-from .genv import GerstBasis, h_bracket, h_mu
-from .graded import Letter, koszul_sign
-from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_key,
-                     packet_sort_key, pdeg)
+from .genv import GerstBasis
+from .graded import Letter, koszul_sign, unshuffle_sign
+from .ginfty import (Mono, add_mono, ell_pair, kappa, m_slot, mono_deg,
+                     mono_key, packet_sort_key, pdeg)
 from .shuffleco import ShuffleQuotient
 from .tensorco import add_scaled, add_term
 
@@ -176,7 +176,9 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
     """Yield (coefficient, linmap spec, canonical argument monomial).
 
     With ``shapes``, term families whose argument shape is not in it are not
-    built; a cochain vanishing off those shapes gets nothing from them.
+    built; a cochain vanishing off those shapes gets nothing from them.  The
+    two ("id",) families are the negatives of ``ginfty.m_slot`` and
+    ``ginfty.ell_pair``.
     """
     n = len(mono)
     degs = [pdeg(w) for w in mono]
@@ -220,23 +222,16 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
                 red = quo.reduce_word(packet[:-1])
                 for ap, cf in f1b.items():
                     terms += splice(j, red, base * cf, ("mul_r", ap))
-            base = Fraction(-1 if sum(degs[:j]) % 2 == 0 else 1)  # -(-1)^(sum)
-            terms += splice(j, h_mu(packet, ctx.source, quo), base, ("id",))
+            terms += [(-c, ("id",), key)
+                      for key, c in m_slot(mono, degs, j, ctx.source, quo)]
     if bracket_part:
         for j in range(n):
             for k in range(j + 1, n):
                 if shapes is not None and \
                         _arg_shape(lens, (j, k), lens[j] + lens[k] - 1) not in shapes:
                     continue
-                rest = [mono[i] for i in range(n) if i != j and i != k]
-                perm = [j, k] + [i for i in range(n) if i != j and i != k]
-                eps = koszul_sign(degs, perm)
-                lsign = -1 if degs[j] % 2 else 1  # l2 = (-1)^(x_j) [ , ]
-                base = Fraction(-eps * lsign)
-                for w, cw in h_bracket(mono[j], mono[k], ctx.source, quo).items():
-                    key, sign = mono_key([w] + rest)
-                    if key is not None:
-                        terms.append((base * cw * sign, ("id",), key))
+                terms += [(-c, ("id",), key)
+                          for key, c in ell_pair(mono, degs, j, k, ctx.source, quo)]
         for j in range(n):
             if len(mono[j]) != 1 or n == 1:
                 continue
@@ -248,8 +243,7 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
             if not ctx.target.bracket_table:
                 continue
             rest = [mono[i] for i in range(n) if i != j]
-            perm = [j] + [i for i in range(n) if i != j]
-            eps = koszul_sign(degs, perm)
+            eps = unshuffle_sign(degs, [j])
             # l2' sign (-1)^(packet degree of the pulled-out letter)
             if degs[j] % 2:
                 eps = -eps

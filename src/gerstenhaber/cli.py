@@ -82,6 +82,9 @@ def cmd_verify(args) -> int:
     if names is None:
         sys.stderr.write(f"unknown suite: {args.suite}\n")
         return 2
+    if args.trials < 1:
+        sys.stderr.write(f"verify: need trials >= 1, got {args.trials}\n")
+        return 2
     results = run_suites(names, args.seed, args.trials,
                          corrupt=getattr(args, "corrupt_sandbox", False))
     results = sorted(results)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .graded import Letter, koszul_sign, word_deg
+from .graded import Letter, word_deg
 from .polyvec import basis as pv_basis
-from .polyvec import hom_letter, letter_polyvec, schouten, wedge
-from .shuffleco import ShuffleQuotient, Word
+from .polyvec import _merge_dirs, hom_letter, letter_polyvec, schouten, wedge
+from .shuffleco import ShuffleQuotient, Word, _shuffle
 from .tensorco import add_scaled, add_term, elem_eq
 
 Vec = dict   # dict[Letter, Fraction]
@@ -182,25 +182,13 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
         subsets.extend(combinations(range(1, dim + 1), r))
     letters = {s: Letter(("sb", len(s), s), len(s) - 1) for s in subsets}
 
-    def wedge_ss(sa, sb) -> dict:
-        if set(sa) & set(sb):
-            return {}
-        merged = list(sa) + list(sb)
-        sign = 1
-        for i in range(1, len(merged)):
-            j = i
-            while j > 0 and merged[j - 1] > merged[j]:
-                merged[j - 1], merged[j] = merged[j], merged[j - 1]
-                sign = -sign
-                j -= 1
-        return {tuple(merged): Fraction(sign)}
-
     def vwedge(x: dict, y: dict) -> dict:
         out: dict = {}
         for sa, ca in x.items():
             for sb, cb in y.items():
-                for s, c in wedge_ss(sa, sb).items():
-                    add_term(out, s, ca * cb * c)
+                merged, sign = _merge_dirs(sa, sb)
+                if merged is not None:
+                    add_term(out, merged, ca * cb * sign)
         return out
 
     bracket_cache: dict = {}
@@ -237,11 +225,9 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
     bracket_table = {}
     for sa, la in letters.items():
         for sb, lb in letters.items():
-            w = wedge_ss(sa, sb)
-            if w:
-                wedge_table[(la.ident, lb.ident)] = {
-                    letters[s].ident: c for s, c in w.items()
-                }
+            merged, sign = _merge_dirs(sa, sb)
+            if merged is not None:
+                wedge_table[(la.ident, lb.ident)] = {letters[merged].ident: sign}
             br = bracket_ss(sa, sb)
             if br:
                 bracket_table[(la.ident, lb.ident)] = {
@@ -281,7 +267,11 @@ def sandbox_gerstenhaber(rng) -> GerstBasis:
 
 
 def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
-    """Abelian, zero-product sandbox: every operator built on it vanishes."""
+    """Abelian, zero-product sandbox: every operator built on it vanishes.
+
+    Nothing in the engine uses it; it stays as the degenerate source for
+    tests that every term of h_bracket, h_mu and d_ch drops out.
+    """
     letters = [Letter(("z", i), 0) for i in range(dim)]
     return GerstBasis(letters, {}, {})
 
@@ -289,35 +279,41 @@ def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
 def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:
     """Bracket extension on plain tensor words, before quotient reduction.
 
-    Sum over shuffles of a and b and over positions k where a letter of a
-    lands immediately before a letter of b; those two letters are bracketed in
-    place.  The coefficient is the Koszul shuffle sign alone.
+    Sum over shuffles of a and b and over positions where a letter a_i of a
+    lands immediately before a letter b_j of b; those two letters are
+    bracketed in place.  These shuffles are
+
+        (a[:i] ш b[:j]) . [a_i, b_j] . (a[i+1:] ш b[j+1:])
+
+    and the coefficient is the Koszul shuffle sign alone: the signs of the
+    two outer shuffles times (-1)^(O(b[:j]) O(a[i:]) + odd(b_j) O(a[i+1:])),
+    with O the number of odd letters.
     """
-    p, q = len(a), len(b)
+    p = len(a)
     letters = a + b
-    degs = [x.degree for x in letters]
+    odd = [x.degree % 2 for x in letters]
+
+    def shuffles(u, v):
+        """Signed shuffles of two runs of positions in a + b, as letter words
+        (positions as codes: every coefficient is +-1)."""
+        return [(tuple(letters[c] for c in w), s)
+                for w, s in _shuffle(tuple(u), tuple(v), odd).items()]
+
     out: Elem = {}
-    for pos in combinations(range(p + q), p):
-        perm = [0] * (p + q)
-        posset = set(pos)
-        ai, bi = 0, p
-        for k in range(p + q):
-            if k in posset:
-                perm[k] = ai
-                ai += 1
-            else:
-                perm[k] = bi
-                bi += 1
-        sign = koszul_sign(degs, perm)
-        for k in range(p + q - 1):
-            if perm[k] < p <= perm[k + 1]:
-                br = basis.bracket(letters[perm[k]], letters[perm[k + 1]])
-                if not br:
-                    continue
-                head = tuple(letters[perm[i]] for i in range(k))
-                tail = tuple(letters[perm[i]] for i in range(k + 2, p + q))
-                for letter, c in br.items():
-                    add_term(out, head + (letter,) + tail, Fraction(sign) * c)
+    for i, x in enumerate(a):
+        after = sum(odd[i + 1:p])
+        for j, y in enumerate(b):
+            br = basis.bracket(x, y)
+            if not br:
+                continue
+            flip = (sum(odd[p:p + j]) * (odd[i] + after) + odd[p + j] * after) % 2
+            tails = shuffles(range(i + 1, p), range(p + j + 1, len(letters)))
+            for head, sh in shuffles(range(i), range(p, p + j)):
+                for tail, st in tails:
+                    sign = -sh * st if flip else sh * st
+                    for letter, c in br.items():
+                        add_term(out, head + (letter,) + tail,
+                                 c if sign > 0 else -c)
     return out
 
 

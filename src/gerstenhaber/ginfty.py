@@ -8,8 +8,9 @@ kills the monomial.
 
 Four operators live here: the cocommutative coproduct, the cocrochet kappa
 cutting one packet in two, the bracket coderivation and the product
-codifferential.  kappa cuts representatives and re-reduces the pieces, which
-is legitimate because the cocrochet kills shuffle images.
+codifferential.  kappa reads each packet's cuts from the Lie cocrochet
+``shuffleco.delta``, which cuts representatives and re-reduces the pieces;
+that is legitimate because the cocrochet kills shuffle images.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import bipartitions, koszul_sign, word_deg
-from .shuffleco import ShuffleQuotient, Word
+from .graded import bipartitions, koszul_sign, unshuffle_sign, word_deg
+from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term
 
 Mono = tuple      # tuple[Word, ...] canonical
@@ -82,70 +83,82 @@ def kappa(mono: Mono, quotient: ShuffleQuotient) -> PairElem:
             [ (X_I . U) (x) (V . X_J)  +  (-1)^(uv) (X_I . V) (x) (U . X_J) ]
 
     with packet degrees in all exponents; U and V are re-reduced in the
-    quotient.  On a single packet this is the cosymmetric packet cocrochet.
+    quotient.  The bracket is (-1)^(|U|) times a term of the Lie cocrochet
+    ``delta(X_s)``, with |U| the word degree of its left piece, so the cuts
+    are read from ``delta``.  On a single packet this is the cosymmetric
+    packet cocrochet.
     """
     n = len(mono)
     degs = [pdeg(w) for w in mono]
     out: PairElem = {}
     for s in range(n):
-        packet = mono[s]
-        if len(packet) < 2:
+        cuts = delta(mono[s], quotient)
+        if not cuts:
             continue
         rest = [i for i in range(n) if i != s]
         for mask in range(1 << (n - 1)):
             left = [rest[i] for i in range(n - 1) if mask & (1 << i)]
             right = [rest[i] for i in range(n - 1) if not mask & (1 << i)]
-            perm = left + [s] + right
-            base = koszul_sign(degs, perm)
+            base = unshuffle_sign(degs, left + [s])
             if sum(degs[i] for i in left) % 2:
                 base = -base
             lpacks = [mono[i] for i in left]
             rpacks = [mono[i] for i in right]
-            for j in range(1, len(packet)):
-                ured = quotient.reduce_word(packet[:j])
-                vred = quotient.reduce_word(packet[j:])
-                u = pdeg(packet[:j])
-                v = pdeg(packet[j:])
-                cut = -base if u % 2 == 0 else base  # (-1)^(u+1)
-                for uw, cu in ured.items():
-                    for vw, cv in vred.items():
-                        add_pair(out, lpacks + [uw], [vw] + rpacks, cut * cu * cv)
-                        swap = cut if (u * v) % 2 == 0 else -cut
-                        add_pair(out, lpacks + [vw], [uw] + rpacks, swap * cu * cv)
+            for (u, v), c in cuts.items():
+                add_pair(out, lpacks + [u], [v] + rpacks,
+                         -base * c if word_deg(u) % 2 else base * c)
+    return out
+
+
+def ell_pair(mono: Mono, degs: list, i: int, j: int, basis: GerstBasis,
+             quotient: ShuffleQuotient) -> list:
+    """l2 on the packets i < j, pulled to the front:
+    eps(x / x_i x_j rest) (-1)^(x_i) [X_i, X_j] . rest, as a list of
+    (canonical monomial, coefficient); ``degs`` are the packet degrees."""
+    sign = unshuffle_sign(degs, [i, j])
+    if degs[i] % 2:
+        sign = -sign
+    rest = [w for k, w in enumerate(mono) if k != i and k != j]
+    out = []
+    for w, c in h_bracket(mono[i], mono[j], basis, quotient).items():
+        key, s = mono_key([w] + rest)
+        if key is not None:
+            out.append((key, c if sign * s > 0 else -c))
+    return out
+
+
+def m_slot(mono: Mono, degs: list, j: int, basis: GerstBasis,
+           quotient: ShuffleQuotient) -> list:
+    """mu on packet j in place, (-1)^(x_1 + ... + x_(j-1)) mu(X_j), as a list
+    of (canonical monomial, coefficient); ``degs`` are the packet degrees."""
+    sign = -1 if sum(degs[:j]) % 2 else 1
+    out = []
+    for w, c in h_mu(mono[j], basis, quotient).items():
+        key, s = mono_key([*mono[:j], w, *mono[j + 1:]])
+        if key is not None:
+            out.append((key, c if sign * s > 0 else -c))
     return out
 
 
 def ell_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
     """Bracket coderivation: l2(X_i, X_j) = (-1)^(x_i) [X_i, X_j] in place."""
-    n = len(mono)
     degs = [pdeg(w) for w in mono]
     out: MonoElem = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = [mono[k] for k in range(n) if k != i and k != j]
-            perm = [i, j] + [k for k in range(n) if k != i and k != j]
-            sign = koszul_sign(degs, perm)
-            if degs[i] % 2:
-                sign = -sign
-            br = h_bracket(mono[i], mono[j], basis, quotient)
-            for w, c in br.items():
-                add_mono(out, [w] + rest, Fraction(sign) * c)
+    for i in range(len(mono)):
+        for j in range(i + 1, len(mono)):
+            for key, c in ell_pair(mono, degs, i, j, basis, quotient):
+                add_term(out, key, c)
     return out
 
 
 def m_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
     """Product codifferential: mu applied to one factor at a time."""
-    n = len(mono)
     degs = [pdeg(w) for w in mono]
     out: MonoElem = {}
-    for j in range(n):
-        if len(mono[j]) < 2:
-            continue
-        sign = -1 if sum(degs[:j]) % 2 else 1
-        mj = h_mu(mono[j], basis, quotient)
-        for w, c in mj.items():
-            packs = [mono[k] if k != j else w for k in range(n)]
-            add_mono(out, packs, Fraction(sign) * c)
+    for j in range(len(mono)):
+        if len(mono[j]) > 1:
+            for key, c in m_slot(mono, degs, j, basis, quotient):
+                add_term(out, key, c)
     return out
 
 

@@ -63,10 +63,12 @@ def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
 
 
 def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
-    """Koszul sign of pulling the positions ``left`` (in order) to the front.
+    """Koszul sign of pulling the positions ``left`` to the front, in the
+    order given (which need not be increasing).
 
-    This is the sign written eps(x_1...x_n / x_I, x_J) for the bipartition
-    I = left, J = complement, both kept in their natural order.
+    For increasing ``left`` this is the sign written eps(x_1...x_n / x_I, x_J)
+    for the bipartition I = left, J = complement, both kept in their natural
+    order.
     """
     leftset = set(left)
     right = [i for i in range(len(degrees)) if i not in leftset]

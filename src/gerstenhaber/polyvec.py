@@ -14,7 +14,6 @@ Leibniz rule holds exactly.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -220,60 +219,6 @@ def f1(a: Polyvec) -> Fraction:
     if a.k != 0:
         return Fraction(0)
     return a.terms.get(((0,) * a.d, ()), Fraction(0))
-
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)?\s*\*?\s*(?P<xs>(?:x\d+(?:\^\d+)?\s*\*?\s*)*)"
-    r"(?P<dirs>d\d+)?\s*$"
-)
-
-
-def parse_polyvec(text: str, d: int) -> Polyvec:
-    """Parse expressions like "x1*x2 d23", "3/2 x1^2 d1 - x2*x3 d13", "5".
-
-    Terms are separated by + and -; each term is an optional rational, a
-    product of x factors, and an optional direction block dI...I (single digit
-    indices).
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polyvector expression")
-    chunks = re.findall(r"[+-]?[^+-]+", text)
-    parsed = []
-    for chunk in chunks:
-        sign = Fraction(1)
-        body = chunk.strip()
-        if body.startswith("+"):
-            body = body[1:]
-        elif body.startswith("-"):
-            sign = Fraction(-1)
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        exps = [0] * d
-        for xm in re.finditer(r"x(\d+)(?:\^(\d+))?", m.group("xs") or ""):
-            idx = int(xm.group(1))
-            if not 1 <= idx <= d:
-                raise ValueError(f"coordinate x{idx} out of range for d={d}")
-            exps[idx - 1] += int(xm.group(2) or 1)
-        dirs = ()
-        if m.group("dirs"):
-            digits = [int(ch) for ch in m.group("dirs")[1:]]
-            if any(not 1 <= i <= d for i in digits):
-                raise ValueError(f"direction out of range in {chunk!r}")
-            dirs = tuple(digits)
-            if sorted(set(dirs)) != list(dirs):
-                raise ValueError(f"directions must be strictly increasing: {chunk!r}")
-        parsed.append((tuple(exps), dirs, sign * coef))
-    k = len(parsed[0][1])
-    if any(len(dirs) != k for _, dirs, _ in parsed):
-        raise ValueError("mixed tensor degrees in one expression")
-    out = Polyvec(d, k)
-    for exps, dirs, c in parsed:
-        out.add((exps, dirs), c)
-    return out
 
 
 def hom_letter(d: int, mono: Mono) -> Letter:

@@ -204,7 +204,12 @@ class ShuffleQuotient:
 
 
 def build_quotient(alphabet, max_len: int) -> ShuffleQuotient:
-    """Quotient tables for every letter multiset of size <= max_len."""
+    """Quotient tables for every letter multiset of size <= max_len.
+
+    The engine builds tables lazily; this eager builder stays because the
+    golden table digests of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and
+    d = 3, k <= 1) are defined over all of its tables.
+    """
     from itertools import combinations_with_replacement
 
     q = ShuffleQuotient(max_len)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import Letter, bipartitions, koszul_sign
+from .graded import Letter, bipartitions, koszul_sign, unshuffle_sign
 from .tensorco import add_scaled, add_term, elem_eq
 
 Vec = dict   # dict[Letter, Fraction]
@@ -133,29 +133,6 @@ class LieData:
                         raise ValueError("differential not a bracket derivation")
 
 
-def lie_with_module(g: LieData, vletters, action, shift: int = 0) -> LieData:
-    """The Lie algebra g (+) V[shift] with [X, v] = X.v and V abelian.
-
-    ``action[(x, v)]`` maps idents to dicts over module idents.  Module
-    letters are re-graded by ``-shift``.
-    """
-    mletters = [Letter(("mod", v.ident), v.degree - shift) for v in vletters]
-    letters = list(g.letters) + mletters
-    bracket: dict = dict(g.bracket_table)
-    for x in g.letters:
-        for v in vletters:
-            xv = action.get((x.ident, v.ident), {})
-            if xv:
-                bracket[(x.ident, ("mod", v.ident))] = {
-                    ("mod", i): Fraction(c) for i, c in xv.items()
-                }
-                sign = -1 if x.degree % 2 and (v.degree - shift) % 2 else 1
-                bracket[(("mod", v.ident), x.ident)] = {
-                    ("mod", i): -sign * Fraction(c) for i, c in xv.items()
-                }
-    return LieData(letters, bracket)
-
-
 def sym_coproduct(word) -> dict:
     """Coproduct of a symmetric word: signed sum over proper bipartitions,
     {(left_word, right_word): coefficient}; subwords of a sorted word stay
@@ -197,8 +174,7 @@ def ell_lift(data: LieData):
             for i in range(n):
                 for j in range(i + 1, n):
                     rest = [word[k] for k in range(n) if k != i and k != j]
-                    perm = [i, j] + [k for k in range(n) if k != i and k != j]
-                    sign = koszul_sign(degs, perm)
+                    sign = unshuffle_sign(degs, [i, j])
                     for letter, c in ell2(data, word[i], word[j]).items():
                         add_sym_term(out, [letter] + rest, coeff * sign * c)
         return out
@@ -223,8 +199,7 @@ def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):
         out: Vec = {}
         for i in range(n1):
             rest = [letters[k] for k in range(n1) if k != i]
-            perm = [i] + [k for k in range(n1) if k != i]
-            sign = koszul_sign(degs, perm)
+            sign = unshuffle_sign(degs, [i])
             fval = F(rest)
             if not fval:
                 continue
@@ -235,8 +210,7 @@ def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):
         for i in range(n1):
             for j in range(i + 1, n1):
                 rest = [letters[k] for k in range(n1) if k != i and k != j]
-                perm = [i, j] + [k for k in range(n1) if k != i and k != j]
-                sign = koszul_sign(degs, perm)
+                sign = unshuffle_sign(degs, [i, j])
                 for letter, c in ell2(g, letters[i], letters[j]).items():
                     add_scaled(out, F([letter] + rest), -Fraction(fsign * sign) * c)
         return out

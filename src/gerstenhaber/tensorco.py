@@ -170,30 +170,6 @@ class Bimodule:
                         raise ValueError("actions do not commute")
 
 
-def extended_algebra(alg: FiniteAlgebra, module: Bimodule, shift: int) -> FiniteAlgebra:
-    """The square-zero extension A (+) V[shift], with V.V = 0.
-
-    Module letters are re-graded by ``-shift``; the product is the algebra
-    product on A and the module actions between A and V.
-    """
-    vletters = [Letter(("mod", v.ident), v.degree - shift) for v in module.letters]
-    letters = list(alg.letters) + vletters
-    product: dict = dict(alg.product)
-    for a in alg.letters:
-        for v in module.letters:
-            lv = module.left.get((a.ident, v.ident), {})
-            if lv:
-                product[(a.ident, ("mod", v.ident))] = {
-                    ("mod", i): c for i, c in lv.items()
-                }
-            vr = module.right.get((v.ident, a.ident), {})
-            if vr:
-                product[(("mod", v.ident), a.ident)] = {
-                    ("mod", i): c for i, c in vr.items()
-                }
-    return FiniteAlgebra(letters, product)
-
-
 def deconcat(word: Word) -> dict:
     """Deconcatenation coproduct of a word: sum of all proper front/back splits.
 

@@ -41,6 +41,19 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_rejects_zero_trials(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "0")
+    assert code == 2 and out == ""
+    assert "trials >= 1" in err
+
+
+def test_verify_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "genv", "--trials", "-3",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert "trials >= 1" in err
+
+
 def test_dims_d3(capsys):
     code, out, _ = run(capsys, "dims", "--d", "3", "--Nmax", "2",
                        "--format", "json")

@@ -49,13 +49,22 @@ def test_bracket_single_letters_is_table():
 
 
 def test_bracket_matches_brute_force():
+    """Every length pair p, q in 1..4, both argument orders, on the polyvector
+    basis and on sandboxes, whose odd letters make the extra shuffle sign
+    matter."""
     rng = SplitMix64(51)
-    for trial in range(25):
-        basis = sandbox_gerstenhaber(rng) if trial % 2 else polyvec_basis(2)
-        p, q = rng.randint(1, 2), rng.randint(2, 3)
-        a = tuple(rng.choice(basis.letters) for _ in range(p))
-        b = tuple(rng.choice(basis.letters) for _ in range(q))
-        assert h_bracket_raw(a, b, basis) == brute_bracket(a, b, basis)
+    bases = [polyvec_basis(2)] + [sandbox_gerstenhaber(rng) for _ in range(4)]
+    nonzero = 0
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for basis in bases:
+                a = tuple(rng.choice(basis.letters) for _ in range(p))
+                b = tuple(rng.choice(basis.letters) for _ in range(q))
+                for x, y in ((a, b), (b, a)):
+                    got = h_bracket_raw(x, y, basis)
+                    assert got == brute_bracket(x, y, basis)
+                    nonzero += bool(got)
+    assert nonzero > 100
 
 
 def test_mu_small_cases():

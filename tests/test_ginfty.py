@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 from gerstenhaber.genv import polyvec_basis, sandbox_gerstenhaber
-from gerstenhaber.ginfty import (big_delta, ell_on_packets, kappa,
+from gerstenhaber.ginfty import (add_pair, big_delta, ell_on_packets, kappa,
                                  m_on_packets, mono_deg, mono_key, pdeg)
-from gerstenhaber.graded import Letter
+from gerstenhaber.graded import Letter, koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, bat
 from gerstenhaber.suites import suite_ginfty
@@ -57,6 +57,64 @@ def test_kappa_single_packet():
     s = cut if (u * pdeg((a2,))) % 2 == 0 else -cut
     add_term(want, (((a2,),), ((a1,),)), s)
     assert out == {k: v for k, v in want.items() if v}
+
+
+def kappa_cuts(mono, quotient):
+    """Independent route: cut each packet at every position and reduce the
+    two pieces, with the displayed per-cut signs (no ``delta``)."""
+    n = len(mono)
+    degs = [pdeg(w) for w in mono]
+    out = {}
+    for s in range(n):
+        packet = mono[s]
+        if len(packet) < 2:
+            continue
+        rest = [i for i in range(n) if i != s]
+        for mask in range(1 << (n - 1)):
+            left = [rest[i] for i in range(n - 1) if mask & (1 << i)]
+            right = [rest[i] for i in range(n - 1) if not mask & (1 << i)]
+            perm = left + [s] + right
+            base = koszul_sign(degs, perm)
+            if sum(degs[i] for i in left) % 2:
+                base = -base
+            lpacks = [mono[i] for i in left]
+            rpacks = [mono[i] for i in right]
+            for j in range(1, len(packet)):
+                ured = quotient.reduce_word(packet[:j])
+                vred = quotient.reduce_word(packet[j:])
+                u = pdeg(packet[:j])
+                v = pdeg(packet[j:])
+                cut = -base if u % 2 == 0 else base  # (-1)^(u+1)
+                for uw, cu in ured.items():
+                    for vw, cv in vred.items():
+                        add_pair(out, lpacks + [uw], [vw] + rpacks, cut * cu * cv)
+                        swap = cut if (u * v) % 2 == 0 else -cut
+                        add_pair(out, lpacks + [vw], [uw] + rpacks, swap * cu * cv)
+    return out
+
+
+def test_kappa_matches_cut_oracle():
+    """kappa (delta per packet) against the per-cut formula on seeded
+    monomials of 1-3 representative packets of length up to 3."""
+    rng = SplitMix64(67)
+    quo = ShuffleQuotient()
+    basis = polyvec_basis(2)
+    odd_packets = nonzero = 0
+    for _ in range(60):
+        packets = []
+        for _ in range(rng.randint(1, 3)):
+            letters = [rng.choice(basis.letters) for _ in range(rng.randint(1, 3))]
+            reps = quo.representatives(letters)
+            if reps:
+                packets.append(rng.choice(reps))
+        mono, _ = mono_key(packets)
+        if not packets or mono is None:
+            continue
+        odd_packets += sum(pdeg(w) % 2 for w in mono)
+        got = kappa(mono, quo)
+        assert got == kappa_cuts(mono, quo)
+        nonzero += bool(got)
+    assert odd_packets > 30 and nonzero > 40
 
 
 def test_kappa_kills_shuffle_image_packets():

@@ -59,3 +59,6 @@ def test_unshuffle_and_swap():
     # pulling position 2 of (a,b,c) to the front crosses a and b
     assert unshuffle_sign([1, 1, 1], [2]) == 1
     assert unshuffle_sign([1, 0, 1], [2]) == -1
+    # a non-increasing front keeps its given order: (b, a, c) from (a, b, c)
+    assert unshuffle_sign([1, 1, 1], [1, 0]) == koszul_sign([1, 1, 1], [1, 0, 2]) == -1
+    assert unshuffle_sign([1, 1, 1, 0], [2, 0]) == 1

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gerstenhaber import polyvec as pv
-from gerstenhaber.polyvec import (Polyvec, basis, f1, mono_vf, mu2,
-                                  parse_polyvec, schouten, unit, wedge)
+from gerstenhaber.polyvec import (Polyvec, basis, f1, mono_vf, mu2, schouten,
+                                  unit, wedge)
 from gerstenhaber.prng import SplitMix64
 
 
@@ -146,22 +146,6 @@ def test_f1_morphism():
         a, b = rng.choice(es), rng.choice(es)
         assert f1(wedge(a, b)) == f1(a) * f1(b)
         assert f1(schouten(a, b)) == 0  # the target bracket is zero
-
-
-def test_parser():
-    p = parse_polyvec("x1*x2 d23", 3)
-    assert p == Polyvec(3, 2, {((1, 1, 0), (2, 3)): Fraction(1)})
-    assert parse_polyvec("5", 3) == unit(3, 5)
-    q = parse_polyvec("3/2 x1^2 d1 - x2*x3 d1", 3)
-    assert q == Polyvec(
-        3, 1, {((2, 0, 0), (1,)): Fraction(3, 2), ((0, 1, 1), (1,)): Fraction(-1)}
-    )
-    with pytest.raises(ValueError):
-        parse_polyvec("x9 d1", 3)
-    with pytest.raises(ValueError):
-        parse_polyvec("x1 d21", 3)
-    with pytest.raises(ValueError):
-        parse_polyvec("x1 d1 - x1 d12", 3)
 
 
 def test_schouten_concrete_value():

@@ -6,8 +6,7 @@ from gerstenhaber.graded import Letter
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.suites import random_lie, suite_symco
 from gerstenhaber.symco import (LieData, d_chevalley, d_chevalley_classical,
-                                ell2, ell_lift, lie_with_module, sym_coproduct,
-                                sym_key)
+                                ell2, ell_lift, sym_coproduct, sym_key)
 
 E1, E2 = Letter(("g", 1), 0), Letter(("g", 2), 0)
 
@@ -111,6 +110,30 @@ def test_graded_recovers_classical():
                 assert {k: v for k, v in lhs.items() if v} == {
                     k: v for k, v in rhs.items() if v
                 }
+
+
+def lie_with_module(g: LieData, vletters, action, shift: int = 0) -> LieData:
+    """The Lie algebra g (+) V[shift] with [X, v] = X.v and V abelian: the
+    target that drives the action term of ``d_chevalley`` into a module.
+
+    ``action[(x, v)]`` maps idents to dicts over module idents.  Module
+    letters are re-graded by ``-shift``.
+    """
+    mletters = [Letter(("mod", v.ident), v.degree - shift) for v in vletters]
+    letters = list(g.letters) + mletters
+    bracket: dict = dict(g.bracket_table)
+    for x in g.letters:
+        for v in vletters:
+            xv = action.get((x.ident, v.ident), {})
+            if xv:
+                bracket[(x.ident, ("mod", v.ident))] = {
+                    ("mod", i): Fraction(c) for i, c in xv.items()
+                }
+                sign = -1 if x.degree % 2 and (v.degree - shift) % 2 else 1
+                bracket[(("mod", v.ident), x.ident)] = {
+                    ("mod", i): -sign * Fraction(c) for i, c in xv.items()
+                }
+    return LieData(letters, bracket)
 
 
 def test_module_construction_and_action_term():

@@ -7,7 +7,7 @@ from gerstenhaber.prng import SplitMix64
 from gerstenhaber.suites import random_assoc_algebra, suite_tensorco
 from gerstenhaber.tensorco import (Bimodule, FiniteAlgebra,
                                    coderivation_lift_tensor, d_hochschild,
-                                   deconcat, extended_algebra, m2,
+                                   deconcat, m2,
                                    m_differential)
 
 ONE = Letter(("a", "1"), 0)
@@ -110,13 +110,6 @@ def test_validation_rejects_bad_table():
     }
     with pytest.raises(ValueError):
         FiniteAlgebra([a, b], prod)
-
-
-def test_extended_algebra_is_associative():
-    alg = nilpotent_algebra()
-    module = Bimodule.regular(alg)
-    ext = extended_algebra(alg, module, 2)
-    assert len(ext.letters) == 4  # validated at construction
 
 
 def test_suite_green():
