@@ -32,29 +32,35 @@ SUITE_ALIASES = {
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only the flags that command reads;
+    any other flag is an argparse usage error (exit 2)."""
     p = argparse.ArgumentParser(prog="gerstenhaber")
     sub = p.add_subparsers(dest="command")
-    for name in ("verify", "dims", "cocycle", "differential"):
-        sp = sub.add_parser(name)
+    verify, dims, cocycle, differential = (
+        sub.add_parser(name) for name in ("verify", "dims", "cocycle", "differential"))
+    verify.add_argument("--seed", type=int, default=7)
+    verify.add_argument("--trials", type=int, default=50)
+    verify.add_argument("--suite", default="all")
+    verify.add_argument("--corrupt-sandbox", action="store_true",
+                        help="deliberately break the sandbox bracket (testing aid)")
+    for sp in (dims, cocycle, differential):
         sp.add_argument("--d", type=int, default=3)
         sp.add_argument("--kmax", type=int, default=None)
+    for sp in (dims, cocycle):
         sp.add_argument("--Nmax", type=int, default=4)
+    for sp in (cocycle, differential):
         sp.add_argument("--nmax", type=int, default=4)
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--trials", type=int, default=50)
-        sp.add_argument("--suite", default="all")
-        sp.add_argument("--format", default="text", choices=["text", "json", "matrixmarket"])
+    differential.add_argument("--level", type=int, default=2,
+                              help="source level N of the exported matrix")
+    differential.add_argument("--operator", default="dch",
+                              choices=["dch", "dH", "dC", "dHa"])
+    for sp in (verify, dims, cocycle):
+        sp.add_argument("--format", default="text", choices=["text", "json"])
+    # differential exports JSON for "text" as well
+    differential.add_argument("--format", default="text",
+                              choices=["text", "json", "matrixmarket"])
+    for sp in (verify, dims, cocycle, differential):
         sp.add_argument("--out", default=None)
-        if name == "verify":
-            sp.add_argument("--corrupt-sandbox", action="store_true",
-                            help="deliberately break the sandbox bracket (testing aid)")
-        if name == "differential":
-            sp.add_argument("--level", type=int, default=2,
-                            help="source level N of the exported matrix")
-            sp.add_argument("--operator", default="dch",
-                            choices=["dch", "dH", "dC", "dHa"])
-
-
     return p
 
 
@@ -86,7 +92,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"verify: need trials >= 1, got {args.trials}\n")
         return 2
     results = run_suites(names, args.seed, args.trials,
-                         corrupt=getattr(args, "corrupt_sandbox", False))
+                         corrupt=args.corrupt_sandbox)
     results = sorted(results)
     if args.format == "json":
         payload = [

@@ -11,13 +11,15 @@ to the shuffle quotient.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .graded import Letter, word_deg
 from .polyvec import basis as pv_basis
 from .polyvec import _merge_dirs, hom_letter, letter_polyvec, schouten, wedge
 from .shuffleco import ShuffleQuotient, Word, _shuffle
-from .tensorco import add_scaled, add_term, elem_eq
+from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
+                       extend, jacobi, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 Elem = dict  # dict[Word, Fraction]
@@ -29,8 +31,10 @@ class GerstBasis:
     ``wedge_table[(i, j)]`` and ``bracket_table[(i, j)]`` map ident pairs to
     dicts ident -> Fraction.  On letters of shifted degrees a, b the wedge has
     shifted degree a + b + 1 and the bracket a + b.  ``validate()`` checks the
-    graded commutativity, associativity, antisymmetry, Jacobi and Leibniz
-    axioms on all basis triples (in the unshifted grading).
+    axioms on all basis triples with the ``tensorco`` residuals: the wedge
+    graded commutative and associative in the unshifted grading, the bracket
+    graded antisymmetric with Jacobi in the shifted one, and each [a, .] a
+    derivation of the wedge (Leibniz).
     """
 
     def __init__(self, letters, wedge_table, bracket_table, name=""):
@@ -69,67 +73,31 @@ class GerstBasis:
         return letter.degree + 1
 
     def validate(self):
-        one = Fraction(1)
-
-        def vwedge(x: Vec, y: Vec) -> Vec:
-            out: Vec = {}
-            for a, ca in x.items():
-                for b, cb in y.items():
-                    add_scaled(out, self.wedge(a, b), ca * cb)
-            return out
-
-        def vbracket(x: Vec, y: Vec) -> Vec:
-            out: Vec = {}
-            for a, ca in x.items():
-                for b, cb in y.items():
-                    add_scaled(out, self.bracket(a, b), ca * cb)
-            return out
-
         L = self.letters
+        shifted_deg = lambda x: x.degree
         for a in L:
             ka = self.unshifted(a)
             for b in L:
                 kb = self.unshifted(b)
-                ab = self.wedge(a, b)
-                for c, coeff in ab.items():
+                for c, coeff in self.wedge(a, b).items():
                     if coeff and self.unshifted(c) != ka + kb:
                         raise ValueError("wedge not degree 0")
-                sign = -1 if (ka * kb) % 2 else 1
-                if not elem_eq(ab, {k: sign * v for k, v in self.wedge(b, a).items()}):
+                if symmetry(self.wedge, self.unshifted, a, b):
                     raise ValueError("wedge not graded commutative")
-                br = self.bracket(a, b)
-                for c, coeff in br.items():
+                for c, coeff in self.bracket(a, b).items():
                     if coeff and self.unshifted(c) != ka + kb - 1:
                         raise ValueError("bracket not degree -1")
-                sign = -1 if ((ka - 1) * (kb - 1)) % 2 else 1
-                if not elem_eq(
-                    br, {k: -sign * v for k, v in self.bracket(b, a).items()}
-                ):
+                if symmetry(self.bracket, shifted_deg, a, b, -1):
                     raise ValueError("bracket not graded antisymmetric")
         for a in L:
+            ad_a = partial(self.bracket, a)
             for b in L:
-                ab_w = self.wedge(a, b)
-                ab_b = self.bracket(a, b)
                 for c in L:
-                    if not elem_eq(
-                        vwedge(ab_w, {c: one}), vwedge({a: one}, self.wedge(b, c))
-                    ):
+                    if associativity(self.wedge, a, b, c):
                         raise ValueError("wedge not associative")
-                    ka, kb, kc = (self.unshifted(x) for x in (a, b, c))
-                    lhs = vbracket({a: one}, self.wedge(b, c))
-                    rhs = vwedge(ab_b, {c: one})
-                    s = -1 if (kb * (ka - 1)) % 2 else 1
-                    add_scaled(rhs, vwedge({b: one}, self.bracket(a, c)), Fraction(s))
-                    if not elem_eq(lhs, rhs):
+                    if derivation(ad_a, a.degree, self.wedge, self.unshifted, b, c):
                         raise ValueError("Leibniz axiom fails")
-                    acc: Vec = {}
-                    s = -1 if ((ka - 1) * (kc - 1)) % 2 else 1
-                    add_scaled(acc, vbracket(ab_b, {c: one}), Fraction(s))
-                    s = -1 if ((kb - 1) * (ka - 1)) % 2 else 1
-                    add_scaled(acc, vbracket(self.bracket(b, c), {a: one}), Fraction(s))
-                    s = -1 if ((kc - 1) * (kb - 1)) % 2 else 1
-                    add_scaled(acc, vbracket(self.bracket(c, a), {b: one}), Fraction(s))
-                    if acc:
+                    if jacobi(self.bracket, shifted_deg, a, b, c):
                         raise ValueError("graded Jacobi fails")
         return self
 
@@ -182,14 +150,9 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
         subsets.extend(combinations(range(1, dim + 1), r))
     letters = {s: Letter(("sb", len(s), s), len(s) - 1) for s in subsets}
 
-    def vwedge(x: dict, y: dict) -> dict:
-        out: dict = {}
-        for sa, ca in x.items():
-            for sb, cb in y.items():
-                merged, sign = _merge_dirs(sa, sb)
-                if merged is not None:
-                    add_term(out, merged, ca * cb * sign)
-        return out
+    def wedge_ss(sa, sb) -> dict:
+        merged, sign = _merge_dirs(sa, sb)
+        return {} if merged is None else {merged: sign}
 
     bracket_cache: dict = {}
 
@@ -206,18 +169,15 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
         elif len(sa) == 1:
             # [e, b ^ rest] = [e, b] ^ rest + b ^ [e, rest]; e has degree 1
             b0, rest = (sb[0],), sb[1:]
-            for s, c in vwedge(bracket_ss(sa, b0), {rest: Fraction(1)}).items():
-                add_term(out, s, c)
-            for s, c in vwedge({b0: Fraction(1)}, bracket_ss(sa, rest)).items():
-                add_term(out, s, c)
+            add_scaled(out, extend(wedge_ss, bracket_ss(sa, b0), {rest: ONE}))
+            add_scaled(out, extend(wedge_ss, {b0: ONE}, bracket_ss(sa, rest)))
         else:
             # [a ^ beta, c] = a ^ [beta, c] + (-1)^(|beta|(|c|-1)) [a, c] ^ beta
             a0, beta = (sa[0],), sa[1:]
-            for s, c in vwedge({a0: Fraction(1)}, bracket_ss(beta, sb)).items():
-                add_term(out, s, c)
+            add_scaled(out, extend(wedge_ss, {a0: ONE}, bracket_ss(beta, sb)))
             sign = -1 if (len(beta) * (len(sb) - 1)) % 2 else 1
-            for s, c in vwedge(bracket_ss(a0, sb), {beta: Fraction(1)}).items():
-                add_term(out, s, Fraction(sign) * c)
+            add_scaled(out, extend(wedge_ss, bracket_ss(a0, sb), {beta: ONE}),
+                       Fraction(sign))
         bracket_cache[key] = out
         return out
 
@@ -225,8 +185,7 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
     bracket_table = {}
     for sa, la in letters.items():
         for sb, lb in letters.items():
-            merged, sign = _merge_dirs(sa, sb)
-            if merged is not None:
+            for merged, sign in wedge_ss(sa, sb).items():
                 wedge_table[(la.ident, lb.ident)] = {letters[merged].ident: sign}
             br = bracket_ss(sa, sb)
             if br:
@@ -323,11 +282,7 @@ def h_bracket(a: Word, b: Word, basis: GerstBasis, quotient: ShuffleQuotient) ->
 
 
 def h_bracket_elem(x: Elem, y: Elem, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
-    out: Elem = {}
-    for wa, ca in x.items():
-        for wb, cb in y.items():
-            add_scaled(out, h_bracket(wa, wb, basis, quotient), ca * cb)
-    return out
+    return extend(lambda a, b: h_bracket(a, b, basis, quotient), x, y)
 
 
 def h_mu_raw(word: Word, basis: GerstBasis) -> Elem:
@@ -350,7 +305,4 @@ def h_mu(word: Word, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
 
 
 def h_mu_elem(x: Elem, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
-    out: Elem = {}
-    for w, c in x.items():
-        add_scaled(out, h_mu(w, basis, quotient), c)
-    return out
+    return extend(lambda w: h_mu(w, basis, quotient), x)

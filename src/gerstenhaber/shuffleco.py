@@ -24,7 +24,7 @@ from itertools import combinations
 from .exactlin import echelonize
 from .graded import koszul_sign, word_deg
 from .tensorco import (add_scaled, add_term, coderivation_lift_tensor,
-                       d_hochschild, m2)
+                       d_hochschild, extend, m2)
 
 Word = tuple   # tuple[Letter, ...]
 Elem = dict    # dict[Word, Fraction]
@@ -77,11 +77,7 @@ def bat(a: Word, b: Word) -> Elem:
 
 
 def bat_elem(x: Elem, y: Elem) -> Elem:
-    out: Elem = {}
-    for wa, ca in x.items():
-        for wb, cb in y.items():
-            add_scaled(out, bat(wa, wb), ca * cb)
-    return out
+    return extend(bat, x, y)
 
 
 def bat3(a: Word, b: Word, c: Word) -> Elem:
@@ -240,11 +236,7 @@ def delta(word: Word, quotient: ShuffleQuotient) -> dict:
 
 
 def delta_elem(elem: Elem, quotient: ShuffleQuotient) -> dict:
-    out: dict = {}
-    for word, coeff in elem.items():
-        for pair, c in delta(word, quotient).items():
-            add_term(out, pair, coeff * c)
-    return out
+    return extend(lambda w: delta(w, quotient), elem)
 
 
 def lift_morphism(taylor: dict, quotient_out: ShuffleQuotient):

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import Letter, bipartitions, koszul_sign, unshuffle_sign
-from .tensorco import add_scaled, add_term, elem_eq
+from .tensorco import (add_scaled, add_term, derivation, extend, jacobi,
+                       square_zero, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 SymElem = dict  # dict[tuple[Letter, ...], Fraction]
@@ -73,11 +74,7 @@ class LieData:
         return {self.by_ident[i]: c for i, c in tab.items()}
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                add_scaled(out, self.bracket_letters(a, b), ca * cb)
-        return out
+        return extend(self.bracket_letters, x, y)
 
     def d_letter(self, a: Letter) -> Vec:
         tab = self.diff_table.get(a.ident)
@@ -86,50 +83,32 @@ class LieData:
         return {self.by_ident[i]: c for i, c in tab.items()}
 
     def d(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for a, ca in x.items():
-            add_scaled(out, self.d_letter(a), ca)
-        return out
+        return extend(self.d_letter, x)
 
     def _validate(self):
-        one = Fraction(1)
+        deg = lambda x: x.degree
         for a in self.letters:
             for b in self.letters:
-                ab = self.bracket_letters(a, b)
-                for c, coeff in ab.items():
+                for c, coeff in self.bracket_letters(a, b).items():
                     if coeff and c.degree != a.degree + b.degree:
                         raise ValueError("bracket not degree 0")
-                sign = -1 if (a.degree % 2 and b.degree % 2) else 1
-                ba = self.bracket_letters(b, a)
-                if not elem_eq(ab, {k: -sign * v for k, v in ba.items()}):
+                if symmetry(self.bracket_letters, deg, a, b, -1):
                     raise ValueError(f"bracket not antisymmetric on {a.ident},{b.ident}")
         for a in self.letters:
             for b in self.letters:
                 for c in self.letters:
-                    x, y, z = a.degree, b.degree, c.degree
-                    acc: Vec = {}
-                    add_scaled(acc, self.bracket(self.bracket_letters(a, b), {c: one}))
-                    s = -1 if (x * (y + z)) % 2 else 1
-                    add_scaled(acc, self.bracket(self.bracket_letters(b, c), {a: one}), s)
-                    s = -1 if (z * (x + y)) % 2 else 1
-                    add_scaled(acc, self.bracket(self.bracket_letters(c, a), {b: one}), s)
-                    if acc:
+                    if jacobi(self.bracket_letters, deg, a, b, c):
                         raise ValueError(f"Jacobi fails on {a.ident},{b.ident},{c.ident}")
         if self.diff_table:
             for a in self.letters:
-                da = self.d_letter(a)
-                for c, coeff in da.items():
+                for c, coeff in self.d_letter(a).items():
                     if coeff and c.degree != a.degree + 1:
                         raise ValueError("differential not degree 1")
-                if self.d(da):
+                if square_zero(self.d_letter, a):
                     raise ValueError("differential does not square to zero")
             for a in self.letters:
                 for b in self.letters:
-                    lhs = self.d(self.bracket_letters(a, b))
-                    rhs = self.bracket(self.d_letter(a), {b: one})
-                    s = -1 if a.degree % 2 else 1
-                    add_scaled(rhs, self.bracket({a: one}, self.d_letter(b)), s)
-                    if not elem_eq(lhs, rhs):
+                    if derivation(self.d_letter, 1, self.bracket_letters, deg, a, b):
                         raise ValueError("differential not a bracket derivation")
 
 

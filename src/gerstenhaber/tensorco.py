@@ -16,6 +16,7 @@ from .graded import Letter, shifted, word_deg
 Word = tuple  # tuple[Letter, ...] with shifted degrees
 Elem = dict   # dict[Word, Fraction]
 Vec = dict    # dict[Letter, Fraction], an element of the algebra or module
+ONE = Fraction(1)
 
 
 def add_term(acc: dict, key, coeff: Fraction):
@@ -38,6 +39,114 @@ def add_scaled(acc: dict, other: dict, coeff=Fraction(1)):
 
 def elem_eq(a: dict, b: dict) -> bool:
     return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
+
+
+def extend(op, x: dict, y: dict | None = None) -> dict:
+    """Linear extension of ``op`` (key -> sparse element) to the element x,
+    or, given y, bilinear extension of op(key, key) to the pair x, y."""
+    out: dict = {}
+    for a, ca in x.items():
+        if y is None:
+            add_scaled(out, op(a), ca)
+        else:
+            for b, cb in y.items():
+                add_scaled(out, op(a, b), ca * cb)
+    return out
+
+
+# The graded identities, each written once as a residual: the sparse element
+# lhs - rhs, empty exactly when the identity holds on the given keys.  ``op``
+# maps two keys, ``D`` and ``cop`` one key, to a sparse element (the keys of
+# a coproduct value are pairs); ``deg`` is the degree of a key, and only its
+# parity is read.
+
+
+def symmetry(op, deg, a, b, sign=1) -> dict:
+    """op(a, b) - sign (-1)^(ab) op(b, a): graded commutativity for sign 1,
+    graded antisymmetry for sign -1."""
+    out = add_scaled({}, op(a, b))
+    return add_scaled(out, op(b, a), sign if deg(a) * deg(b) % 2 else -sign)
+
+
+def associativity(op, a, b, c) -> dict:
+    """op(op(a, b), c) - op(a, op(b, c))."""
+    out = extend(op, op(a, b), {c: ONE})
+    return add_scaled(out, extend(op, {a: ONE}, op(b, c)), -1)
+
+
+def jacobi(op, deg, a, b, c) -> dict:
+    """Graded Jacobi: the sum of (-1)^(xz) op(op(x, y), z) over the cyclic
+    rotations (x, y, z) of (a, b, c)."""
+    out: dict = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        add_scaled(out, extend(op, op(x, y), {z: ONE}),
+                   -1 if deg(x) * deg(z) % 2 else 1)
+    return out
+
+
+def derivation(D, d_deg, op, deg, a, b) -> dict:
+    """Leibniz rule for D of degree d_deg over op:
+    D(op(a, b)) - op(D a, b) - (-1)^(d_deg a) op(a, D b)."""
+    out = extend(D, op(a, b))
+    add_scaled(out, extend(op, D(a), {b: ONE}), -1)
+    return add_scaled(out, extend(op, {a: ONE}, D(b)),
+                      1 if d_deg * deg(a) % 2 else -1)
+
+
+def square_zero(D, x) -> dict:
+    """D(D(x))."""
+    return extend(D, D(x))
+
+
+def coassociativity(cop, x) -> dict:
+    """(id (x) cop) cop(x) - (cop (x) id) cop(x) for an even coproduct, on
+    key triples."""
+    out: dict = {}
+    for (a, b), c in cop(x).items():
+        for (u, v), c2 in cop(b).items():
+            add_term(out, (a, u, v), c * c2)
+        for (u, v), c2 in cop(a).items():
+            add_term(out, (u, v, b), -c * c2)
+    return out
+
+
+def cojacobi(cop, deg, x) -> dict:
+    """Graded coJacobi: (cop (x) id) cop(x) summed over the cyclic rotations
+    of its three factors, each with its Koszul sign."""
+    trip: dict = {}
+    for (a, b), c in cop(x).items():
+        for (u, v), c2 in cop(a).items():
+            add_term(trip, (u, v, b), c * c2)
+    out = dict(trip)
+    for (u, v, w), c in trip.items():
+        du, dv, dw = deg(u), deg(v), deg(w)
+        add_term(out, (v, w, u), -c if du * (dv + dw) % 2 else c)
+        add_term(out, (w, u, v), -c if dw * (du + dv) % 2 else c)
+    return out
+
+
+def cosymmetry(cop, deg, x, sign=1) -> dict:
+    """tau cop(x) - sign cop(x), tau the Koszul swap of the two factors:
+    cocommutativity for sign 1, coantisymmetry for sign -1."""
+    val = cop(x)
+    out: dict = {}
+    for (a, b), c in val.items():
+        add_term(out, (b, a), -c if deg(a) * deg(b) % 2 else c)
+    return add_scaled(out, val, -sign)
+
+
+def coderivation(D, d_deg, cop, cop_deg, deg, x) -> dict:
+    """Coderivation law for D of degree d_deg over cop of degree cop_deg:
+    (D (x) id + id (x) D) cop(x) - (-1)^(d_deg cop_deg) cop(D x), where
+    id (x) D passes a left factor a with the sign (-1)^(d_deg a)."""
+    out: dict = {}
+    for (a, b), c in cop(x).items():
+        for u, c2 in D(a).items():
+            add_term(out, (u, b), c * c2)
+        s = -c if d_deg * deg(a) % 2 else c
+        for u, c2 in D(b).items():
+            add_term(out, (a, u), s * c2)
+    return add_scaled(out, extend(cop, D(x)), 1 if d_deg * cop_deg % 2 else -1)
 
 
 class FiniteAlgebra:
@@ -66,11 +175,7 @@ class FiniteAlgebra:
         return {self.by_ident[i]: c for i, c in tab.items()}
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                add_scaled(out, self.mul_letters(a, b), ca * cb)
-        return out
+        return extend(self.mul_letters, x, y)
 
     def _validate(self):
         for a in self.letters:
@@ -80,20 +185,15 @@ class FiniteAlgebra:
                         raise ValueError(
                             f"product not degree 0: {a.ident}*{b.ident} -> {c.ident}"
                         )
+        deg = lambda x: x.degree
         for a in self.letters:
             for b in self.letters:
-                ab = self.mul_letters(a, b)
-                if self.commutative:
-                    sign = -1 if (a.degree % 2 and b.degree % 2) else 1
-                    ba = self.mul_letters(b, a)
-                    if not elem_eq(ab, {k: sign * v for k, v in ba.items()}):
-                        raise ValueError(
-                            f"not graded commutative on {a.ident},{b.ident}"
-                        )
+                if self.commutative and symmetry(self.mul_letters, deg, a, b):
+                    raise ValueError(
+                        f"not graded commutative on {a.ident},{b.ident}"
+                    )
                 for c in self.letters:
-                    left = self.mul(ab, {c: Fraction(1)})
-                    right = self.mul({a: Fraction(1)}, self.mul_letters(b, c))
-                    if not elem_eq(left, right):
+                    if associativity(self.mul_letters, a, b, c):
                         raise ValueError(
                             f"not associative on {a.ident},{b.ident},{c.ident}"
                         )

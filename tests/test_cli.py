@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from gerstenhaber.cli import main
 
 
@@ -52,6 +54,24 @@ def test_verify_rejects_negative_trials(capsys):
                          "--format", "json")
     assert code == 2 and out == ""
     assert "trials >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--d", "2", "--suite", "nope", "--trials", "-3", "--seed", "99"],
+    ["dims", "--nmax", "2"],
+    ["cocycle", "--format", "matrixmarket"],
+    ["cocycle", "--d", "3", "--seed", "1"],
+    ["verify", "--d", "9"],
+    ["verify", "--format", "matrixmarket"],
+    ["differential", "--Nmax", "2"],
+    ["differential", "--trials", "5"],
+])
+def test_flags_of_other_commands_are_usage_errors(argv, capsys):
+    """Each command takes only the flags it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_dims_d3(capsys):
