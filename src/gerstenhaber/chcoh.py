@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import SparseMat, solve_in_column_span
-from .genv import GerstBasis
+from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign, unshuffle_sign
 from .ginfty import (Mono, add_mono, ell_pair, kappa, m_slot, mono_deg,
                      mono_key, packet_sort_key, pdeg)
@@ -171,18 +171,73 @@ def _arg_shape(lens, drop, length=0) -> tuple:
     return tuple(sorted(parts))
 
 
+class PacketTable:
+    """Packet-level operations of one coboundary computation, each computed
+    on first use: the reduced ``h_bracket`` of a packet pair, the reduced
+    ``h_mu`` of a packet and, per tuple of packet lengths, the term families
+    of ``d_ch_terms`` that ``shapes`` keeps.
+
+    A decision builds one table per call and drops it on return, so a
+    long-lived context does not grow.  The values are shared: read them, do
+    not change them.
+    """
+
+    def __init__(self, ctx: ChContext, shapes=None):
+        self.ctx = ctx
+        self.shapes = shapes
+        self._brackets: dict = {}
+        self._mus: dict = {}
+        self._live: dict = {}
+
+    def bracket(self, x, y) -> dict:
+        val = self._brackets.get((x, y))
+        if val is None:
+            val = self._brackets[x, y] = h_bracket(x, y, self.ctx.source,
+                                                   self.ctx.quotient)
+        return val
+
+    def mu(self, x) -> dict:
+        val = self._mus.get(x)
+        if val is None:
+            val = self._mus[x] = h_mu(x, self.ctx.source, self.ctx.quotient)
+        return val
+
+    def live(self, lens: tuple) -> tuple:
+        """(packets to detach from or apply mu to, packet pairs to bracket,
+        single-letter packets to pull out), in term order."""
+        fams = self._live.get(lens)
+        if fams is None:
+            n, shapes = len(lens), self.shapes
+
+            def keep(drop, length=0):
+                return shapes is None or _arg_shape(lens, drop, length) in shapes
+
+            fams = self._live[lens] = (
+                [j for j in range(n) if lens[j] >= 2 and keep((j,), lens[j] - 1)],
+                [(j, k) for j in range(n) for k in range(j + 1, n)
+                 if keep((j, k), lens[j] + lens[k] - 1)],
+                [j for j in range(n) if lens[j] == 1 and n > 1 and keep((j,))])
+        return fams
+
+
 def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
-               shapes=None):
+               shapes=None, table: PacketTable | None = None):
     """Yield (coefficient, linmap spec, canonical argument monomial).
 
     With ``shapes``, term families whose argument shape is not in it are not
     built; a cochain vanishing off those shapes gets nothing from them.  The
     two ("id",) families are the negatives of ``ginfty.m_slot`` and
-    ``ginfty.ell_pair``.
+    ``ginfty.ell_pair``.  ``table`` is a ``PacketTable`` of ``ctx`` made for
+    the same ``shapes`` and shared by the monomials of one computation;
+    without one, a fresh table is used.
     """
+    if table is None:
+        table = PacketTable(ctx, shapes)
+    elif table.shapes is not shapes:
+        raise ValueError("the table was made for other shapes")
     n = len(mono)
     degs = [pdeg(w) for w in mono]
-    lens = [len(w) for w in mono]
+    detach, pairs, pull = table.live(tuple(len(w) for w in mono))
     quo = ctx.quotient
 
     def splice(j: int, values: dict, base: Fraction, spec):
@@ -198,12 +253,8 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
     terms = []
     if product_part:
         total_deg = sum(degs)
-        for j in range(n):
+        for j in detach:
             packet = mono[j]
-            if len(packet) < 2:
-                continue
-            if shapes is not None and _arg_shape(lens, (j,), lens[j] - 1) not in shapes:
-                continue
             a_first, a_last = packet[0], packet[-1]
             f1a = ctx.f1.get(a_first)
             if f1a:
@@ -223,20 +274,12 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
                 for ap, cf in f1b.items():
                     terms += splice(j, red, base * cf, ("mul_r", ap))
             terms += [(-c, ("id",), key)
-                      for key, c in m_slot(mono, degs, j, ctx.source, quo)]
+                      for key, c in m_slot(mono, degs, j, table.mu(packet))]
     if bracket_part:
-        for j in range(n):
-            for k in range(j + 1, n):
-                if shapes is not None and \
-                        _arg_shape(lens, (j, k), lens[j] + lens[k] - 1) not in shapes:
-                    continue
-                terms += [(-c, ("id",), key)
-                          for key, c in ell_pair(mono, degs, j, k, ctx.source, quo)]
-        for j in range(n):
-            if len(mono[j]) != 1 or n == 1:
-                continue
-            if shapes is not None and _arg_shape(lens, (j,)) not in shapes:
-                continue
+        for j, k in pairs:
+            terms += [(-c, ("id",), key) for key, c in
+                      ell_pair(mono, degs, j, k, table.bracket(mono[j], mono[k]))]
+        for j in pull:
             f1a = ctx.f1.get(mono[j][0])
             if not f1a:
                 continue
@@ -256,11 +299,12 @@ def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
 
 
 def d_ch_value(feval, mono: Mono, ctx: ChContext, product_part=True,
-               bracket_part=True, shapes=None) -> Vec:
+               bracket_part=True, shapes=None, table: PacketTable | None = None) -> Vec:
     """Value of the coboundary of the cochain ``feval`` on one monomial;
-    ``shapes`` as in ``d_ch_terms``."""
+    ``shapes`` and ``table`` as in ``d_ch_terms``."""
     out: Vec = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, product_part, bracket_part, shapes):
+    for coeff, spec, arg in d_ch_terms(mono, ctx, product_part, bracket_part,
+                                       shapes, table):
         v = feval(arg)
         if v:
             add_scaled(out, _linmap_apply(ctx, spec, v), coeff)
@@ -275,18 +319,20 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     outside the window.
     """
     shapes = _term_shapes(f, trunc)
+    table = PacketTable(ctx, shapes)
     values: dict = {}
     for mono in _coboundary_monomials(f, ctx, trunc):
-        val = d_ch_value(f.eval, mono, ctx, shapes=shapes)
+        val = d_ch_value(f.eval, mono, ctx, shapes=shapes, table=table)
         if val:
             values[mono] = val
     return Cochain(values, f.level + 1)
 
 
-def d_ch_row(mono: Mono, ctx: ChContext) -> dict:
-    """Symbolic expansion: {(argument mono, out letter, in letter): coeff}."""
+def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> dict:
+    """Symbolic expansion: {(argument mono, out letter, in letter): coeff};
+    ``table`` as in ``d_ch_terms``, made without shapes."""
     row: dict = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx):
+    for coeff, spec, arg in d_ch_terms(mono, ctx, table=table):
         for b in ctx.target.letters:
             img = _linmap_apply(ctx, spec, {b: Fraction(1)})
             for lo, c in img.items():
@@ -521,7 +567,8 @@ def _term_shapes(f, trunc: Truncation):
 # ---------------------------------------------------------------------------
 # cocycle / coboundary decisions
 
-def _block_matrix(ctx: ChContext, rows: list, cols: list) -> SparseMat:
+def _block_matrix(ctx: ChContext, rows: list, cols: list,
+                  table: PacketTable) -> SparseMat:
     """Exact coboundary matrix from the ``cols`` monomials to the ``rows``
     monomials; row ri * nt + i and column ci * nt + i carry target letter i
     (nt target letters).  Terms on arguments outside ``cols`` are dropped."""
@@ -530,7 +577,7 @@ def _block_matrix(ctx: ChContext, rows: list, cols: list) -> SparseMat:
     col_index = {m: i for i, m in enumerate(cols)}
     mat = SparseMat(len(rows) * nt, len(cols) * nt)
     for ri, W in enumerate(rows):
-        for (arg, lo, li), c in d_ch_row(W, ctx).items():
+        for (arg, lo, li), c in d_ch_row(W, ctx, table).items():
             ci = col_index.get(arg)
             if ci is not None:
                 r = ri * nt + tindex[lo]
@@ -547,10 +594,11 @@ def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
     silently shrinking the check.
     """
     shapes = _term_shapes(f, trunc)
+    table = PacketTable(ctx, shapes)
     checked = 0
     for mono in _coboundary_monomials(f, ctx, trunc):
         checked += 1
-        if d_ch_value(f.eval, mono, ctx, shapes=shapes):
+        if d_ch_value(f.eval, mono, ctx, shapes=shapes, table=table):
             return (False, mono) if report else False
     return (True, checked) if report else True
 
@@ -592,6 +640,7 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     tletters = ctx.target.letters
     tindex = {a: i for i, a in enumerate(tletters)}
     nt = len(tletters)
+    table = PacketTable(ctx)
     preimage: dict = {}
     for dW, rows in rows_by_deg.items():
         cols = cols_by_deg.get(dW + 1, [])
@@ -601,7 +650,7 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
                 b[ri * nt + tindex[lo]] = c
         if not b and not cols:
             continue
-        x = solve_in_column_span(_block_matrix(ctx, rows, cols), b)
+        x = solve_in_column_span(_block_matrix(ctx, rows, cols, table), b)
         if x is None:
             return None
         for ci, c in x.items():
@@ -628,7 +677,7 @@ def assemble_matrix(ctx: ChContext, src_shapes, row_shapes=None):
     rows = []
     for shape in row_shapes:
         rows.extend(monomials_for_shape(ctx, shape))
-    return _block_matrix(ctx, rows, cols), rows, cols
+    return _block_matrix(ctx, rows, cols, PacketTable(ctx)), rows, cols
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ def make_parser() -> argparse.ArgumentParser:
     for sp in (dims, cocycle, differential):
         sp.add_argument("--d", type=int, default=3)
         sp.add_argument("--kmax", type=int, default=None)
-    for sp in (dims, cocycle):
-        sp.add_argument("--Nmax", type=int, default=4)
+    dims.add_argument("--Nmax", type=int, default=3,
+                      help="longest packet length counted, 1 to 3")
+    cocycle.add_argument("--Nmax", type=int, default=4)
     for sp in (cocycle, differential):
         sp.add_argument("--nmax", type=int, default=4)
     differential.add_argument("--level", type=int, default=2,
@@ -113,6 +114,9 @@ def cmd_dims(args) -> int:
     if args.d < 1:
         sys.stderr.write("need a spatial dimension d >= 1\n")
         return 2
+    if not 1 <= args.Nmax <= 3:
+        sys.stderr.write(f"dims: need 1 <= Nmax <= 3, got {args.Nmax}\n")
+        return 2
     kmax = _kmax(args, 0, "tensor degree bound")
     if kmax is None:
         return 2
@@ -120,7 +124,7 @@ def cmd_dims(args) -> int:
     rows = [(k, len(pv_basis(d, k))) for k in range(kmax + 1)]
     ctx = real_polyvec_context(d, kmax)
     qdims = []
-    for n in range(1, min(args.Nmax, 3) + 1):
+    for n in range(1, args.Nmax + 1):
         qdims.append((n, len(ctx.rep_words(n))))
     if args.format == "json":
         payload = {

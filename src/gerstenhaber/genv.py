@@ -281,10 +281,6 @@ def h_bracket(a: Word, b: Word, basis: GerstBasis, quotient: ShuffleQuotient) ->
     return quotient.reduce(h_bracket_raw(a, b, basis))
 
 
-def h_bracket_elem(x: Elem, y: Elem, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
-    return extend(lambda a, b: h_bracket(a, b, basis, quotient), x, y)
-
-
 def h_mu_raw(word: Word, basis: GerstBasis) -> Elem:
     """C-infinity differential on a word: adjacent shifted products, unreduced.
 
@@ -302,7 +298,3 @@ def h_mu_raw(word: Word, basis: GerstBasis) -> Elem:
 
 def h_mu(word: Word, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
     return quotient.reduce(h_mu_raw(word, basis))
-
-
-def h_mu_elem(x: Elem, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
-    return extend(lambda w: h_mu(w, basis, quotient), x)

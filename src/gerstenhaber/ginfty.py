@@ -110,30 +110,30 @@ def kappa(mono: Mono, quotient: ShuffleQuotient) -> PairElem:
     return out
 
 
-def ell_pair(mono: Mono, degs: list, i: int, j: int, basis: GerstBasis,
-             quotient: ShuffleQuotient) -> list:
+def ell_pair(mono: Mono, degs: list, i: int, j: int, bracket: dict) -> list:
     """l2 on the packets i < j, pulled to the front:
     eps(x / x_i x_j rest) (-1)^(x_i) [X_i, X_j] . rest, as a list of
-    (canonical monomial, coefficient); ``degs`` are the packet degrees."""
+    (canonical monomial, coefficient); ``degs`` are the packet degrees and
+    ``bracket`` is the reduced [X_i, X_j] of ``genv.h_bracket``."""
     sign = unshuffle_sign(degs, [i, j])
     if degs[i] % 2:
         sign = -sign
     rest = [w for k, w in enumerate(mono) if k != i and k != j]
     out = []
-    for w, c in h_bracket(mono[i], mono[j], basis, quotient).items():
+    for w, c in bracket.items():
         key, s = mono_key([w] + rest)
         if key is not None:
             out.append((key, c if sign * s > 0 else -c))
     return out
 
 
-def m_slot(mono: Mono, degs: list, j: int, basis: GerstBasis,
-           quotient: ShuffleQuotient) -> list:
+def m_slot(mono: Mono, degs: list, j: int, mu: dict) -> list:
     """mu on packet j in place, (-1)^(x_1 + ... + x_(j-1)) mu(X_j), as a list
-    of (canonical monomial, coefficient); ``degs`` are the packet degrees."""
+    of (canonical monomial, coefficient); ``degs`` are the packet degrees and
+    ``mu`` is the reduced mu(X_j) of ``genv.h_mu``."""
     sign = -1 if sum(degs[:j]) % 2 else 1
     out = []
-    for w, c in h_mu(mono[j], basis, quotient).items():
+    for w, c in mu.items():
         key, s = mono_key([*mono[:j], w, *mono[j + 1:]])
         if key is not None:
             out.append((key, c if sign * s > 0 else -c))
@@ -146,7 +146,8 @@ def ell_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> 
     out: MonoElem = {}
     for i in range(len(mono)):
         for j in range(i + 1, len(mono)):
-            for key, c in ell_pair(mono, degs, i, j, basis, quotient):
+            bracket = h_bracket(mono[i], mono[j], basis, quotient)
+            for key, c in ell_pair(mono, degs, i, j, bracket):
                 add_term(out, key, c)
     return out
 
@@ -157,7 +158,7 @@ def m_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> Mo
     out: MonoElem = {}
     for j in range(len(mono)):
         if len(mono[j]) > 1:
-            for key, c in m_slot(mono, degs, j, basis, quotient):
+            for key, c in m_slot(mono, degs, j, h_mu(mono[j], basis, quotient)):
                 add_term(out, key, c)
     return out
 
@@ -166,23 +167,4 @@ def lm_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> M
     out = ell_on_packets(mono, basis, quotient)
     for k, v in m_on_packets(mono, basis, quotient).items():
         add_term(out, k, v)
-    return out
-
-
-def pair_apply_left(op, pairs: PairElem) -> PairElem:
-    """(op (x) id) with no crossing sign: op acts on the left factor."""
-    out: PairElem = {}
-    for (a, b), c in pairs.items():
-        for m2, c2 in op(a).items():
-            add_term(out, (m2, b), c * c2)
-    return out
-
-
-def pair_apply_right(op, op_degree: int, pairs: PairElem) -> PairElem:
-    """(id (x) op): crossing the left factor costs (-1)^(op_degree * deg left)."""
-    out: PairElem = {}
-    for (a, b), c in pairs.items():
-        sign = -1 if (op_degree % 2) and (mono_deg(a) % 2) else 1
-        for m2, c2 in op(b).items():
-            add_term(out, (a, m2), sign * c * c2)
     return out

@@ -25,6 +25,14 @@ class Letter:
     ident: object
     degree: int
 
+    def __post_init__(self):
+        # letters key most dicts and sets of the package: hash once; the
+        # value is the dataclass hash, so every dict and set order is kept
+        object.__setattr__(self, "_hash", hash((self.ident, self.degree)))
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return f"L({self.ident},{self.degree})"
 

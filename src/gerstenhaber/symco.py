@@ -82,9 +82,6 @@ class LieData:
             return {}
         return {self.by_ident[i]: c for i, c in tab.items()}
 
-    def d(self, x: Vec) -> Vec:
-        return extend(self.d_letter, x)
-
     def _validate(self):
         deg = lambda x: x.degree
         for a in self.letters:

@@ -174,9 +174,6 @@ class FiniteAlgebra:
             return {}
         return {self.by_ident[i]: c for i, c in tab.items()}
 
-    def mul(self, x: Vec, y: Vec) -> Vec:
-        return extend(self.mul_letters, x, y)
-
     def _validate(self):
         for a in self.letters:
             for b in self.letters:

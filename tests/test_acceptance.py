@@ -11,11 +11,10 @@ from gerstenhaber.chcoh import (Truncation, assemble_matrix, f3_111,
                                 is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context)
-from gerstenhaber.genv import (h_bracket, h_bracket_elem, h_mu, h_mu_elem,
-                               polyvec_basis, sandbox_gerstenhaber)
+from gerstenhaber.genv import h_bracket, h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.ginfty import (big_delta, ell_on_packets, kappa,
                                  lm_on_packets, m_on_packets, mono_deg,
-                                 mono_key, pair_apply_left, pair_apply_right)
+                                 mono_key)
 from gerstenhaber.graded import Letter, word_deg
 from gerstenhaber.polyvec import basis as pv_basis
 from gerstenhaber.polyvec import hom_letter
@@ -25,7 +24,37 @@ from gerstenhaber.shuffleco import (ShuffleQuotient, bat, bat3, bat_elem,
 from gerstenhaber.suites import (random_assoc_algebra, random_lie,
                                  suite_shuffle, suite_symco, suite_tensorco)
 from gerstenhaber.symco import LieData, d_chevalley_classical
-from gerstenhaber.tensorco import add_scaled, add_term
+from gerstenhaber.tensorco import add_scaled, add_term, extend
+
+
+# Oracle helpers of criteria 4-6: the bracket and mu extended linearly to
+# quotient elements, and an operator on one factor of a pair of monomials.
+
+def h_bracket_elem(x, y, basis, quotient):
+    return extend(lambda a, b: h_bracket(a, b, basis, quotient), x, y)
+
+
+def h_mu_elem(x, basis, quotient):
+    return extend(lambda w: h_mu(w, basis, quotient), x)
+
+
+def pair_apply_left(op, pairs):
+    """(op (x) id) with no crossing sign: op acts on the left factor."""
+    out = {}
+    for (a, b), c in pairs.items():
+        for m2, c2 in op(a).items():
+            add_term(out, (m2, b), c * c2)
+    return out
+
+
+def pair_apply_right(op, op_degree, pairs):
+    """(id (x) op): crossing the left factor costs (-1)^(op_degree * deg left)."""
+    out = {}
+    for (a, b), c in pairs.items():
+        sign = -1 if (op_degree % 2) and (mono_deg(a) % 2) else 1
+        for m2, c2 in op(b).items():
+            add_term(out, (a, m2), sign * c * c2)
+    return out
 
 
 def report(num, ok, text):

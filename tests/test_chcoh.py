@@ -279,6 +279,100 @@ def test_d_ch_terms_shape_filter_is_exact():
                     assert d_ch_terms(mono, ctx, shapes={keep}) == want
 
 
+def table_contexts():
+    """d = 2, k <= 2 and d = 3, k <= 1 mapped to the base field, and two
+    seeded sandboxes mapped identically onto themselves."""
+    rng = SplitMix64(80)
+    out = [real_polyvec_context(2, 2), real_polyvec_context(3, 1)]
+    for _ in range(2):
+        sandbox = sandbox_gerstenhaber(rng)
+        out.append(ChContext(sandbox, sandbox,
+                             {a: {a: Fraction(1)} for a in sandbox.letters}))
+    return out
+
+
+def test_shared_packet_table_matches_fresh_tables():
+    """One PacketTable shared by every monomial gives each monomial the
+    d_ch_terms list of a fresh table, order included, with and without
+    shapes."""
+    from gerstenhaber.chcoh import PacketTable, d_ch_terms
+
+    compared = 0
+    for ctx in table_contexts():
+        monos = [m for shape in level_shapes(2, 4) + level_shapes(3, 4)
+                 for m in monomials_for_shape(ctx, shape)]
+        keeps = level_shapes(1, 4) + level_shapes(2, 4)
+        for shapes in [None] + [{keep} for keep in keeps]:
+            table = PacketTable(ctx, shapes)
+            for mono in monos:
+                assert d_ch_terms(mono, ctx, shapes=shapes, table=table) == \
+                    d_ch_terms(mono, ctx, shapes=shapes), mono
+                compared += 1
+    assert compared > 8000
+
+
+def test_packet_table_rejects_other_shapes():
+    from gerstenhaber.chcoh import PacketTable, d_ch_terms
+
+    ctx = real_polyvec_context(2, 1)
+    mono = monomials_for_shape(ctx, (1, 2))[0]
+    with pytest.raises(ValueError):
+        d_ch_terms(mono, ctx, shapes={(2,)}, table=PacketTable(ctx))
+
+
+def count_packet_ops(monkeypatch):
+    """Count the h_bracket and h_mu calls of the row assembly, by argument."""
+    from collections import Counter
+
+    import gerstenhaber.chcoh as chcoh
+
+    calls = Counter()
+    bracket, mu = chcoh.h_bracket, chcoh.h_mu
+
+    def counted_bracket(x, y, basis, quotient):
+        calls["bracket", x, y] += 1
+        return bracket(x, y, basis, quotient)
+
+    def counted_mu(x, basis, quotient):
+        calls["mu", x] += 1
+        return mu(x, basis, quotient)
+
+    monkeypatch.setattr(chcoh, "h_bracket", counted_bracket)
+    monkeypatch.setattr(chcoh, "h_mu", counted_mu)
+    return calls
+
+
+def test_decisions_compute_each_packet_operation_once_per_call(monkeypatch):
+    """Within one d_ch, is_cocycle, is_coboundary or assemble_matrix call
+    each packet pair is bracketed and each packet's mu is taken at most
+    once; a second identical call computes them all again, so nothing is
+    kept between calls."""
+    from gerstenhaber.chcoh import d_ch
+
+    calls = count_packet_ops(monkeypatch)
+    ctx = real_polyvec_context(3, 1)
+    trunc = Truncation(3, 1, 4, 4)
+    one = ctx.target.letters[0]
+    rng = SplitMix64(81)
+    vals = {mono: {one: Fraction(rng.choice([-2, -1, 1, 2]))}
+            for shape in level_shapes(2, 4)
+            for mono in monomials_for_shape(ctx, shape) if rng.randrange(3) == 0}
+    g = Cochain(vals, 2)
+    f = d_ch(g, ctx, trunc)
+    runs = [lambda: d_ch(g, ctx, trunc),
+            lambda: is_cocycle(f, ctx, trunc),
+            lambda: is_coboundary(f, ctx, trunc),
+            lambda: assemble_matrix(real_polyvec_context(2, 1), level_shapes(2, 3))]
+    for run in runs:
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run()
+            assert calls and max(calls.values()) == 1
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+
+
 def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
     """With the zero letter morphism no term detaches a letter or reaches
     the target bracket, so d_ch(f)(W) = -sum c f(m) over l + m on packets

@@ -85,6 +85,25 @@ def test_dims_d3(capsys):
     assert payload["quotient_dims"]["2"] == 722
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3", "4", "5"])
+def test_dims_rejects_nmax_outside_one_to_three(nmax, capsys):
+    code, out, err = run(capsys, "dims", "--d", "2", "--Nmax", nmax)
+    assert code == 2 and out == ""
+    assert f"need 1 <= Nmax <= 3, got {nmax}" in err
+
+
+def test_dims_lengths_up_to_nmax(capsys):
+    lines = ["homogeneous polyvector fields on R^2:", "  tensor degree 0: 1",
+             "  tensor degree 1: 4", "  tensor degree 2: 3", "  total: 8",
+             "shuffle quotient dimensions (all letters):", "  length 1: 8",
+             "  length 2: 32", "  length 3: 168"]
+    for nmax in (1, 2, 3):
+        code, out, err = run(capsys, "dims", "--d", "2", "--Nmax", str(nmax))
+        assert code == 0 and err == ""
+        assert out == "\n".join(lines[:6 + nmax]) + "\n"
+    assert run(capsys, "dims", "--d", "2")[1] == out
+
+
 def test_dims_d1_and_rejection(capsys):
     code, out, _ = run(capsys, "dims", "--d", "1", "--Nmax", "1",
                        "--format", "json")
@@ -172,6 +191,20 @@ def test_differential_golden_digest(capsys):
     assert code == 0
     assert sha256(out) == \
         "f111598a7f93ebea26e6003e02b4a6a15d1583b1f5715bbf37a877af1a487078"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--d", "3", "--kmax", "1"],
+     "f2c457a26777e737a10722e91cc2c94b485f4911eb2c356a09ef24f80bf7d99d"),
+    (["--d", "2", "--kmax", "2"],
+     "246b00a737f4bc013109b22fe13b639078f5e6daf06fbbe126bf8521e65c1b70"),
+])
+def test_differential_golden_digest_rows(argv, want, capsys):
+    """The exported level-2 coboundary matrices at d=3, k<=1 and at d=2,
+    k<=2 (bivector brackets), pinned byte for byte."""
+    code, out, _ = run(capsys, "differential", *argv, "--level", "2")
+    assert code == 0
+    assert sha256(out) == want
 
 
 def test_differential_deterministic_and_product(tmp_path, capsys):

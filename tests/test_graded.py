@@ -1,4 +1,8 @@
-from gerstenhaber.graded import koszul_sign, unshuffle_sign
+import dataclasses
+
+import pytest
+
+from gerstenhaber.graded import Letter, koszul_sign, unshuffle_sign
 from gerstenhaber.prng import SplitMix64
 
 
@@ -49,8 +53,6 @@ def test_parity_extremes():
 
 
 def test_not_a_permutation():
-    import pytest
-
     with pytest.raises(ValueError):
         koszul_sign([1, 1], [0, 0])
 
@@ -62,3 +64,21 @@ def test_unshuffle_and_swap():
     # a non-increasing front keeps its given order: (b, a, c) from (a, b, c)
     assert unshuffle_sign([1, 1, 1], [1, 0]) == koszul_sign([1, 1, 1], [1, 0, 2]) == -1
     assert unshuffle_sign([1, 1, 1, 0], [2, 0]) == 1
+
+
+def test_letter_hash_is_the_field_tuple_hash():
+    """The hash computed at construction is the dataclass hash of the fields,
+    so dict and set orders do not depend on when it is computed."""
+    for ident, degree in [(("R",), -1), (("sb", 2, (1, 2)), 1), ("x", 0)]:
+        a, b = Letter(ident, degree), Letter(ident, degree)
+        assert hash(a) == hash((ident, degree)) == hash(b)
+        assert a == b and a is not b and len({a, b}) == 1
+    assert Letter("x", 0) != Letter("x", 1)
+
+
+def test_letter_is_frozen():
+    a = Letter("x", 0)
+    for field, value in (("ident", "y"), ("degree", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, value)
+    assert a == Letter("x", 0) and hash(a) == hash(("x", 0))
