@@ -27,9 +27,8 @@ from itertools import combinations_with_replacement
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import Letter, koszul_sign, unshuffle_sign
-from .ginfty import (Mono, add_mono, ell_pair, kappa, m_slot, mono_deg,
-                     mono_key, packet_sort_key, pdeg)
+from .graded import Letter, koszul_sign, pulled_terms, slot_terms
+from .ginfty import Mono, add_mono, kappa, mono_deg, packet_sort_key, pdeg
 from .shuffleco import ShuffleQuotient
 from .tensorco import add_scaled, add_term
 
@@ -220,91 +219,65 @@ class PacketTable:
         return fams
 
 
-def d_ch_terms(mono: Mono, ctx: ChContext, product_part=True, bracket_part=True,
-               shapes=None, table: PacketTable | None = None):
+def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
     """Yield (coefficient, linmap spec, canonical argument monomial).
 
-    With ``shapes``, term families whose argument shape is not in it are not
-    built; a cochain vanishing off those shapes gets nothing from them.  The
-    two ("id",) families are the negatives of ``ginfty.m_slot`` and
-    ``ginfty.ell_pair``.  ``table`` is a ``PacketTable`` of ``ctx`` made for
-    the same ``shapes`` and shared by the monomials of one computation;
-    without one, a fresh table is used.
+    ``table`` is a ``PacketTable`` of ``ctx`` shared by the monomials of one
+    computation; term families whose argument shape is not in its ``shapes``
+    are not built, since a cochain vanishing off those shapes gets nothing
+    from them.  Without one, a fresh table without shapes is used.  Every
+    family is one ``graded.slot_terms`` or ``graded.pulled_terms`` call per
+    packet or packet pair; the two ("id",) families are the negatives of the
+    terms of ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
     """
     if table is None:
-        table = PacketTable(ctx, shapes)
-    elif table.shapes is not shapes:
-        raise ValueError("the table was made for other shapes")
-    n = len(mono)
+        table = PacketTable(ctx)
     degs = [pdeg(w) for w in mono]
     detach, pairs, pull = table.live(tuple(len(w) for w in mono))
     quo = ctx.quotient
-
-    def splice(j: int, values: dict, base: Fraction, spec):
-        """Replace slot j by each word of ``values`` and canonicalize."""
-        out = []
-        for w, cw in values.items():
-            packs = [mono[k] if k != j else w for k in range(n)]
-            key, sign = mono_key(packs)
-            if key is not None:
-                out.append((base * cw * sign, spec, key))
-        return out
-
+    total_deg = sum(degs)
     terms = []
-    if product_part:
-        total_deg = sum(degs)
-        for j in detach:
-            packet = mono[j]
-            a_first, a_last = packet[0], packet[-1]
-            f1a = ctx.f1.get(a_first)
+    for j in detach:
+        packet = mono[j]
+        a, b = packet[0], packet[-1]
+        # a_1 is carried left past x_1 .. x_(j-1) (the slot_terms sign) and
+        # mu2' adds (-1)^(deg a_1).  a_p is carried right past x_(j+1) .. x_n,
+        # the slot_terms sign times (-1)^(deg a_p * (total - x_j)), and mu2'
+        # adds (-1)^(deg f(M)), deg f(M) = deg M + 1, deg M = total - deg a_p
+        for letter, word, spec, e in (
+                (a, packet[1:], "mul_l", a.degree),
+                (b, packet[:-1], "mul_r",
+                 b.degree * (total_deg - degs[j]) + total_deg - b.degree + 1)):
+            f1a = ctx.f1.get(letter)
             if f1a:
-                # mu2' sign (-1)^(deg of the detached letter)
-                e = a_first.degree * sum(degs[:j]) + a_first.degree
                 base = Fraction(-1 if e % 2 else 1)
-                red = quo.reduce_word(packet[1:])
+                st = slot_terms(mono, degs, j, quo.reduce_word(word),
+                                letter.degree, packet_sort_key)
                 for ap, cf in f1a.items():
-                    terms += splice(j, red, base * cf, ("mul_l", ap))
-            f1b = ctx.f1.get(a_last)
-            if f1b:
-                # mu2' sign (-1)^(deg f(M)) with deg f(M) = deg M + 1
-                # and deg M = total - deg a_last
-                e = a_last.degree * sum(degs[j + 1:]) + (total_deg - a_last.degree + 1)
-                base = Fraction(-1 if e % 2 else 1)
-                red = quo.reduce_word(packet[:-1])
-                for ap, cf in f1b.items():
-                    terms += splice(j, red, base * cf, ("mul_r", ap))
-            terms += [(-c, ("id",), key)
-                      for key, c in m_slot(mono, degs, j, table.mu(packet))]
-    if bracket_part:
-        for j, k in pairs:
-            terms += [(-c, ("id",), key) for key, c in
-                      ell_pair(mono, degs, j, k, table.bracket(mono[j], mono[k]))]
+                    terms += [(base * cf * c, (spec, ap), key) for key, c in st]
+        terms += [(-c, ("id",), key) for key, c in
+                  slot_terms(mono, degs, j, table.mu(packet), 1, packet_sort_key)]
+    for j, k in pairs:
+        terms += [(-c, ("id",), key) for key, c in
+                  pulled_terms(mono, degs, (j, k), table.bracket(mono[j], mono[k]),
+                               packet_sort_key)]
+    if ctx.target.bracket_table:
         for j in pull:
             f1a = ctx.f1.get(mono[j][0])
-            if not f1a:
-                continue
-            if not ctx.target.bracket_table:
-                continue
-            rest = [mono[i] for i in range(n) if i != j]
-            eps = unshuffle_sign(degs, [j])
-            # l2' sign (-1)^(packet degree of the pulled-out letter)
-            if degs[j] % 2:
-                eps = -eps
-            key, sign = mono_key(rest)
-            if key is None:
-                continue
-            for ap, cf in f1a.items():
-                terms.append((Fraction(eps * sign) * cf, ("ell_l", ap), key))
+            if f1a:
+                # l2'(f1(X_j), f(rest)), with the l2' sign of the pulled letter
+                [(key, eps)] = pulled_terms(mono, degs, (j,), None)
+                terms += [(Fraction(eps) * cf, ("ell_l", ap), key)
+                          for ap, cf in f1a.items()]
     return terms
 
 
-def d_ch_value(feval, mono: Mono, ctx: ChContext, product_part=True,
-               bracket_part=True, shapes=None, table: PacketTable | None = None) -> Vec:
+def d_ch_value(feval, mono: Mono, ctx: ChContext,
+               table: PacketTable | None = None) -> Vec:
     """Value of the coboundary of the cochain ``feval`` on one monomial;
-    ``shapes`` and ``table`` as in ``d_ch_terms``."""
+    ``table`` as in ``d_ch_terms``."""
     out: Vec = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, product_part, bracket_part,
-                                       shapes, table):
+    for coeff, spec, arg in d_ch_terms(mono, ctx, table):
         v = feval(arg)
         if v:
             add_scaled(out, _linmap_apply(ctx, spec, v), coeff)
@@ -318,11 +291,10 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     TruncationError when a shape reachable from f's own support would fall
     outside the window.
     """
-    shapes = _term_shapes(f, trunc)
-    table = PacketTable(ctx, shapes)
+    table = PacketTable(ctx, _term_shapes(f, trunc))
     values: dict = {}
     for mono in _coboundary_monomials(f, ctx, trunc):
-        val = d_ch_value(f.eval, mono, ctx, shapes=shapes, table=table)
+        val = d_ch_value(f.eval, mono, ctx, table)
         if val:
             values[mono] = val
     return Cochain(values, f.level + 1)
@@ -332,7 +304,7 @@ def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> di
     """Symbolic expansion: {(argument mono, out letter, in letter): coeff};
     ``table`` as in ``d_ch_terms``, made without shapes."""
     row: dict = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, table=table):
+    for coeff, spec, arg in d_ch_terms(mono, ctx, table):
         for b in ctx.target.letters:
             img = _linmap_apply(ctx, spec, {b: Fraction(1)})
             for lo, c in img.items():
@@ -593,12 +565,11 @@ def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
     window, otherwise a TruncationError reports the missing shapes instead of
     silently shrinking the check.
     """
-    shapes = _term_shapes(f, trunc)
-    table = PacketTable(ctx, shapes)
+    table = PacketTable(ctx, _term_shapes(f, trunc))
     checked = 0
     for mono in _coboundary_monomials(f, ctx, trunc):
         checked += 1
-        if d_ch_value(f.eval, mono, ctx, shapes=shapes, table=table):
+        if d_ch_value(f.eval, mono, ctx, table):
             return (False, mono) if report else False
     return (True, checked) if report else True
 

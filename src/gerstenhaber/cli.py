@@ -4,7 +4,7 @@ Four commands: ``verify`` runs the seeded identity suites, ``dims`` prints
 basis dimensions, ``cocycle`` runs the scalar 3-cochain pipeline (value,
 cocycle check, coboundary decision), ``differential`` exports a coboundary
 matrix.  Exit codes: 0 all checks pass, 1 a mathematical check failed,
-2 usage or configuration error.
+2 usage or configuration error, an ``--out`` that cannot be written included.
 """
 
 from __future__ import annotations
@@ -65,12 +65,20 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Unwritable(Exception):
+    """The --out file could not be written; reported, exit 2."""
+
+
 def _emit(text: str, out):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        sys.stderr.write(f"cannot write --out {out}: {ex.strerror}\n")
+        raise _Unwritable from None
 
 
 def _kmax(args, least: int, why: str):
@@ -308,6 +316,8 @@ def main(argv=None) -> int:
         }[args.command](args)
     except TruncationError as ex:
         sys.stderr.write(f"insufficient truncation: {ex}\n")
+        return 2
+    except _Unwritable:
         return 2
 
 

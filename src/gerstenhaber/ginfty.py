@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import bipartitions, koszul_sign, unshuffle_sign, word_deg
+from .graded import (bipartitions, koszul_sort, pulled_terms, slot_terms,
+                     unshuffle_sign, word_deg)
 from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term
 
@@ -42,13 +43,7 @@ def packet_sort_key(packet: Word):
 
 def mono_key(packets) -> tuple:
     """Canonical (sorted monomial, Koszul sign), or (None, 0) if square-zero."""
-    idx = sorted(range(len(packets)), key=lambda i: (packet_sort_key(packets[i]), i))
-    mono = tuple(packets[i] for i in idx)
-    for a, b in zip(mono, mono[1:]):
-        if a == b and pdeg(a) % 2:
-            return None, 0
-    sign = koszul_sign([pdeg(w) for w in packets], idx)
-    return mono, sign
+    return koszul_sort(packets, [pdeg(w) for w in packets], packet_sort_key)
 
 
 def add_mono(acc: MonoElem, packets, coeff: Fraction):
@@ -110,44 +105,15 @@ def kappa(mono: Mono, quotient: ShuffleQuotient) -> PairElem:
     return out
 
 
-def ell_pair(mono: Mono, degs: list, i: int, j: int, bracket: dict) -> list:
-    """l2 on the packets i < j, pulled to the front:
-    eps(x / x_i x_j rest) (-1)^(x_i) [X_i, X_j] . rest, as a list of
-    (canonical monomial, coefficient); ``degs`` are the packet degrees and
-    ``bracket`` is the reduced [X_i, X_j] of ``genv.h_bracket``."""
-    sign = unshuffle_sign(degs, [i, j])
-    if degs[i] % 2:
-        sign = -sign
-    rest = [w for k, w in enumerate(mono) if k != i and k != j]
-    out = []
-    for w, c in bracket.items():
-        key, s = mono_key([w] + rest)
-        if key is not None:
-            out.append((key, c if sign * s > 0 else -c))
-    return out
-
-
-def m_slot(mono: Mono, degs: list, j: int, mu: dict) -> list:
-    """mu on packet j in place, (-1)^(x_1 + ... + x_(j-1)) mu(X_j), as a list
-    of (canonical monomial, coefficient); ``degs`` are the packet degrees and
-    ``mu`` is the reduced mu(X_j) of ``genv.h_mu``."""
-    sign = -1 if sum(degs[:j]) % 2 else 1
-    out = []
-    for w, c in mu.items():
-        key, s = mono_key([*mono[:j], w, *mono[j + 1:]])
-        if key is not None:
-            out.append((key, c if sign * s > 0 else -c))
-    return out
-
-
 def ell_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
-    """Bracket coderivation: l2(X_i, X_j) = (-1)^(x_i) [X_i, X_j] in place."""
+    """Bracket coderivation: l2(X_i, X_j) = (-1)^(x_i) [X_i, X_j], pulled to
+    the front."""
     degs = [pdeg(w) for w in mono]
     out: MonoElem = {}
     for i in range(len(mono)):
         for j in range(i + 1, len(mono)):
             bracket = h_bracket(mono[i], mono[j], basis, quotient)
-            for key, c in ell_pair(mono, degs, i, j, bracket):
+            for key, c in pulled_terms(mono, degs, (i, j), bracket, packet_sort_key):
                 add_term(out, key, c)
     return out
 
@@ -158,7 +124,8 @@ def m_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> Mo
     out: MonoElem = {}
     for j in range(len(mono)):
         if len(mono[j]) > 1:
-            for key, c in m_slot(mono, degs, j, h_mu(mono[j], basis, quotient)):
+            mu = h_mu(mono[j], basis, quotient)
+            for key, c in slot_terms(mono, degs, j, mu, 1, packet_sort_key):
                 add_term(out, key, c)
     return out
 

@@ -2,7 +2,10 @@
 
 Every sign in this package is a product of factors (-1)^(u*v) coming from
 transposing two adjacent graded objects of degrees u and v.  The helpers here
-are the single source of those signs; only parities of degrees matter.
+are the single source of those signs; only parities of degrees matter.  Every
+graded-symmetric product (packet monomials, symmetric Lie words, polyvector
+directions) is put in order by ``koszul_sort``, and every coderivation term
+on one is built by ``slot_terms`` (in place) or ``pulled_terms`` (to the front).
 """
 
 from __future__ import annotations
@@ -70,6 +73,36 @@ def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     return sign
 
 
+def koszul_sort(items: Sequence, degrees: Sequence[int], key=None) -> tuple:
+    """Stable sort of graded items by ``key`` (by the items themselves
+    without one) with its Koszul sign: (sorted tuple, sign), each swap of two
+    odd-degree items giving -1, or (None, 0) when two equal odd-degree items
+    meet, since a repeated odd factor squares to zero.
+
+    Equal items must have equal degrees and keys.  The sign is counted while
+    each item is inserted behind the sorted prefix, so canonical input costs
+    one key comparison per item.
+    """
+    keys: list = []
+    odd: list = []
+    out: list = []
+    sign = 1
+    for x, d in zip(items, degrees):
+        k = x if key is None else key(x)
+        o = d % 2
+        j = len(out)
+        while j and keys[j - 1] > k:
+            j -= 1
+            if o and odd[j]:
+                sign = -sign
+        if o and j and out[j - 1] == x:
+            return None, 0
+        keys.insert(j, k)
+        odd.insert(j, o)
+        out.insert(j, x)
+    return tuple(out), sign
+
+
 def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
     """Koszul sign of pulling the positions ``left`` to the front, in the
     order given (which need not be increasing).
@@ -81,6 +114,47 @@ def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
     leftset = set(left)
     right = [i for i in range(len(degrees)) if i not in leftset]
     return koszul_sign(degrees, list(left) + right)
+
+
+def slot_terms(items: Sequence, degs: Sequence[int], j: int, values: dict,
+               op_deg: int, key=None) -> list:
+    """An operator of degree ``op_deg`` applied in place to item j:
+    (-1)^(op_deg * (x_1 + ... + x_(j-1))) x_1 ... w ... x_n for each (w, c)
+    of ``values``, w of degree x_j + op_deg.  ``degs`` are the item degrees;
+    each result is sorted by ``koszul_sort`` with ``key``.  Returns a list of
+    (sorted tuple, signed c), dropping square-zero results."""
+    sign = -1 if op_deg * sum(degs[:j]) % 2 else 1
+    wdegs = [*degs[:j], degs[j] + op_deg, *degs[j + 1:]]
+    out = []
+    for w, c in values.items():
+        word, s = koszul_sort([*items[:j], w, *items[j + 1:]], wdegs, key)
+        if word is not None:
+            out.append((word, c if sign * s > 0 else -c))
+    return out
+
+
+def pulled_terms(items: Sequence, degs: Sequence[int], picks: Sequence[int],
+                 values: dict | None, key=None) -> list:
+    """A degree 1 operation on the items at ``picks`` (increasing), pulled to
+    the front: eps(x / x_picks, rest) (-1)^(x_picks[0]) w . rest for each
+    (w, c) of ``values``, w of degree (sum of x_picks) + 1.  Sorted and
+    returned as in ``slot_terms``.  With ``values`` None nothing is put in
+    front: the one term is (rest, sign), and the rest of a canonical tuple
+    is canonical."""
+    sign = unshuffle_sign(degs, picks)
+    if degs[picks[0]] % 2:
+        sign = -sign
+    rest = [x for i, x in enumerate(items) if i not in picks]
+    if values is None:
+        return [(tuple(rest), sign)]
+    rdegs = [d for i, d in enumerate(degs) if i not in picks]
+    wdeg = sum(degs[i] for i in picks) + 1
+    out = []
+    for w, c in values.items():
+        word, s = koszul_sort([w, *rest], [wdeg, *rdegs], key)
+        if word is not None:
+            out.append((word, c if sign * s > 0 else -c))
+    return out
 
 
 def bipartitions(items: Sequence, degrees: Sequence[int]) -> dict:

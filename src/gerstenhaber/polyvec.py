@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .graded import Letter
+from .graded import Letter, koszul_sort
 
 Mono = tuple  # (exps: tuple[int, ...], dirs: tuple[int, ...]) with dirs 1-based
 
@@ -122,19 +122,9 @@ def basis(d: int, k: int) -> list[Mono]:
 
 
 def _merge_dirs(da: tuple, db: tuple):
-    """Sorted concatenation of direction tuples with its signature, or None."""
-    if set(da) & set(db):
-        return None, 0
-    merged = list(da) + list(db)
-    sign = 1
-    # insertion sort counting transpositions; directions are odd symbols
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(merged), sign
+    """Sorted concatenation of direction tuples with its signature, or
+    (None, 0) when they share a direction: directions are odd symbols."""
+    return koszul_sort(da + db, [1] * (len(da) + len(db)))
 
 
 def wedge(a: Polyvec, b: Polyvec) -> Polyvec:

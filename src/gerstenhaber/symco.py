@@ -9,8 +9,10 @@ Letters of a ``LieData`` carry unshifted degrees, as in the graded Lie axioms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
-from .graded import Letter, bipartitions, koszul_sign, unshuffle_sign
+from .graded import (Letter, bipartitions, koszul_sort, pulled_terms,
+                     slot_terms, unshuffle_sign)
 from .tensorco import (add_scaled, add_term, derivation, extend, jacobi,
                        square_zero, symmetry)
 
@@ -22,25 +24,16 @@ def sdeg(letter: Letter) -> int:
     return letter.degree - 1
 
 
+ident_key = attrgetter("ident")
+
+
 def sym_key(letters) -> tuple:
     """Canonical (sorted word, Koszul sign) for a list of letters, or (None, 0).
 
     Sorting is by ident; the sign is computed on shifted degrees.  A repeated
     letter of odd shifted degree makes the square-zero word (None, 0).
     """
-    idx = sorted(range(len(letters)), key=lambda i: (letters[i].ident, i))
-    word = tuple(letters[i] for i in idx)
-    for a, b in zip(word, word[1:]):
-        if a == b and sdeg(a) % 2:
-            return None, 0
-    sign = koszul_sign([sdeg(a) for a in letters], idx)
-    return word, sign
-
-
-def add_sym_term(acc: SymElem, letters, coeff: Fraction):
-    word, sign = sym_key(letters)
-    if word is not None:
-        add_term(acc, word, sign * coeff)
+    return koszul_sort(letters, [sdeg(a) for a in letters], ident_key)
 
 
 class LieData:
@@ -138,21 +131,17 @@ def ell_lift(data: LieData):
         for word, coeff in elem.items():
             n = len(word)
             degs = [sdeg(a) for a in word]
+            terms = []
             if data.diff_table:
                 for j in range(n):
-                    sign = -1 if sum(degs[:j]) % 2 else 1
-                    for letter, c in data.d_letter(word[j]).items():
-                        add_sym_term(
-                            out,
-                            list(word[:j]) + [letter] + list(word[j + 1 :]),
-                            coeff * sign * c,
-                        )
+                    dj = data.d_letter(word[j])
+                    terms += slot_terms(word, degs, j, dj, 1, ident_key)
             for i in range(n):
                 for j in range(i + 1, n):
-                    rest = [word[k] for k in range(n) if k != i and k != j]
-                    sign = unshuffle_sign(degs, [i, j])
-                    for letter, c in ell2(data, word[i], word[j]).items():
-                        add_sym_term(out, [letter] + rest, coeff * sign * c)
+                    bij = data.bracket_letters(word[i], word[j])
+                    terms += pulled_terms(word, degs, (i, j), bij, ident_key)
+            for key, c in terms:
+                add_term(out, key, coeff * c)
         return out
 
     return ell

@@ -37,10 +37,6 @@ def add_scaled(acc: dict, other: dict, coeff=Fraction(1)):
     return acc
 
 
-def elem_eq(a: dict, b: dict) -> bool:
-    return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
-
-
 def extend(op, x: dict, y: dict | None = None) -> dict:
     """Linear extension of ``op`` (key -> sparse element) to the element x,
     or, given y, bilinear extension of op(key, key) to the pair x, y."""
@@ -203,14 +199,12 @@ class Bimodule:
     letter idents.  ``regular(alg)`` gives the algebra acting on itself.
     """
 
-    def __init__(self, alg: FiniteAlgebra, letters, left, right, check=True):
+    def __init__(self, alg: FiniteAlgebra, letters, left, right):
         self.alg = alg
         self.letters = list(letters)
         self.by_ident = {v.ident: v for v in self.letters}
         self.left = left
         self.right = right
-        if check:
-            self._validate()
 
     @classmethod
     def regular(cls, alg: FiniteAlgebra) -> "Bimodule":
@@ -224,7 +218,7 @@ class Bimodule:
             for a in alg.letters
             for b in alg.letters
         }
-        return cls(alg, alg.letters, left, right, check=False)
+        return cls(alg, alg.letters, left, right)
 
     def act_left(self, a: Letter, v: Vec) -> Vec:
         out: Vec = {}
@@ -241,30 +235,6 @@ class Bimodule:
             for i, c in tab.items():
                 add_term(out, self.by_ident[i], cw * Fraction(c))
         return out
-
-    def _validate(self):
-        alg = self.alg
-        one = Fraction(1)
-        for a in alg.letters:
-            for b in alg.letters:
-                ab = alg.mul_letters(a, b)
-                for v in self.letters:
-                    lhs: Vec = {}
-                    for c, cc in ab.items():
-                        add_scaled(lhs, self.act_left(c, {v: one}), cc)
-                    rhs = self.act_left(a, self.act_left(b, {v: one}))
-                    if not elem_eq(lhs, rhs):
-                        raise ValueError("left action not associative")
-                    lhs = {}
-                    for c, cc in ab.items():
-                        add_scaled(lhs, self.act_right({v: one}, c), cc)
-                    rhs = self.act_right(self.act_right({v: one}, a), b)
-                    if not elem_eq(lhs, rhs):
-                        raise ValueError("right action not associative")
-                    mid1 = self.act_right(self.act_left(a, {v: one}), b)
-                    mid2 = self.act_left(a, self.act_right({v: one}, b))
-                    if not elem_eq(mid1, mid2):
-                        raise ValueError("actions do not commute")
 
 
 def deconcat(word: Word) -> dict:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gerstenhaber.chcoh import (ChContext, Cochain, TaylorFamily, Truncation,
-                                TruncationError, assemble_matrix, d_ch_value,
+from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
+                                Truncation, TruncationError, assemble_matrix,
+                                d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
@@ -97,7 +98,11 @@ def test_d_m_cancellation_on_detached_constants():
     quo = ctx.quotient
     w = sorted(quo.reduce_word((const, vf_letter(3, 1, 2))))[0]
     mono, _ = mono_key([w, (vf_letter(3, 2, 3),), (vf_letter(3, 3, 1),)])
-    assert d_ch_value(f3.eval, mono, ctx, bracket_part=False) == {}
+    # with f3's shapes the bracket part has no live family on this monomial
+    table = PacketTable(ctx, f3.shapes())
+    detach, pairs, pull = table.live(tuple(len(p) for p in mono))
+    assert detach == [2] and pairs == [] and pull == []
+    assert d_ch_value(f3.eval, mono, ctx, table) == {}
 
 
 def test_d_ell_is_classical_chevalley_on_vector_fields():
@@ -133,7 +138,10 @@ def test_d_ell_is_classical_chevalley_on_vector_fields():
         mono, sign = mono_key([(a,) for a in letters])
         if mono is None:
             continue
-        got = d_ch_value(f3.eval, mono, ctx, product_part=False)
+        # single-letter packets: the product part has no live family
+        table = PacketTable(ctx)
+        assert table.live((1, 1, 1, 1))[0] == []
+        got = d_ch_value(f3.eval, mono, ctx, table)
         assert not {k: v for k, v in got.items() if v}
 
 
@@ -265,8 +273,6 @@ def test_d_ch_pruning_matches_full_evaluation():
 def test_d_ch_terms_shape_filter_is_exact():
     """Restricted to argument shapes, d_ch_terms returns exactly the full
     term list filtered by argument shape, in order."""
-    from gerstenhaber.chcoh import d_ch_terms
-
     rng = SplitMix64(78)
     for ctx in pruning_contexts(rng):
         for shape in level_shapes(3, 4) + level_shapes(4, 4):
@@ -276,7 +282,7 @@ def test_d_ch_terms_shape_filter_is_exact():
                 for keep in level_shapes(len(sum(mono, ())) - 1, 4):
                     want = [t for t in full
                             if tuple(sorted(len(w) for w in t[2])) == keep]
-                    assert d_ch_terms(mono, ctx, shapes={keep}) == want
+                    assert d_ch_terms(mono, ctx, PacketTable(ctx, {keep})) == want
 
 
 def table_contexts():
@@ -295,8 +301,6 @@ def test_shared_packet_table_matches_fresh_tables():
     """One PacketTable shared by every monomial gives each monomial the
     d_ch_terms list of a fresh table, order included, with and without
     shapes."""
-    from gerstenhaber.chcoh import PacketTable, d_ch_terms
-
     compared = 0
     for ctx in table_contexts():
         monos = [m for shape in level_shapes(2, 4) + level_shapes(3, 4)
@@ -305,19 +309,10 @@ def test_shared_packet_table_matches_fresh_tables():
         for shapes in [None] + [{keep} for keep in keeps]:
             table = PacketTable(ctx, shapes)
             for mono in monos:
-                assert d_ch_terms(mono, ctx, shapes=shapes, table=table) == \
-                    d_ch_terms(mono, ctx, shapes=shapes), mono
+                assert d_ch_terms(mono, ctx, table) == \
+                    d_ch_terms(mono, ctx, PacketTable(ctx, shapes)), mono
                 compared += 1
     assert compared > 8000
-
-
-def test_packet_table_rejects_other_shapes():
-    from gerstenhaber.chcoh import PacketTable, d_ch_terms
-
-    ctx = real_polyvec_context(2, 1)
-    mono = monomials_for_shape(ctx, (1, 2))[0]
-    with pytest.raises(ValueError):
-        d_ch_terms(mono, ctx, shapes={(2,)}, table=PacketTable(ctx))
 
 
 def count_packet_ops(monkeypatch):

@@ -74,6 +74,22 @@ def test_flags_of_other_commands_are_usage_errors(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "symco", "--trials", "1"],
+    ["dims", "--d", "1"],
+    ["cocycle", "--d", "3", "--kmax", "1"],
+    ["differential", "--d", "1", "--level", "1"],
+    ["differential", "--level", "1", "--operator", "dC"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    """An --out path that cannot be opened (here a directory) is one stderr
+    line and exit 2, not a traceback and the exit code of a failed check."""
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot write --out {tmp_path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_dims_d3(capsys):
     code, out, _ = run(capsys, "dims", "--d", "3", "--Nmax", "2",
                        "--format", "json")
@@ -260,6 +276,14 @@ def test_verify_json_format(capsys):
     payload = json.loads(out)
     assert payload["seed"] == 5
     assert all(r["pass"] for r in payload["results"])
+
+
+def test_cocycle_kmax1_golden_digest(capsys):
+    """The headline decision at k <= 1 as JSON, pinned byte for byte."""
+    code, out, _ = run(capsys, "cocycle", "--d", "3", "--kmax", "1", "--format", "json")
+    assert code == 0
+    assert sha256(out) == \
+        "2c45a8b5acd46360c84a41fe53dae0cacee363119ca99ad85a36437facf9dcb9"
 
 
 def test_cocycle_pipeline_d3(capsys):

@@ -1,8 +1,13 @@
 from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber.genv import polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.ginfty import (add_pair, big_delta, ell_on_packets, kappa,
-                                 m_on_packets, mono_deg, mono_key, pdeg)
+                                 m_on_packets, mono_deg, mono_key,
+                                 packet_sort_key, pdeg)
 from gerstenhaber.graded import Letter, koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, bat
@@ -23,6 +28,31 @@ def test_mono_key_square_zero_and_sort():
     assert mono_key([(a,), (a,)]) == (None, 0)
     key, sign = mono_key([(b,), (b,)])
     assert key == ((b,), (b,)) and sign == 1
+
+
+def mono_key_oracle(packets) -> tuple:
+    """The former ``mono_key``: sort positions, then ``koszul_sign``."""
+    idx = sorted(range(len(packets)), key=lambda i: (packet_sort_key(packets[i]), i))
+    mono = tuple(packets[i] for i in idx)
+    for a, b in zip(mono, mono[1:]):
+        if a == b and pdeg(a) % 2:
+            return None, 0
+    sign = koszul_sign([pdeg(w) for w in packets], idx)
+    return mono, sign
+
+
+# letter degrees 0, 1, 2: packets of every degree parity, lengths 1 to 3
+PACKET_LETTERS = [Letter(("q", i), i) for i in range(3)]
+PACKETS = [w for n in (1, 2, 3) for w in product(PACKET_LETTERS, repeat=n)]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PACKETS[:12]) | st.sampled_from(PACKETS), max_size=6))
+def test_mono_key_matches_the_former_sort(packets):
+    """Mixed-parity packets with repeats (drawn mostly from the 12 shortest);
+    the sign is also the ``koszul_sign`` of the sorting permutation."""
+    assert mono_key(packets) == mono_key_oracle(packets)
+    assert mono_key(tuple(packets)) == mono_key_oracle(packets)
 
 
 def test_big_delta_cases():

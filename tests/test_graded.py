@@ -1,8 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gerstenhaber.graded import Letter, koszul_sign, unshuffle_sign
+from gerstenhaber.graded import (Letter, koszul_sign, koszul_sort, pulled_terms,
+                                 slot_terms, unshuffle_sign)
 from gerstenhaber.prng import SplitMix64
 
 
@@ -82,3 +85,79 @@ def test_letter_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, field, value)
     assert a == Letter("x", 0) and hash(a) == hash(("x", 0))
+
+
+# items 0..5 with a fixed degree each, so repeated items have equal degrees
+item_lists = st.lists(st.integers(0, 5), max_size=7)
+degree_tables = st.lists(st.integers(-3, 3), min_size=6, max_size=6)
+
+
+def sort_oracle(items, degs, key):
+    """Stable sort by (key, position), zero on adjacent equal odd items,
+    else the ``koszul_sign`` of the sorting permutation."""
+    perm = sorted(range(len(items)), key=lambda i: (key(items[i]), i))
+    word = tuple(items[i] for i in perm)
+    for p, q in zip(perm, perm[1:]):
+        if items[p] == items[q] and degs[p] % 2:
+            return None, 0
+    return word, koszul_sign(degs, perm)
+
+
+@pytest.mark.parametrize("key", [None, lambda x: -x, lambda x: x % 3])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(item_lists, degree_tables)
+def test_koszul_sort_is_the_sign_of_the_sorting_permutation(key, items, degree_of):
+    """Mixed parities, repeated items and (for x % 3) ties between unequal
+    items, which keep their order."""
+    degs = [degree_of[x] for x in items]
+    want = sort_oracle(items, degs, key or (lambda x: x))
+    assert koszul_sort(items, degs, key) == want
+    assert koszul_sort(tuple(items), tuple(degs), key) == want
+
+
+def test_koszul_sort_cases():
+    assert koszul_sort([], []) == ((), 1)
+    assert koszul_sort(["b", "a"], [1, 1]) == (("a", "b"), -1)
+    assert koszul_sort(["b", "a"], [1, 2]) == (("a", "b"), 1)
+    assert koszul_sort(["a", "c", "a"], [1, 0, 1]) == (None, 0)
+    assert koszul_sort(["a", "c", "a"], [2, 1, 2]) == (("a", "a", "c"), 1)
+    # (c, b, a) -> (a, b, c): three swaps of odd items
+    assert koszul_sort(["c", "b", "a"], [1, 1, 1]) == (("a", "b", "c"), -1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=5).map(sorted),
+       degree_tables, st.data())
+def test_coderivation_steps_match_their_formulas(items, degree_of, data):
+    """slot_terms and pulled_terms against the formulas written with
+    ``koszul_sign`` and ``unshuffle_sign``, on sorted tuples with a value of
+    two items of the right degree parity."""
+    assume(not any(a == b and degree_of[a] % 2 for a, b in zip(items, items[1:])))
+    degs = [degree_of[x] for x in items]
+    n = len(items)
+    values = {10: 3, 11: -2}
+    for j in range(n):
+        for op_deg in (1, 2):
+            wdeg = degs[j] + op_deg
+            got = slot_terms(items, degs, j, values, op_deg)
+            want = []
+            for w, c in values.items():
+                new = items[:j] + [w] + items[j + 1:]
+                perm = sorted(range(n), key=lambda i: (new[i], i))
+                s = koszul_sign(degs[:j] + [wdeg] + degs[j + 1:], perm)
+                s *= (-1) ** (op_deg * sum(degs[:j]))
+                want.append((tuple(new[i] for i in perm), s * c))
+            assert got == want
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                               unique=True).map(sorted))
+    rest = [x for i, x in enumerate(items) if i not in picks]
+    eps = unshuffle_sign(degs, picks) * (-1) ** degs[picks[0]]
+    assert pulled_terms(items, degs, picks, None) == [(tuple(rest), eps)]
+    wdeg = sum(degs[i] for i in picks) + 1
+    rdegs = [d for i, d in enumerate(degs) if i not in picks]
+    want = []
+    for w, c in values.items():
+        perm = sorted(range(len(rest) + 1), key=lambda i: ([w] + rest)[i])
+        s = koszul_sign([wdeg] + rdegs, perm)
+        want.append((tuple(([w] + rest)[i] for i in perm), eps * s * c))
+    assert pulled_terms(items, degs, picks, values) == want

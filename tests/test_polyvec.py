@@ -1,8 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber import polyvec as pv
+from gerstenhaber.genv import polyvec_basis
 from gerstenhaber.polyvec import (Polyvec, basis, f1, mono_vf, mu2, schouten,
                                   unit, wedge)
 from gerstenhaber.prng import SplitMix64
@@ -152,3 +156,40 @@ def test_schouten_concrete_value():
     a = mono_vf(3, 1, 2)   # x1 d2
     b = mono_vf(3, 2, 3)   # x2 d3
     assert schouten(a, b) == mono_vf(3, 1, 3)
+
+
+def merge_dirs_oracle(da: tuple, db: tuple):
+    """The former ``_merge_dirs``: an insertion sort counting transpositions."""
+    if set(da) & set(db):
+        return None, 0
+    merged = list(da) + list(db)
+    sign = 1
+    # insertion sort counting transpositions; directions are odd symbols
+    for i in range(1, len(merged)):
+        j = i
+        while j > 0 and merged[j - 1] > merged[j]:
+            merged[j - 1], merged[j] = merged[j], merged[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(merged), sign
+
+
+directions = st.sets(st.integers(1, 6), max_size=4).map(lambda s: tuple(sorted(s)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(directions, directions)
+def test_merge_dirs_matches_the_former_insertion_sort(da, db):
+    assert pv._merge_dirs(da, db) == merge_dirs_oracle(da, db)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("wedge_table", "53c2743a01639933426c1244f7ec8d3a9b7ecaa1e05ec85e1d90d3ede9b10d21"),
+    ("bracket_table", "df8500d383eff05928f1c15dff09794a4799dcabd2b52ecb88fe45522e140d36"),
+])
+def test_polyvec_basis_tables_golden_digest(name, want):
+    """The sorted wedge and bracket structure constants of polyvec_basis(3),
+    pinned byte for byte."""
+    table = getattr(polyvec_basis(3), name)
+    text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == want

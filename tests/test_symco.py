@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gerstenhaber.graded import Letter
+from gerstenhaber.graded import Letter, koszul_sign, unshuffle_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.suites import random_lie, suite_symco
 from gerstenhaber.symco import (LieData, d_chevalley, d_chevalley_classical,
-                                ell2, ell_lift, sym_coproduct, sym_key)
+                                ell2, ell_lift, sdeg, sym_coproduct, sym_key)
+from gerstenhaber.tensorco import add_term
 
 E1, E2 = Letter(("g", 1), 0), Letter(("g", 2), 0)
 
@@ -27,6 +30,83 @@ def test_sym_key_canonicalization():
     assert sign == -1
     word, sign = sym_key([E1, E1])
     assert word is None and sign == 0
+
+
+def sym_key_oracle(letters) -> tuple:
+    """The former ``sym_key``: sort positions, then ``koszul_sign``."""
+    idx = sorted(range(len(letters)), key=lambda i: (letters[i].ident, i))
+    word = tuple(letters[i] for i in idx)
+    for a, b in zip(word, word[1:]):
+        if a == b and sdeg(a) % 2:
+            return None, 0
+    sign = koszul_sign([sdeg(a) for a in letters], idx)
+    return word, sign
+
+
+def add_sym_term_oracle(acc, letters, coeff):
+    word, sign = sym_key_oracle(letters)
+    if word is not None:
+        add_term(acc, word, sign * coeff)
+
+
+def ell_lift_oracle(data: LieData):
+    """The former ``ell_lift``, with its own l1 and l2 sign loops."""
+
+    def ell(elem):
+        out = {}
+        for word, coeff in elem.items():
+            n = len(word)
+            degs = [sdeg(a) for a in word]
+            if data.diff_table:
+                for j in range(n):
+                    sign = -1 if sum(degs[:j]) % 2 else 1
+                    for letter, c in data.d_letter(word[j]).items():
+                        add_sym_term_oracle(
+                            out,
+                            list(word[:j]) + [letter] + list(word[j + 1 :]),
+                            coeff * sign * c,
+                        )
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rest = [word[k] for k in range(n) if k != i and k != j]
+                    sign = unshuffle_sign(degs, [i, j])
+                    for letter, c in ell2(data, word[i], word[j]).items():
+                        add_sym_term_oracle(out, [letter] + rest, coeff * sign * c)
+        return out
+
+    return ell
+
+
+# unshifted degrees -1..2: shifted degrees of both parities
+SYM_LETTERS = [Letter(("s", i), i % 4 - 1) for i in range(5)]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SYM_LETTERS), max_size=7))
+def test_sym_key_matches_the_former_sort(letters):
+    assert sym_key(letters) == sym_key_oracle(letters)
+
+
+def test_ell_lift_matches_the_former_loops():
+    """On seeded random_lie words of length 1 to 4, one at a time and summed
+    with random coefficients; every kind of algebra, the one with a
+    differential included, is drawn."""
+    rng = SplitMix64(23)
+    compared = kinds = 0
+    for _ in range(80):
+        lie = random_lie(rng)
+        kinds |= 1 << bool(lie.diff_table)
+        ell, oracle = ell_lift(lie), ell_lift_oracle(lie)
+        elem = {}
+        for _ in range(4):
+            word, _ = sym_key([rng.choice(lie.letters) for _ in range(rng.randint(1, 4))])
+            if word is None:
+                continue
+            assert ell({word: Fraction(1)}) == oracle({word: Fraction(1)})
+            add_term(elem, word, Fraction(rng.randint(-3, 3)))
+            compared += 1
+        assert list(ell(elem).items()) == list(oracle(elem).items())
+    assert compared > 150 and kinds == 3
 
 
 def test_sym_coproduct_small():
