@@ -19,7 +19,7 @@ from .polyvec import basis as pv_basis
 from .polyvec import _merge_dirs, hom_letter, letter_polyvec, schouten, wedge
 from .shuffleco import ShuffleQuotient, Word, _shuffle
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
-                       extend, jacobi, symmetry)
+                       extend, int_view, jacobi, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 Elem = dict  # dict[Word, Fraction]
@@ -34,7 +34,10 @@ class GerstBasis:
     axioms on all basis triples with the ``tensorco`` residuals: the wedge
     graded commutative and associative in the unshifted grading, the bracket
     graded antisymmetric with Jacobi in the shifted one, and each [a, .] a
-    derivation of the wedge (Leibniz).
+    derivation of the wedge (Leibniz).  It runs them on idents over
+    ``tensorco.int_view``s of the tables (ints where a constant is integral);
+    the tables themselves stay Fraction-valued, and ``wedge``/``bracket``
+    return Letter-keyed Fraction dicts.
     """
 
     def __init__(self, letters, wedge_table, bracket_table, name=""):
@@ -73,31 +76,42 @@ class GerstBasis:
         return letter.degree + 1
 
     def validate(self):
-        L = self.letters
-        shifted_deg = lambda x: x.degree
-        for a in L:
-            ka = self.unshifted(a)
-            for b in L:
-                kb = self.unshifted(b)
-                for c, coeff in self.wedge(a, b).items():
-                    if coeff and self.unshifted(c) != ka + kb:
+        """Check the axioms on all basis pairs and triples; raise ValueError
+        naming the first that fails, else return self.
+
+        The residuals run on letter idents, with degrees read from ident ->
+        degree dicts and the constants from ``int_view``s of the two tables,
+        so an integral table is checked in int arithmetic; the public tables
+        are left as they are."""
+        idents = [a.ident for a in self.letters]
+        udeg = {a.ident: a.degree + 1 for a in self.letters}
+        sdeg = {a.ident: a.degree for a in self.letters}
+        unshifted, shifted_deg = udeg.__getitem__, sdeg.__getitem__
+        wedge = int_view(self.wedge_table)
+        bracket = int_view(self.bracket_table)
+        for a in idents:
+            ka = udeg[a]
+            for b in idents:
+                kb = udeg[b]
+                for c, coeff in wedge(a, b).items():
+                    if coeff and udeg[c] != ka + kb:
                         raise ValueError("wedge not degree 0")
-                if symmetry(self.wedge, self.unshifted, a, b):
+                if symmetry(wedge, unshifted, a, b):
                     raise ValueError("wedge not graded commutative")
-                for c, coeff in self.bracket(a, b).items():
-                    if coeff and self.unshifted(c) != ka + kb - 1:
+                for c, coeff in bracket(a, b).items():
+                    if coeff and udeg[c] != ka + kb - 1:
                         raise ValueError("bracket not degree -1")
-                if symmetry(self.bracket, shifted_deg, a, b, -1):
+                if symmetry(bracket, shifted_deg, a, b, -1):
                     raise ValueError("bracket not graded antisymmetric")
-        for a in L:
-            ad_a = partial(self.bracket, a)
-            for b in L:
-                for c in L:
-                    if associativity(self.wedge, a, b, c):
+        for a in idents:
+            ad_a = partial(bracket, a)
+            for b in idents:
+                for c in idents:
+                    if associativity(wedge, a, b, c):
                         raise ValueError("wedge not associative")
-                    if derivation(ad_a, a.degree, self.wedge, self.unshifted, b, c):
+                    if derivation(ad_a, sdeg[a], wedge, unshifted, b, c):
                         raise ValueError("Leibniz axiom fails")
-                    if jacobi(self.bracket, shifted_deg, a, b, c):
+                    if jacobi(bracket, shifted_deg, a, b, c):
                         raise ValueError("graded Jacobi fails")
         return self
 

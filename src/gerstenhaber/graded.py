@@ -50,6 +50,21 @@ def shifted(letter: Letter) -> Letter:
     return Letter(letter.ident, letter.degree - 1)
 
 
+def _odd_inversion_sign(odd: Sequence[int], perm: Sequence[int]) -> int:
+    """(-1) to the number of inversions k < l, perm[k] > perm[l], of two
+    positions whose ``odd`` flags (indexed by permuted position) are set."""
+    n = len(perm)
+    sign = 1
+    for k in range(n):
+        if not odd[k]:
+            continue
+        pk = perm[k]
+        for l in range(k + 1, n):
+            if odd[l] and pk > perm[l]:
+                sign = -sign
+    return sign
+
+
 def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     """Sign of the graded permutation sending position k to ``perm[k]``.
 
@@ -62,15 +77,7 @@ def koszul_sign(degrees: Sequence[int], perm: Sequence[int]) -> int:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    odd = [degrees[p] % 2 for p in perm]
-    sign = 1
-    for k in range(n):
-        if not odd[k]:
-            continue
-        for l in range(k + 1, n):
-            if odd[l] and perm[k] > perm[l]:
-                sign = -sign
-    return sign
+    return _odd_inversion_sign([degrees[p] % 2 for p in perm], perm)
 
 
 def koszul_sort(items: Sequence, degrees: Sequence[int], key=None) -> tuple:
@@ -109,11 +116,16 @@ def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
 
     For increasing ``left`` this is the sign written eps(x_1...x_n / x_I, x_J)
     for the bipartition I = left, J = complement, both kept in their natural
-    order.
+    order.  It is the ``koszul_sign`` of the permutation left + complement,
+    built here and not re-checked: repeated or out-of-range positions in
+    ``left`` raise ValueError.
     """
+    n = len(degrees)
     leftset = set(left)
-    right = [i for i in range(len(degrees)) if i not in leftset]
-    return koszul_sign(degrees, list(left) + right)
+    if len(leftset) != len(left) or any(not 0 <= i < n for i in left):
+        raise ValueError(f"not distinct positions in 0..{n - 1}: {left}")
+    perm = [*left, *(i for i in range(n) if i not in leftset)]
+    return _odd_inversion_sign([degrees[p] % 2 for p in perm], perm)
 
 
 def slot_terms(items: Sequence, degs: Sequence[int], j: int, values: dict,

@@ -13,8 +13,8 @@ from operator import attrgetter
 
 from .graded import (Letter, bipartitions, koszul_sort, pulled_terms,
                      slot_terms, unshuffle_sign)
-from .tensorco import (add_scaled, add_term, derivation, extend, jacobi,
-                       square_zero, symmetry)
+from .tensorco import (add_scaled, add_term, derivation, extend, int_coeffs,
+                       int_view, jacobi, square_zero, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 SymElem = dict  # dict[tuple[Letter, ...], Fraction]
@@ -76,29 +76,34 @@ class LieData:
         return {self.by_ident[i]: c for i, c in tab.items()}
 
     def _validate(self):
-        deg = lambda x: x.degree
-        for a in self.letters:
-            for b in self.letters:
-                for c, coeff in self.bracket_letters(a, b).items():
-                    if coeff and c.degree != a.degree + b.degree:
+        idents = [a.ident for a in self.letters]
+        deg = {a.ident: a.degree for a in self.letters}
+        deg_of = deg.__getitem__
+        br = int_view(self.bracket_table)
+        for a in idents:
+            for b in idents:
+                for c, coeff in br(a, b).items():
+                    if coeff and deg[c] != deg[a] + deg[b]:
                         raise ValueError("bracket not degree 0")
-                if symmetry(self.bracket_letters, deg, a, b, -1):
-                    raise ValueError(f"bracket not antisymmetric on {a.ident},{b.ident}")
-        for a in self.letters:
-            for b in self.letters:
-                for c in self.letters:
-                    if jacobi(self.bracket_letters, deg, a, b, c):
-                        raise ValueError(f"Jacobi fails on {a.ident},{b.ident},{c.ident}")
+                if symmetry(br, deg_of, a, b, -1):
+                    raise ValueError(f"bracket not antisymmetric on {a},{b}")
+        for a in idents:
+            for b in idents:
+                for c in idents:
+                    if jacobi(br, deg_of, a, b, c):
+                        raise ValueError(f"Jacobi fails on {a},{b},{c}")
         if self.diff_table:
-            for a in self.letters:
-                for c, coeff in self.d_letter(a).items():
-                    if coeff and c.degree != a.degree + 1:
+            diff = {a: int_coeffs(v) for a, v in self.diff_table.items()}
+            d = lambda a: diff.get(a, {})
+            for a in idents:
+                for c, coeff in d(a).items():
+                    if coeff and deg[c] != deg[a] + 1:
                         raise ValueError("differential not degree 1")
-                if square_zero(self.d_letter, a):
+                if square_zero(d, a):
                     raise ValueError("differential does not square to zero")
-            for a in self.letters:
-                for b in self.letters:
-                    if derivation(self.d_letter, 1, self.bracket_letters, deg, a, b):
+            for a in idents:
+                for b in idents:
+                    if derivation(d, 1, br, deg_of, a, b):
                         raise ValueError("differential not a bracket derivation")
 
 

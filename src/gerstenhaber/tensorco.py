@@ -16,7 +16,7 @@ from .graded import Letter, shifted, word_deg
 Word = tuple  # tuple[Letter, ...] with shifted degrees
 Elem = dict   # dict[Word, Fraction]
 Vec = dict    # dict[Letter, Fraction], an element of the algebra or module
-ONE = Fraction(1)
+ONE = 1
 
 
 def add_term(acc: dict, key, coeff: Fraction):
@@ -29,11 +29,19 @@ def add_term(acc: dict, key, coeff: Fraction):
         acc.pop(key, None)
 
 
-def add_scaled(acc: dict, other: dict, coeff=Fraction(1)):
+def add_scaled(acc: dict, other: dict, coeff=1):
+    """acc += coeff * other, term by term as ``add_term`` would: zero terms
+    are skipped and cancelled keys removed.  Returns acc."""
     if not coeff:
         return acc
+    get = acc.get
     for k, v in other.items():
-        add_term(acc, k, coeff * v)
+        if v:
+            s = get(k, 0) + coeff * v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
     return acc
 
 
@@ -54,7 +62,26 @@ def extend(op, x: dict, y: dict | None = None) -> dict:
 # lhs - rhs, empty exactly when the identity holds on the given keys.  ``op``
 # maps two keys, ``D`` and ``cop`` one key, to a sparse element (the keys of
 # a coproduct value are pairs); ``deg`` is the degree of a key, and only its
-# parity is read.
+# parity is read.  The residuals only read the values of op, D and cop.  The
+# structure validators (``GerstBasis.validate``, ``FiniteAlgebra._validate``,
+# ``symco.LieData._validate``) run them on letter idents over ``int_view``s
+# of their tables, so a table of integral constants is checked in int
+# arithmetic, with no Letter built and no Fraction unless a constant needs one.
+
+
+def int_coeffs(vec: dict) -> dict:
+    """Copy of a sparse dict with each coefficient of denominator 1 as an
+    int; other coefficients stay Fractions."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
+
+
+def int_view(table: dict):
+    """Op (i, j) -> table[(i, j)] over a private ``int_coeffs`` copy of the
+    ident-pair table, {} for a missing pair.  The op returns the stored
+    dicts, so callers must only read them; ``table`` itself is not touched."""
+    get = {key: int_coeffs(val) for key, val in table.items()}.get
+    empty: dict = {}
+    return lambda i, j: get((i, j), empty)
 
 
 def symmetry(op, deg, a, b, sign=1) -> dict:
@@ -150,8 +177,9 @@ class FiniteAlgebra:
 
     ``product[(i, j)]`` maps the pair of letter idents to a dict
     ident -> Fraction.  Associativity (and graded commutativity when the flag
-    is set) is checked on all basis triples at construction; a bad table is a
-    caller bug, not something the coboundary operators detect later.
+    is set) is checked on all basis triples at construction, on idents over an
+    ``int_view`` of the table; a bad table is a caller bug, not something the
+    coboundary operators detect later.
     """
 
     def __init__(self, letters, product, commutative=False):
@@ -171,25 +199,22 @@ class FiniteAlgebra:
         return {self.by_ident[i]: c for i, c in tab.items()}
 
     def _validate(self):
-        for a in self.letters:
-            for b in self.letters:
-                for c, coeff in self.mul_letters(a, b).items():
-                    if coeff and c.degree != a.degree + b.degree:
-                        raise ValueError(
-                            f"product not degree 0: {a.ident}*{b.ident} -> {c.ident}"
-                        )
-        deg = lambda x: x.degree
-        for a in self.letters:
-            for b in self.letters:
-                if self.commutative and symmetry(self.mul_letters, deg, a, b):
-                    raise ValueError(
-                        f"not graded commutative on {a.ident},{b.ident}"
-                    )
-                for c in self.letters:
-                    if associativity(self.mul_letters, a, b, c):
-                        raise ValueError(
-                            f"not associative on {a.ident},{b.ident},{c.ident}"
-                        )
+        idents = [a.ident for a in self.letters]
+        deg = {a.ident: a.degree for a in self.letters}
+        mul = int_view(self.product)
+        for a in idents:
+            for b in idents:
+                for c, coeff in mul(a, b).items():
+                    if coeff and deg[c] != deg[a] + deg[b]:
+                        raise ValueError(f"product not degree 0: {a}*{b} -> {c}")
+        deg_of = deg.__getitem__
+        for a in idents:
+            for b in idents:
+                if self.commutative and symmetry(mul, deg_of, a, b):
+                    raise ValueError(f"not graded commutative on {a},{b}")
+                for c in idents:
+                    if associativity(mul, a, b, c):
+                        raise ValueError(f"not associative on {a},{b},{c}")
 
 
 class Bimodule:

@@ -69,6 +69,25 @@ def test_unshuffle_and_swap():
     assert unshuffle_sign([1, 1, 1, 0], [2, 0]) == 1
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=7), st.data())
+def test_unshuffle_sign_is_the_koszul_sign_of_left_then_right(degrees, data):
+    """Mixed parities and fronts in any order, increasing or not: the sign of
+    the permutation ``left`` + complement, as ``koszul_sign`` counts it."""
+    n = len(degrees)
+    left = data.draw(st.permutations(range(n)).map(
+        lambda p: p[:data.draw(st.integers(0, n))]))
+    right = [i for i in range(n) if i not in left]
+    assert unshuffle_sign(degrees, left) == koszul_sign(degrees, left + right)
+    assert unshuffle_sign(tuple(degrees), tuple(left)) == koszul_sign(degrees, left + right)
+
+
+@pytest.mark.parametrize("left", [[0, 0], [1, 2, 1], [3], [-1], [0, 4]])
+def test_unshuffle_sign_rejects_repeated_or_out_of_range_positions(left):
+    with pytest.raises(ValueError):
+        unshuffle_sign([1, 0, 1], left)
+
+
 def test_letter_hash_is_the_field_tuple_hash():
     """The hash computed at construction is the dataclass hash of the fields,
     so dict and set orders do not depend on when it is computed."""
