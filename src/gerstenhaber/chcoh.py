@@ -80,19 +80,7 @@ class ChContext:
         # when f1 only hits degree -1 letters, every coboundary term references
         # arguments of degree exactly deg(W)+1, enabling exact degree pruning
         self.f1_shifts_by_one = all(a.degree == -1 for a in self.f1)
-        self._multisets: dict[int, dict[int, list]] = {}
         self._rep_words: dict[tuple, list] = {}
-
-    def _multisets_by_degree(self, length: int) -> dict:
-        """Letter multisets of one length keyed by their letter-degree sum;
-        enumerating them builds no quotient table."""
-        by_deg = self._multisets.get(length)
-        if by_deg is None:
-            by_deg = {}
-            for ms in combinations_with_replacement(self.source.letters, length):
-                by_deg.setdefault(sum(a.degree for a in ms), []).append(ms)
-            self._multisets[length] = by_deg
-        return by_deg
 
     def rep_words(self, length: int, degrees=None) -> list:
         """All representative words of the given length, in canonical order.
@@ -100,16 +88,11 @@ class ChContext:
         With ``degrees``, only the words whose letter-degree sum lies in it
         (the same order), and only their multisets are tabulated.
         """
-        by_deg = self._multisets_by_degree(length)
         if degrees is not None:
-            degrees = frozenset(d for d in degrees if d in by_deg)
+            degrees = frozenset(degrees)
         words = self._rep_words.get((length, degrees))
         if words is None:
-            words = []
-            for deg, multisets in by_deg.items():
-                if degrees is None or deg in degrees:
-                    for ms in multisets:
-                        words.extend(self.quotient.representatives(ms))
+            words = self.quotient.rep_words(self.source.letters, length, degrees)
             words.sort(key=packet_sort_key)
             self._rep_words[length, degrees] = words
         return words
@@ -319,9 +302,11 @@ class Cochain:
     """A stored cochain: canonical monomial -> target element, plus metadata."""
 
     def __init__(self, values: dict, level: int, degree_support=None):
-        self.values = {m: {a: Fraction(c) for a, c in v.items() if c}
-                       for m, v in values.items() if v}
-        self.values = {m: v for m, v in self.values.items() if v}
+        self.values = {}
+        for m, v in values.items():
+            vec = {a: Fraction(c) for a, c in v.items() if c}
+            if vec:
+                self.values[m] = vec
         self.level = level
         if degree_support is None:
             degree_support = {mono_deg(m) for m in self.values}
@@ -448,8 +433,11 @@ def _word_degrees(ctx: ChContext, by_len: dict, degrees) -> dict:
     """Per packet length, the letter-degree sums a packet of that length can
     have in a monomial of the shape ``by_len`` whose degree lies in
     ``degrees`` (a monomial's degree is its letter degrees minus its packet
-    count)."""
-    sums = {p: ctx._multisets_by_degree(p).keys() for p in by_len}
+    count).  The letter-degree sums of p letters are the sums of p of the
+    few distinct letter degrees, so no letter multiset is walked."""
+    degs = sorted({a.degree for a in ctx.source.letters})
+    sums = {p: {sum(c) for c in combinations_with_replacement(degs, p)}
+            for p in by_len}
     n = sum(by_len.values())
     out = {}
     for p in by_len:

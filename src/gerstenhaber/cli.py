@@ -260,12 +260,8 @@ def _cmd_differential_classical(args) -> int:
         else:
             from .shuffleco import d_harrison
             quo = ShuffleQuotient()
-            from itertools import combinations_with_replacement
-            dom, cod = [], []
-            for ms in combinations_with_replacement(sorted(letters), n):
-                dom.extend(quo.representatives(ms))
-            for ms in combinations_with_replacement(sorted(letters), n + 1):
-                cod.extend(quo.representatives(ms))
+            dom = quo.rep_words(letters, n)
+            cod = quo.rep_words(letters, n + 1)
             def dof(C):
                 table = {w: C(w) for w in dom if C(w)}
                 return d_harrison(table, n + 1, alg, module, quo)

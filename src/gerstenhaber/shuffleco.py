@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactlin import echelonize
 from .graded import koszul_sign, word_deg
@@ -167,6 +167,17 @@ class ShuffleQuotient:
         self._table(multiset)
         return list(self.reps[multiset])
 
+    def rep_words(self, alphabet, length: int, degrees=None) -> list:
+        """Representative words of ``length`` letters over ``alphabet``,
+        multiset by multiset in ``combinations_with_replacement`` order of the
+        sorted alphabet.  With ``degrees``, only the multisets whose
+        letter-degree sum lies in it are tabulated and listed."""
+        words: list = []
+        for ms in combinations_with_replacement(sorted(alphabet), length):
+            if degrees is None or word_deg(ms) in degrees:
+                words.extend(self.representatives(ms))
+        return words
+
     def dim(self, letters) -> int:
         return len(self.representatives(letters))
 
@@ -206,12 +217,9 @@ def build_quotient(alphabet, max_len: int) -> ShuffleQuotient:
     golden table digests of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and
     d = 3, k <= 1) are defined over all of its tables.
     """
-    from itertools import combinations_with_replacement
-
     q = ShuffleQuotient(max_len)
     for n in range(1, max_len + 1):
-        for ms in combinations_with_replacement(sorted(alphabet), n):
-            q._table(tuple(ms))
+        q.rep_words(alphabet, n)
     return q
 
 

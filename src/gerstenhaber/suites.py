@@ -237,11 +237,10 @@ def _eval_sym(table, letters):
     return {k: sign * v for k, v in val.items()}
 
 
-def suite_shuffle(seed: int, trials: int) -> list:
+def suite_shuffle(seed: int, trials: int, pv: GerstBasis) -> list:
     rng = SplitMix64(seed)
     results = []
     quo = ShuffleQuotient()
-    pv = polyvec_basis(2)
 
     bad = None
     for _ in range(trials):
@@ -323,13 +322,11 @@ def suite_shuffle(seed: int, trials: int) -> list:
                 table[w] = {rng.choice(alg.letters): Fraction(rng.randint(-2, 2))}
         dC = d_harrison(table, n + 1, alg, module, quo)
         # store the coboundary on every representative, then take d again
-        from itertools import combinations_with_replacement
         table2: dict = {}
-        for ms in combinations_with_replacement(sorted(letters), n + 1):
-            for w in quo.representatives(ms):
-                v = dC(w)
-                if v:
-                    table2[w] = v
+        for w in quo.rep_words(letters, n + 1):
+            v = dC(w)
+            if v:
+                table2[w] = v
         ddC = d_harrison(table2, n + 2, alg, module, quo)
         for _ in range(6):
             w = _rand_rep_packet(letters, n + 2, rng, quo)
@@ -344,11 +341,10 @@ def suite_shuffle(seed: int, trials: int) -> list:
     return results
 
 
-def suite_genv(seed: int, trials: int, corrupt=False) -> list:
+def suite_genv(seed: int, trials: int, pv: GerstBasis, corrupt=False) -> list:
     rng = SplitMix64(seed)
     results = []
     quo = ShuffleQuotient()
-    pv = polyvec_basis(2)
 
     def basis_for(trial):
         if corrupt:
@@ -431,7 +427,7 @@ def _corrupt_sandbox(rng) -> GerstBasis:
     return out
 
 
-def suite_ginfty(seed: int, trials: int) -> list:
+def suite_ginfty(seed: int, trials: int, pv: GerstBasis) -> list:
     rng = SplitMix64(seed)
     results = []
     quo = ShuffleQuotient()
@@ -453,7 +449,6 @@ def suite_ginfty(seed: int, trials: int) -> list:
         "ginfty: bracket codifferential is a cocrochet coderivation": None,
         "ginfty: master equation": None,
     }
-    pv = polyvec_basis(2)
     for t in range(trials):
         basis = sandbox_gerstenhaber(rng) if t % 2 else pv
         mono = rand_mono(basis)
@@ -540,11 +535,14 @@ SUITES = {
 
 
 def run_suites(names, seed: int, trials: int, corrupt=False) -> list:
+    pv = polyvec_basis(2)  # built once per run, shared by the suites drawing on it
     out = []
     for name in names:
         fn = SUITES[name]
         if name == "genv":
-            out.extend(fn(seed, trials, corrupt=corrupt))
+            out.extend(fn(seed, trials, pv, corrupt=corrupt))
+        elif name in ("shuffle", "ginfty"):
+            out.extend(fn(seed, trials, pv))
         else:
             out.extend(fn(seed, trials))
     return out

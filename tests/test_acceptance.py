@@ -301,7 +301,7 @@ def test_criterion_6_structural_identity_battery():
     # the three classical coboundaries square to zero (seeded suites)
     squares_ok = all(okk for _, okk, _ in suite_tensorco(106, 50)) and \
         all(okk for _, okk, _ in suite_symco(106, 50)) and \
-        all(okk for name, okk, _ in suite_shuffle(106, 50))
+        all(okk for name, okk, _ in suite_shuffle(106, 50, polyvec_basis(2)))
     ok = ok and squares_ok
     dt = time.time() - t0
     report(6, ok and dt < 120,

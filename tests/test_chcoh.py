@@ -193,13 +193,20 @@ def test_coboundary_roundtrip_small_golden_preimage():
 @pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])
 def test_degree_restricted_enumeration_keeps_order(d, kmax):
     """Restricted to degrees, the enumerators return exactly the filtered
-    full lists, in the same order, from a cold context."""
+    full lists, in the same order, from a cold context; the quotient's own
+    walk tabulates only the multisets of the requested degree."""
     full_ctx = real_polyvec_context(d, kmax)
+    letters = full_ctx.source.letters
     for p in (1, 2, 3):
         words = full_ctx.rep_words(p)
+        unsorted = full_ctx.quotient.rep_words(letters, p)
         for deg in sorted({word_deg(w) for w in words}):
             ctx = real_polyvec_context(d, kmax)
             assert ctx.rep_words(p, {deg}) == [w for w in words if word_deg(w) == deg]
+            quo = ShuffleQuotient()
+            assert quo.rep_words(letters, p, {deg}) == \
+                [w for w in unsorted if word_deg(w) == deg]
+            assert {(len(ms), word_deg(ms)) for ms in quo.tables} == {(p, deg)}
     for N in (1, 2, 3):
         for shape in level_shapes(N, 4):
             full = monomials_for_shape(full_ctx, shape)

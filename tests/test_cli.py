@@ -259,14 +259,29 @@ def test_differential_matrixmarket_format(tmp_path, capsys):
     assert text.startswith("%%MatrixMarket matrix coordinate rational general")
 
 
-def test_differential_classical_operators(tmp_path, capsys):
-    for op in ("dH", "dHa", "dC"):
-        out = tmp_path / f"{op}.json"
-        code, _, _ = run(capsys, "differential", "--operator", op,
-                         "--level", "1", "--out", str(out))
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["nrows"] >= 0
+CLASSICAL_DIGESTS = [
+    ("dH", 1, "2416438b575146e908efd7ec83fd741c15c7670103aaffc7d1d95a17eb13b785"),
+    ("dH", 2, "055127f8ce915695145a8bb9bbee739a1fcc45cc696108774b2867929e62961f"),
+    ("dH", 3, "566f3d19c3190c6040bfa6d456c89555f4255b27498f628577f2983f5fcf9f0f"),
+    ("dHa", 1, "c8a724022d456e40d484bd1ac9febc7066ffe86dc29f72c1ab0cc9d5a84aa1d5"),
+    ("dHa", 2, "e5cb48d70de951c776685d405bde4f6e4ddfb697da079298a1d62537f568caaa"),
+    ("dHa", 3, "226b6a9229472f7d8f8dc66c02cc81b55e956a530ddb511c08c8fe582c83ad18"),
+    ("dC", 1, "5ccd21a0522383ce12d654fc8992bbe8fad442840a288c14be5ab207a509301b"),
+    ("dC", 2, "a3cf29c064c1594aff9e745f50c95441b6e84988d4195f7cb9e389bdfbb99b8f"),
+    ("dC", 3, "246247fbe762d12df32f4d4833054edfab1fc0695c1bd6cb695eb6e3f72d5492"),
+]
+
+
+@pytest.mark.parametrize("op, level, want", CLASSICAL_DIGESTS,
+                         ids=[f"{op}-{level}" for op, level, _ in CLASSICAL_DIGESTS])
+def test_differential_classical_operators(op, level, want, tmp_path, capsys):
+    """The classical Hochschild, Harrison and Chevalley exports, pinned byte
+    for byte."""
+    out = tmp_path / f"{op}{level}.json"
+    code, _, _ = run(capsys, "differential", "--operator", op,
+                     "--level", str(level), "--out", str(out))
+    assert code == 0
+    assert sha256(out.read_text()) == want
 
 
 def test_verify_json_format(capsys):

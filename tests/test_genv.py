@@ -103,12 +103,12 @@ def test_zero_sandbox_kills_everything():
 
 def test_theorem_identities_suite():
     # antisymmetry, Jacobi, derivation property, shuffle compatibility
-    for name, ok, bad in suite_genv(7, 60):
+    for name, ok, bad in suite_genv(7, 60, polyvec_basis(2)):
         assert ok, f"{name}: {bad}"
 
 
 def test_corrupted_sandbox_fails_suite():
-    results = suite_genv(7, 40, corrupt=True)
+    results = suite_genv(7, 40, polyvec_basis(2), corrupt=True)
     assert any(not ok for _, ok, _ in results)
     # and a counterexample is reported
     assert any(bad for _, ok, bad in results if not ok)

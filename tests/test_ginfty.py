@@ -214,5 +214,5 @@ def test_m_sign_alternation():
 
 
 def test_identity_suite():
-    for name, ok, bad in suite_ginfty(7, 60):
+    for name, ok, bad in suite_ginfty(7, 60, polyvec_basis(2)):
         assert ok, f"{name}: {bad}"
