@@ -70,13 +70,12 @@ class ChContext:
     by their own tests, not at construction).
     """
 
-    def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict,
-                 quotient: ShuffleQuotient | None = None):
+    def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
         self.source = source
         self.target = target
         self.f1 = {a: {b: Fraction(c) for b, c in val.items() if c}
                    for a, val in f1.items() if val}
-        self.quotient = quotient if quotient is not None else ShuffleQuotient()
+        self.quotient = ShuffleQuotient()
         # when f1 only hits degree -1 letters, every coboundary term references
         # arguments of degree exactly deg(W)+1, enabling exact degree pruning
         self.f1_shifts_by_one = all(a.degree == -1 for a in self.f1)
@@ -274,7 +273,7 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     TruncationError when a shape reachable from f's own support would fall
     outside the window.
     """
-    table = PacketTable(ctx, _term_shapes(f, trunc))
+    table = PacketTable(ctx, f.shapes())
     values: dict = {}
     for mono in _coboundary_monomials(f, ctx, trunc):
         val = d_ch_value(f.eval, mono, ctx, table)
@@ -299,18 +298,17 @@ def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> di
 # cochains
 
 class Cochain:
-    """A stored cochain: canonical monomial -> target element, plus metadata."""
+    """A stored cochain: canonical monomial -> target element, plus its level
+    and its degree support (the degrees of the monomials it is nonzero on)."""
 
-    def __init__(self, values: dict, level: int, degree_support=None):
+    def __init__(self, values: dict, level: int):
         self.values = {}
         for m, v in values.items():
             vec = {a: Fraction(c) for a, c in v.items() if c}
             if vec:
                 self.values[m] = vec
         self.level = level
-        if degree_support is None:
-            degree_support = {mono_deg(m) for m in self.values}
-        self.degree_support = degree_support
+        self.degree_support = {mono_deg(m) for m in self.values}
 
     def eval(self, mono: Mono) -> Vec:
         return self.values.get(mono, {})
@@ -323,9 +321,10 @@ class Cochain:
 
 
 class FormulaCochain:
-    """A cochain given by a formula on canonical monomials."""
+    """A cochain given by a formula on canonical monomials, declared zero off
+    the given shapes and off the monomial degrees in ``degree_support``."""
 
-    def __init__(self, fn, level: int, shapes, degree_support=None):
+    def __init__(self, fn, level: int, shapes, degree_support):
         self.fn = fn
         self.level = level
         self._shapes = set(shapes)
@@ -498,8 +497,8 @@ def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation):
     Raises TruncationError when a shape reachable from f's own support falls
     outside the window.  Shapes whose coboundary never evaluates f on one of
     its shapes are skipped.  When the letter morphism is supported in degree
-    -1, every coboundary term evaluates f one degree up, so with a declared
-    degree support only the monomials of degree s - 1 are enumerated.
+    -1, every coboundary term evaluates f one degree up, so only the
+    monomials of degree s - 1, s in f's degree support, are enumerated.
     """
     fshapes = f.shapes()
     bad = [s for s in reachable_shapes(fshapes)
@@ -507,21 +506,13 @@ def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation):
     if bad:
         raise TruncationError(f"required shapes outside truncation: {bad}")
     degrees = None
-    if ctx.f1_shifts_by_one and f.degree_support is not None:
+    if ctx.f1_shifts_by_one:
         degrees = {s - 1 for s in f.degree_support}
     for shape in reachable_shapes(level_shapes(f.level, trunc.nmax)):
         if sum(shape) > trunc.Nmax or len(shape) > trunc.nmax:
             continue
         if referenced_shapes(shape) & fshapes:
             yield from monomials_for_shape(ctx, shape, degrees)
-
-
-def _term_shapes(f, trunc: Truncation):
-    """The argument shapes ``d_ch_terms`` needs for f: f's shapes, or None
-    when f has every shape of its level inside the window, so that no term
-    family can be skipped."""
-    fshapes = f.shapes()
-    return None if fshapes >= set(level_shapes(f.level, trunc.nmax)) else fshapes
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +544,7 @@ def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
     window, otherwise a TruncationError reports the missing shapes instead of
     silently shrinking the check.
     """
-    table = PacketTable(ctx, _term_shapes(f, trunc))
+    table = PacketTable(ctx, f.shapes())
     checked = 0
     for mono in _coboundary_monomials(f, ctx, trunc):
         checked += 1
@@ -569,9 +560,8 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     coboundary term references arguments of degree deg(W)+1 when the letter
     morphism is supported in degree -1); each block is decided by an exact
     rank comparison, and a preimage is assembled when every block is solvable.
-    With a declared degree support only the blocks of those row degrees are
-    built and solved: every other block has right-hand side zero, which zero
-    solves.
+    Only the blocks of the row degrees in f's degree support are built and
+    solved: every other block has right-hand side zero, which zero solves.
     """
     N = f.level
     if N < 1:
@@ -585,7 +575,7 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
         raise TruncationError(f"cochain shapes outside truncation: {missing}")
 
     degrees = f.degree_support
-    col_degrees = None if degrees is None else {s + 1 for s in degrees}
+    col_degrees = {s + 1 for s in degrees}
     cols_by_deg: dict[int, list] = {}
     for shape in src_shapes:
         for mono in monomials_for_shape(ctx, shape, col_degrees):

@@ -237,7 +237,7 @@ def _cmd_differential_classical(args) -> int:
     from .graded import Letter, shifted
     from .shuffleco import ShuffleQuotient
     from .symco import LieData, d_chevalley_classical
-    from .tensorco import Bimodule, d_hochschild
+    from .tensorco import d_hochschild
     from itertools import product as iproduct
 
     n = args.level
@@ -250,13 +250,12 @@ def _cmd_differential_classical(args) -> int:
         }
         from .tensorco import FiniteAlgebra
         alg = FiniteAlgebra([one, x], prod, commutative=True)
-        module = Bimodule.regular(alg)
         letters = [shifted(a) for a in alg.letters]
         if args.operator == "dH":
             dom = list(iproduct(letters, repeat=n))
             cod = list(iproduct(letters, repeat=n + 1))
             def dof(C):
-                return d_hochschild(C, n + 1, alg, module)
+                return d_hochschild(C, n + 1, alg)
         else:
             from .shuffleco import d_harrison
             quo = ShuffleQuotient()
@@ -264,7 +263,7 @@ def _cmd_differential_classical(args) -> int:
             cod = quo.rep_words(letters, n + 1)
             def dof(C):
                 table = {w: C(w) for w in dom if C(w)}
-                return d_harrison(table, n + 1, alg, module, quo)
+                return d_harrison(table, n + 1, alg, quo)
         vletters = alg.letters
     else:
         ls = [Letter(("l", 1), 0), Letter(("l", 2), 0)]

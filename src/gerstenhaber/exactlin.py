@@ -17,16 +17,15 @@ from typing import Iterable, Optional
 
 
 class SparseMat:
-    """Sparse matrix over Q, stored as {(row, col): Fraction} without zeros."""
+    """Sparse matrix over Q, stored as {(row, col): Fraction} without zeros;
+    ``entries`` is an optional dict {(row, col): value} to start from."""
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
+    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
-                self[r, c] = v
+        for (r, c), v in (entries or {}).items():
+            self[r, c] = v
 
     def __getitem__(self, rc) -> Fraction:
         return self.entries.get(rc, Fraction(0))

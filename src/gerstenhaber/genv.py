@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .graded import Letter, word_deg
+from .graded import Letter
 from .polyvec import basis as pv_basis
 from .polyvec import _merge_dirs, hom_letter, letter_polyvec, schouten, wedge
-from .shuffleco import ShuffleQuotient, Word, _shuffle
+from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
                        extend, int_view, jacobi, symmetry)
 
@@ -295,20 +295,11 @@ def h_bracket(a: Word, b: Word, basis: GerstBasis, quotient: ShuffleQuotient) ->
     return quotient.reduce(h_bracket_raw(a, b, basis))
 
 
-def h_mu_raw(word: Word, basis: GerstBasis) -> Elem:
-    """C-infinity differential on a word: adjacent shifted products, unreduced.
-
-    mu(a_[1,n]) = sum_k (-1)^(a_1 + ... + a_(k-1))
-                  a_[1,k-1] (x) mu2(a_k, a_(k+1)) (x) a_[k+2,n].
-    """
-    out: Elem = {}
-    n = len(word)
-    for k in range(n - 1):
-        sign = -1 if word_deg(word[:k]) % 2 else 1
-        for letter, c in basis.mu2(word[k], word[k + 1]).items():
-            add_term(out, word[:k] + (letter,) + word[k + 2 :], Fraction(sign) * c)
-    return out
-
-
 def h_mu(word: Word, basis: GerstBasis, quotient: ShuffleQuotient) -> Elem:
-    return quotient.reduce(h_mu_raw(word, basis))
+    """C-infinity differential on a quotient class, reduced: the degree 1
+    coderivation lift of the shifted product ``mu2``,
+
+        mu(a_[1,n]) = sum_k (-1)^(a_1 + ... + a_(k-1))
+                      a_[1,k-1] (x) mu2(a_k, a_(k+1)) (x) a_[k+2,n].
+    """
+    return lift_coderivation({2: lambda w: basis.mu2(w[0], w[1])}, 1, quotient)(word)

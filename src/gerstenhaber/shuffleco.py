@@ -127,8 +127,7 @@ class ShuffleQuotient:
     representative basis does not depend on call order.
     """
 
-    def __init__(self, max_len: int | None = None):
-        self.max_len = max_len
+    def __init__(self):
         self.tables: dict[tuple, dict] = {}
         self.reps: dict[tuple, list] = {}
 
@@ -136,10 +135,6 @@ class ShuffleQuotient:
         table = self.tables.get(multiset)
         if table is not None:
             return table
-        if self.max_len is not None and len(multiset) > self.max_len:
-            raise ValueError(
-                f"word length {len(multiset)} exceeds quotient bound {self.max_len}"
-            )
         # Code the distinct letters 0..k-1 in sorted order, so coded words
         # come out in the lexicographic order of the Letter words.
         alphabet = sorted(set(multiset))
@@ -210,15 +205,15 @@ class ShuffleQuotient:
         return json.dumps(out)
 
 
-def build_quotient(alphabet, max_len: int) -> ShuffleQuotient:
-    """Quotient tables for every letter multiset of size <= max_len.
+def build_quotient(alphabet, length: int) -> ShuffleQuotient:
+    """Quotient tables for every letter multiset of size <= length.
 
     The engine builds tables lazily; this eager builder stays because the
     golden table digests of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and
     d = 3, k <= 1) are defined over all of its tables.
     """
-    q = ShuffleQuotient(max_len)
-    for n in range(1, max_len + 1):
+    q = ShuffleQuotient()
+    for n in range(1, length + 1):
         q.rep_words(alphabet, n)
     return q
 
@@ -245,48 +240,6 @@ def delta(word: Word, quotient: ShuffleQuotient) -> dict:
 
 def delta_elem(elem: Elem, quotient: ShuffleQuotient) -> dict:
     return extend(lambda w: delta(w, quotient), elem)
-
-
-def lift_morphism(taylor: dict, quotient_out: ShuffleQuotient):
-    """Unique cocrochet-coalgebra morphism with the given Taylor parts.
-
-    ``taylor[r]`` maps an r-letter word to a dict Letter' -> Fraction over the
-    target alphabet.  On a word the lift is the signless sum over compositions
-    n = r_1 + ... + r_k of F_(r_1)(first block) (x) ... (x) F_(r_k)(last block),
-    reduced in the target quotient.
-    """
-
-    def blocks(word, parts_out):
-        if not word:
-            yield parts_out
-            return
-        for r in taylor:
-            if r <= len(word):
-                yield from blocks(word[r:], parts_out + [word[:r]])
-
-    def F(word: Word) -> Elem:
-        out: Elem = {}
-        for split in blocks(word, []):
-            factors = []
-            for block in split:
-                val = taylor[len(block)](block)
-                if not val:
-                    factors = None
-                    break
-                factors.append(val)
-            if factors is None:
-                continue
-            partial: Elem = {(): Fraction(1)}
-            for val in factors:
-                nxt: Elem = {}
-                for w, cw in partial.items():
-                    for letter, c in val.items():
-                        add_term(nxt, w + (letter,), cw * c)
-                partial = nxt
-            add_scaled(out, partial)
-        return quotient_out.reduce(out)
-
-    return F
 
 
 def lift_coderivation(taylor: dict, q: int, quotient: ShuffleQuotient):
@@ -317,10 +270,11 @@ def validate_harrison_cochain(C: dict, quotient: ShuffleQuotient):
             raise ValueError(f"cochain supported on a non-representative word: {word}")
 
 
-def d_harrison(C: dict, n: int, alg, module, quotient: ShuffleQuotient):
-    """Harrison coboundary of an (n-1)-cochain over a commutative algebra.
+def d_harrison(C: dict, n: int, alg, quotient: ShuffleQuotient):
+    """Harrison coboundary of an (n-1)-cochain over a commutative algebra,
+    with coefficients in the algebra itself.
 
-    ``C`` maps representative (n-1)-letter words (shifted letters) to module
+    ``C`` maps representative (n-1)-letter words (shifted letters) to algebra
     elements; the algebra must be concentrated in degree 0 (the classical
     case).  This is the Hochschild coboundary of C read through the quotient;
     with every shifted letter of degree -1 its value on an n-letter class is
@@ -341,4 +295,4 @@ def d_harrison(C: dict, n: int, alg, module, quotient: ShuffleQuotient):
             add_scaled(out, C.get(rep, {}), coeff)
         return out
 
-    return d_hochschild(evalC, n, alg, module)
+    return d_hochschild(evalC, n, alg)

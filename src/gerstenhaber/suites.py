@@ -21,7 +21,7 @@ from .prng import SplitMix64
 from .shuffleco import (ShuffleQuotient, bat, bat3, bat_elem, delta,
                         delta_elem, d_harrison, mu)
 from .symco import LieData, d_chevalley, ell_lift, sym_coproduct, sym_key
-from .tensorco import (ONE, Bimodule, FiniteAlgebra, add_scaled, add_term,
+from .tensorco import (ONE, FiniteAlgebra, add_scaled, add_term,
                        associativity, coassociativity, coderivation, cojacobi,
                        cosymmetry, d_hochschild, deconcat, derivation, extend,
                        jacobi, m_differential, square_zero, symmetry)
@@ -149,7 +149,6 @@ def suite_tensorco(seed: int, trials: int) -> list:
     bad = None
     for _ in range(trials):
         alg = random_assoc_algebra(rng)
-        module = Bimodule.regular(alg)
         letters = [shifted(a) for a in alg.letters]
         arity = rng.randint(1, 3)
         table: dict = {}
@@ -157,8 +156,8 @@ def suite_tensorco(seed: int, trials: int) -> list:
             w = _rand_word(letters, arity, rng)
             table[w] = {rng.choice(alg.letters): Fraction(rng.randint(-2, 2))}
         C = lambda word: table.get(word, {})
-        dC = d_hochschild(C, arity + 1, alg, module)
-        ddC = d_hochschild(dC, arity + 2, alg, module, value_parity=1)
+        dC = d_hochschild(C, arity + 1, alg)
+        ddC = d_hochschild(dC, arity + 2, alg, value_parity=1)
         for _ in range(6):
             w = _rand_word(letters, arity + 2, rng)
             if ddC(w):
@@ -312,7 +311,6 @@ def suite_shuffle(seed: int, trials: int, pv: GerstBasis) -> list:
         alg = random_assoc_algebra(rng)
         if not alg.commutative or any(a.degree != 0 for a in alg.letters):
             continue
-        module = Bimodule.regular(alg)
         letters = [shifted(a) for a in alg.letters]
         n = rng.randint(1, 2)
         table: dict = {}
@@ -320,14 +318,14 @@ def suite_shuffle(seed: int, trials: int, pv: GerstBasis) -> list:
             w = _rand_rep_packet(letters, n, rng, quo)
             if w is not None:
                 table[w] = {rng.choice(alg.letters): Fraction(rng.randint(-2, 2))}
-        dC = d_harrison(table, n + 1, alg, module, quo)
+        dC = d_harrison(table, n + 1, alg, quo)
         # store the coboundary on every representative, then take d again
         table2: dict = {}
         for w in quo.rep_words(letters, n + 1):
             v = dC(w)
             if v:
                 table2[w] = v
-        ddC = d_harrison(table2, n + 2, alg, module, quo)
+        ddC = d_harrison(table2, n + 2, alg, quo)
         for _ in range(6):
             w = _rand_rep_packet(letters, n + 2, rng, quo)
             if w is None:

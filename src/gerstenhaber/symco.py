@@ -46,7 +46,7 @@ class LieData:
     axioms are checked on basis elements at construction.
     """
 
-    def __init__(self, letters, bracket, diff=None, check=True):
+    def __init__(self, letters, bracket, diff=None):
         self.letters = list(letters)
         self.by_ident = {a.ident: a for a in self.letters}
         self.bracket_table = {
@@ -57,8 +57,7 @@ class LieData:
             key: {i: Fraction(c) for i, c in val.items() if c}
             for key, val in (diff or {}).items()
         }
-        if check:
-            self._validate()
+        self._validate()
 
     def bracket_letters(self, a: Letter, b: Letter) -> Vec:
         tab = self.bracket_table.get((a.ident, b.ident))
@@ -188,14 +187,11 @@ def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):
     return dF
 
 
-def d_chevalley_classical(C, n: int, g: LieData, act=None):
-    """Textbook Chevalley coboundary of an alternating n-cochain.
+def d_chevalley_classical(C, n: int, g: LieData):
+    """Textbook Chevalley coboundary of an alternating n-cochain of a degree 0
+    Lie algebra with trivial coefficients, so no module action term:
 
-    For a degree 0 Lie algebra and a module action ``act(X, vec) -> vec``
-    (``None`` for trivial coefficients):
-
-        dC(X_0, ..., X_n) = sum_i (-1)^i X_i . C(... ^i ...)
-            + sum_(i<j) (-1)^(i+j) C([X_i, X_j], ... ^i ... ^j ...)
+        dC(X_0, ..., X_n) = sum_(i<j) (-1)^(i+j) C([X_i, X_j], ... ^i ... ^j ...)
 
     C is a callable on letter lists; indices in the signs are 0-based.
     """
@@ -204,11 +200,6 @@ def d_chevalley_classical(C, n: int, g: LieData, act=None):
         out: Vec = {}
         n1 = len(letters)
         assert n1 == n + 1
-        if act is not None:
-            for i in range(n1):
-                rest = [letters[k] for k in range(n1) if k != i]
-                sign = -1 if i % 2 else 1
-                add_scaled(out, act(letters[i], C(rest)), Fraction(sign))
         for i in range(n1):
             for j in range(i + 1, n1):
                 rest = [letters[k] for k in range(n1) if k != i and k != j]

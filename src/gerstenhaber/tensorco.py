@@ -15,7 +15,7 @@ from .graded import Letter, shifted, word_deg
 
 Word = tuple  # tuple[Letter, ...] with shifted degrees
 Elem = dict   # dict[Word, Fraction]
-Vec = dict    # dict[Letter, Fraction], an element of the algebra or module
+Vec = dict    # dict[Letter, Fraction], an element of the algebra
 ONE = 1
 
 
@@ -217,51 +217,6 @@ class FiniteAlgebra:
                         raise ValueError(f"not associative on {a},{b},{c}")
 
 
-class Bimodule:
-    """Graded bimodule over a FiniteAlgebra, with explicit action tables.
-
-    ``left[(a, v)]`` and ``right[(v, a)]`` map idents to dicts over module
-    letter idents.  ``regular(alg)`` gives the algebra acting on itself.
-    """
-
-    def __init__(self, alg: FiniteAlgebra, letters, left, right):
-        self.alg = alg
-        self.letters = list(letters)
-        self.by_ident = {v.ident: v for v in self.letters}
-        self.left = left
-        self.right = right
-
-    @classmethod
-    def regular(cls, alg: FiniteAlgebra) -> "Bimodule":
-        left = {
-            (a.ident, b.ident): alg.product.get((a.ident, b.ident), {})
-            for a in alg.letters
-            for b in alg.letters
-        }
-        right = {
-            (a.ident, b.ident): alg.product.get((a.ident, b.ident), {})
-            for a in alg.letters
-            for b in alg.letters
-        }
-        return cls(alg, alg.letters, left, right)
-
-    def act_left(self, a: Letter, v: Vec) -> Vec:
-        out: Vec = {}
-        for w, cw in v.items():
-            tab = self.left.get((a.ident, w.ident), {})
-            for i, c in tab.items():
-                add_term(out, self.by_ident[i], cw * Fraction(c))
-        return out
-
-    def act_right(self, v: Vec, a: Letter) -> Vec:
-        out: Vec = {}
-        for w, cw in v.items():
-            tab = self.right.get((w.ident, a.ident), {})
-            for i, c in tab.items():
-                add_term(out, self.by_ident[i], cw * Fraction(c))
-        return out
-
-
 def deconcat(word: Word) -> dict:
     """Deconcatenation coproduct of a word: sum of all proper front/back splits.
 
@@ -319,21 +274,22 @@ def m_differential(alg: FiniteAlgebra):
     return coderivation_lift_tensor({2: lambda w: m2(w[0], w[1], alg)}, 1)
 
 
-def d_hochschild(C, n: int, alg: FiniteAlgebra, module: Bimodule,
-                 value_parity: int = 0):
-    """Hochschild coboundary of an (n-1)-cochain C on words of shifted letters.
+def d_hochschild(C, n: int, alg: FiniteAlgebra, value_parity: int = 0):
+    """Hochschild coboundary of an (n-1)-cochain C on words of shifted letters,
+    with coefficients in the algebra itself.
 
-    C maps an (n-1)-letter word to a module element.  The value on an n-letter
-    word is
+    C maps an (n-1)-letter word to an algebra element.  The value on an
+    n-letter word is
 
         (-1)^(a_[1,n-1]+1) C(a_[1,n-1]).a_n  +  (-1)^(a_1+1) a_1.C(a_[2,n])
         - sum_j (-1)^(a_[1,j]+1) C(a_1 (x) ... (x) a_j a_(j+1) (x) ... (x) a_n)
 
-    with shifted degrees in the exponents and plain products / module actions
-    in the terms.  ``value_parity`` is the parity of C as a graded map; it
-    twists the left boundary term by (-1)^((a_1+1) * parity), which is what
-    makes the coboundary square to zero across the whole complex (the
-    coboundary of a parity-p cochain has parity p+1).  For ungraded algebras
+    with shifted degrees in the exponents and plain algebra products in the
+    terms: the algebra acts on the values through ``mul_letters``.
+    ``value_parity`` is the parity of C as a graded map; it twists the left
+    boundary term by (-1)^((a_1+1) * parity), which is what makes the
+    coboundary square to zero across the whole complex (the coboundary of a
+    parity-p cochain has parity p+1).  For ungraded algebras
     the twist never fires.  Returns the n-cochain as a callable on words.
     """
 
@@ -343,11 +299,13 @@ def d_hochschild(C, n: int, alg: FiniteAlgebra, module: Bimodule,
         out: Vec = {}
         sign = -1 if (word_deg(word[:-1]) + 1) % 2 else 1
         last = alg.by_ident[word[-1].ident]
-        add_scaled(out, module.act_right(C(word[:-1]), last), Fraction(sign))
+        add_scaled(out, extend(alg.mul_letters, C(word[:-1]), {last: ONE}),
+                   Fraction(sign))
         e = (word[0].degree + 1) * (1 + value_parity)
         sign = -1 if e % 2 else 1
         first = alg.by_ident[word[0].ident]
-        add_scaled(out, module.act_left(first, C(word[1:])), Fraction(sign))
+        add_scaled(out, extend(alg.mul_letters, {first: ONE}, C(word[1:])),
+                   Fraction(sign))
         for j in range(n - 1):
             sign = -1 if (word_deg(word[: j + 1]) + 1) % 2 else 1
             prod = alg.mul_letters(

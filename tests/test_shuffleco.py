@@ -1,20 +1,22 @@
 import hashlib
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.genv import polyvec_basis
+from gerstenhaber.chcoh import TaylorFamily, reconstruct_morphism
+from gerstenhaber.genv import h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.graded import Letter, koszul_sign, shifted, word_deg
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
                                     bat_elem, build_quotient, d_harrison, delta,
-                                    lift_coderivation, lift_morphism, mu,
+                                    delta_elem, lift_coderivation, mu,
                                     validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
-from gerstenhaber.tensorco import Bimodule, FiniteAlgebra, add_term
+from gerstenhaber.tensorco import FiniteAlgebra, add_term, extend, m2
 
 A = Letter(("w", "a"), 0)   # even
 B = Letter(("w", "b"), 0)
@@ -107,17 +109,21 @@ def test_delta_cases():
 
 
 def test_lift_morphism_identity_and_comorphism():
+    """The morphism lift ``reconstruct_morphism(...)[1]`` on one-packet
+    monomials (rep,): the identity family lifts to the identity, and a
+    degree-0 family with a length-2 part satisfies (F x F) delta = delta F."""
     quo = ShuffleQuotient()
     rng = SplitMix64(33)
     letters = [A, B, E]
-    ident = lift_morphism({1: lambda w: {w[0]: Fraction(1)}}, quo)
+    identity = TaylorFamily({(1,): {((x,),): {x: Fraction(1)} for x in letters}})
+    _, ident = reconstruct_morphism(identity, quo, quo)
     for _ in range(10):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
         red = quo.reduce_word(w)
         if not red:
             continue
         rep = sorted(red)[0]
-        assert ident(rep) == {rep: Fraction(1)}
+        assert ident((rep,)) == {rep: Fraction(1)}
 
     # degree-0 2-level Taylor family: comorphism identity (F x F) delta = delta F
     out_letters = [Letter(("o", i), d) for i, d in enumerate((-1, 0, 0, 1, 1, 2))]
@@ -132,21 +138,14 @@ def test_lift_morphism_identity_and_comorphism():
             rep = sorted(red)[0]
             choices = by_deg.get(sum(a.degree for a in rep), [])
             if choices:
-                table2[rep] = {rng.choice(choices): Fraction(rng.randint(-2, 2))}
-
-    def f2(word):
-        red = quo.reduce_word(word)
-        out = {}
-        for rep, c in red.items():
-            for k, v in table2.get(rep, {}).items():
-                out[k] = out.get(k, 0) + c * v
-        return {k: v for k, v in out.items() if v}
+                table2[(rep,)] = {rng.choice(choices): Fraction(rng.randint(-2, 2))}
 
     fmap = {A: by_deg[0][0], B: by_deg[0][1], E: by_deg[1][0]}
-    F = lift_morphism({1: lambda w: {fmap[w[0]]: Fraction(1)}, 2: f2}, quo)
-    from gerstenhaber.shuffleco import delta_elem
-    from gerstenhaber.tensorco import add_term
-
+    family = TaylorFamily({(1,): {((x,),): {fmap[x]: Fraction(1)} for x in letters},
+                           (2,): table2})
+    _, single = reconstruct_morphism(family, quo, quo)
+    F = lambda word: single((word,))
+    nonzero = 0
     for _ in range(15):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
         red = quo.reduce_word(w)
@@ -160,6 +159,8 @@ def test_lift_morphism_identity_and_comorphism():
                     add_term(lhs, (u2, v2), c * c2 * c3)
         rhs = delta_elem(F(rep), quo)
         assert lhs == rhs
+        nonzero += bool(rhs)
+    assert nonzero
 
 
 def commutative_square_zero():
@@ -172,47 +173,68 @@ def commutative_square_zero():
     return FiniteAlgebra([one, x], prod, commutative=True)
 
 
-def test_mu_displayed_formula():
-    alg = commutative_square_zero()
+def displayed_mu(word: Word, mu2, quo) -> Elem:
+    """mu(a_[1,n]) = sum_k (-1)^(a_1 + ... + a_(k-1))
+    a_[1,k-1] (x) mu2(a_k, a_(k+1)) (x) a_[k+2,n], reduced."""
+    out: Elem = {}
+    for k in range(len(word) - 1):
+        sign = -1 if word_deg(word[:k]) % 2 else 1
+        for letter, c in mu2(word[k], word[k + 1]).items():
+            add_term(out, word[:k] + (letter,) + word[k + 2:], sign * c)
+    return quo.reduce(out)
+
+
+@pytest.mark.parametrize("case", ["shuffleco.mu", "genv.h_mu-polyvec",
+                                  "genv.h_mu-sandbox"])
+def test_mu_displayed_formula(case):
+    """shuffleco.mu on a commutative algebra and genv.h_mu on a GerstBasis
+    (polyvector fields on R^2, a sandbox) equal the displayed formula on
+    random representative words of up to 4 letters, and square to zero."""
     quo = ShuffleQuotient()
-    mufun = mu(alg, quo)
-    s1, sx = (shifted(a) for a in alg.letters)
-    # length 2: single term m2; m2(x,x) = 0, m2(1,x) = -x
-    assert mufun((s1, sx)) == {(sx,): Fraction(-1)}
-    # mu  . mu = 0 on anything
+    if case == "shuffleco.mu":
+        alg = commutative_square_zero()
+        mufun, mu2 = mu(alg, quo), partial(m2, alg=alg)
+        letters = [shifted(a) for a in alg.letters]
+        s1, sx = letters
+        # length 2: single term m2; m2(x,x) = 0, m2(1,x) = -x
+        assert mufun((s1, sx)) == {(sx,): Fraction(-1)}
+    else:
+        basis = (polyvec_basis(2) if case.endswith("polyvec")
+                 else sandbox_gerstenhaber(SplitMix64(35)))
+        mufun, mu2, letters = partial(h_mu, basis=basis, quotient=quo), basis.mu2, basis.letters
     rng = SplitMix64(34)
+    nonzero = 0
     for _ in range(20):
-        w = tuple(rng.choice([s1, sx]) for _ in range(rng.randint(1, 4)))
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
         red = quo.reduce_word(w)
         if not red:
             continue
         rep = sorted(red)[0]
         out = mufun(rep)
-        again = {}
-        for w2, c in out.items():
-            for w3, c2 in mufun(w2).items():
-                again[w3] = again.get(w3, 0) + c * c2
-        assert not {k: v for k, v in again.items() if v}
+        assert out == displayed_mu(rep, mu2, quo)
+        nonzero += bool(out)
+        # mu . mu = 0
+        assert not extend(mufun, out)
+    assert nonzero
 
 
 def test_harrison_example_and_errors():
     alg = commutative_square_zero()
-    module = Bimodule.regular(alg)
     quo = ShuffleQuotient()
     s1, sx = (shifted(a) for a in alg.letters)
     one, x = alg.letters
     C = {(sx,): {one: Fraction(1)}}
     validate_harrison_cochain(C, quo)
-    dC = d_harrison(C, 2, alg, module, quo)
+    dC = d_harrison(C, 2, alg, quo)
     # d_Ha C(x (x) x) = x.C(x) - C(x^2) + C(x).x = 2x
     (rep,) = quo.representatives([sx, sx])
     assert dC(rep) == {x: Fraction(2)}
-    zero = d_harrison({}, 2, alg, module, quo)
+    zero = d_harrison({}, 2, alg, quo)
     assert zero(rep) == {}
     # non-representative support is rejected
     w_bad = (sx, s1) if not quo.is_representative((sx, s1)) else (s1, sx)
     with pytest.raises(ValueError):
-        d_harrison({w_bad: {one: Fraction(1)}}, 3, alg, module, quo)
+        d_harrison({w_bad: {one: Fraction(1)}}, 3, alg, quo)
 
 
 def test_quotient_json_dump():

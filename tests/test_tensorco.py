@@ -9,7 +9,7 @@ from gerstenhaber.graded import Letter, shifted, word_deg
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, bat, delta
 from gerstenhaber.suites import _corrupt_sandbox, random_assoc_algebra, suite_tensorco
-from gerstenhaber.tensorco import (ONE as UNIT, Bimodule, FiniteAlgebra,
+from gerstenhaber.tensorco import (ONE as UNIT, FiniteAlgebra,
                                    associativity, coassociativity,
                                    coderivation, coderivation_lift_tensor,
                                    cojacobi, cosymmetry, d_hochschild,
@@ -75,13 +75,12 @@ def test_coderivation_identity_family():
 
 def test_hochschild_example():
     alg = nilpotent_algebra()
-    module = Bimodule.regular(alg)
     s1, sx = shifted(ONE), shifted(X)
     table = {(sx,): {ONE: Fraction(1)}}
     C = lambda w: table.get(w, {})
-    dC = d_hochschild(C, 2, alg, module)
+    dC = d_hochschild(C, 2, alg)
     assert dC((sx, sx)) == {X: Fraction(2)}
-    zero = d_hochschild(lambda w: {}, 2, alg, module)
+    zero = d_hochschild(lambda w: {}, 2, alg)
     assert zero((sx, sx)) == {}
 
 
@@ -91,7 +90,6 @@ def test_hochschild_square_brute_force():
 
     for _ in range(20):
         alg = random_assoc_algebra(rng)
-        module = Bimodule.regular(alg)
         letters = [shifted(a) for a in alg.letters]
         arity = rng.randint(1, 2)
         table = {}
@@ -100,9 +98,7 @@ def test_hochschild_square_brute_force():
                 table[w] = {rng.choice(alg.letters): Fraction(rng.randint(-2, 2))}
         C = lambda w: table.get(w, {})
         ddC = d_hochschild(
-            d_hochschild(C, arity + 1, alg, module), arity + 2, alg, module,
-            value_parity=1,
-        )
+            d_hochschild(C, arity + 1, alg), arity + 2, alg, value_parity=1)
         for w in iproduct(letters, repeat=arity + 2):
             assert not {k: v for k, v in ddC(w).items() if v}
 
