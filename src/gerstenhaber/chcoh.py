@@ -275,7 +275,7 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     """
     table = PacketTable(ctx, f.shapes())
     values: dict = {}
-    for mono in _coboundary_monomials(f, ctx, trunc):
+    for mono in _coboundary_monomials(f, ctx, trunc, table):
         val = d_ch_value(f.eval, mono, ctx, table)
         if val:
             values[mono] = val
@@ -406,28 +406,6 @@ def reachable_shapes(shapes) -> list:
     return sorted(out)
 
 
-def referenced_shapes(shape) -> set:
-    """Shapes of the cochain arguments appearing in the coboundary on ``shape``.
-
-    Letter detachment and the packet differential shorten one part, the
-    bracket merges two parts into one of their combined length minus one, and
-    the target bracket term drops one length-1 part.
-    """
-    parts = list(shape)
-    out = set()
-    for j, p in enumerate(parts):
-        rest = parts[:j] + parts[j + 1:]
-        if p > 1:
-            out.add(tuple(sorted(rest + [p - 1])))
-        elif rest:
-            out.add(tuple(sorted(rest)))
-    for j in range(len(parts)):
-        for k in range(j + 1, len(parts)):
-            rest = [parts[i] for i in range(len(parts)) if i not in (j, k)]
-            out.add(tuple(sorted(rest + [parts[j] + parts[k] - 1])))
-    return out
-
-
 def _word_degrees(ctx: ChContext, by_len: dict, degrees) -> dict:
     """Per packet length, the letter-degree sums a packet of that length can
     have in a monomial of the shape ``by_len`` whose degree lies in
@@ -458,60 +436,57 @@ def monomials_for_shape(ctx: ChContext, shape, degrees=None) -> list:
     for p in shape:
         by_len[p] = by_len.get(p, 0) + 1
     allowed = None if degrees is None else _word_degrees(ctx, by_len, degrees)
-    groups = []
-    for p in sorted(by_len):
-        words = ctx.rep_words(p, None if allowed is None else allowed[p])
-        wdeg = [pdeg(w) for w in words]
-        choices = []
-        for combo in combinations_with_replacement(range(len(words)), by_len[p]):
-            if any(i == j and wdeg[i] % 2 for i, j in zip(combo, combo[1:])):
-                continue  # a repeated odd packet squares to zero
-            deg = 0 if degrees is None else sum(wdeg[i] for i in combo)
-            choices.append(([words[i] for i in combo], deg))
-        groups.append(choices)
-    # need[i]: degrees that the groups before i plus group i must sum to for
-    # the later groups to complete them into ``degrees``
+    lens = sorted(shape)
+    words = {p: ctx.rep_words(p, None if allowed is None else allowed[p])
+             for p in by_len}
+    wdeg = {p: [pdeg(w) for w in words[p]] for p in by_len}
+    # need[s]: degrees that slots 0..s must sum to for the later slots to
+    # complete them into ``degrees``
     need = None
     if degrees is not None:
         need = [set(degrees)]
-        for choices in reversed(groups[1:]):
-            gdegs = {deg for _, deg in choices}
-            need.insert(0, {t - g for t in need[0] for g in gdegs})
+        for p in reversed(lens[1:]):
+            need.insert(0, {t - g for g in set(wdeg[p]) for t in need[0]})
+    n = len(lens)
     out = []
 
-    def rec(i, acc, deg):
-        if i == len(groups):
-            out.append(tuple(acc))
+    def rec(s, lo, acc, deg):
+        if s == n:
+            out.append(acc)
             return
-        for packs, gdeg in groups[i]:
-            if need is None or deg + gdeg in need[i]:
-                rec(i + 1, acc + packs, deg + gdeg)
+        p = lens[s]
+        ws, ds = words[p], wdeg[p]
+        same = s + 1 < n and lens[s + 1] == p
+        for i in range(lo, len(ws)):
+            e = deg + ds[i]
+            if need is None or e in need[s]:
+                # equal-length slots take nondecreasing word indices, and a
+                # repeated odd packet squares to zero
+                rec(s + 1, i + ds[i] % 2 if same else 0, acc + (ws[i],), e)
 
-    rec(0, [], 0)
+    rec(0, 0, (), 0)
     return out
 
 
-def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation):
+def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation,
+                          table: PacketTable):
     """Monomials one level above f on which d(f) can be nonzero, by shape.
 
     Raises TruncationError when a shape reachable from f's own support falls
-    outside the window.  Shapes whose coboundary never evaluates f on one of
-    its shapes are skipped.  When the letter morphism is supported in degree
-    -1, every coboundary term evaluates f one degree up, so only the
-    monomials of degree s - 1, s in f's degree support, are enumerated.
+    outside the window.  Shapes on which ``table`` (built on f's shapes)
+    keeps no term family are skipped.  When the letter morphism is supported
+    in degree -1, every coboundary term evaluates f one degree up, so only
+    the monomials of degree s - 1, s in f's degree support, are enumerated.
     """
-    fshapes = f.shapes()
-    bad = [s for s in reachable_shapes(fshapes)
+    bad = [s for s in reachable_shapes(f.shapes())
            if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
     if bad:
         raise TruncationError(f"required shapes outside truncation: {bad}")
     degrees = None
     if ctx.f1_shifts_by_one:
         degrees = {s - 1 for s in f.degree_support}
-    for shape in reachable_shapes(level_shapes(f.level, trunc.nmax)):
-        if sum(shape) > trunc.Nmax or len(shape) > trunc.nmax:
-            continue
-        if referenced_shapes(shape) & fshapes:
+    for shape in level_shapes(f.level + 1, trunc.nmax):
+        if any(table.live(shape)):
             yield from monomials_for_shape(ctx, shape, degrees)
 
 
@@ -537,20 +512,14 @@ def _block_matrix(ctx: ChContext, rows: list, cols: list,
     return mat
 
 
-def is_cocycle(f, ctx: ChContext, trunc: Truncation, report=False):
+def is_cocycle(f, ctx: ChContext, trunc: Truncation) -> bool:
     """Whether d(f) vanishes on every monomial inside the truncation.
 
     The target shapes reachable from f's shapes must fit inside the declared
     window, otherwise a TruncationError reports the missing shapes instead of
     silently shrinking the check.
     """
-    table = PacketTable(ctx, f.shapes())
-    checked = 0
-    for mono in _coboundary_monomials(f, ctx, trunc):
-        checked += 1
-        if d_ch_value(f.eval, mono, ctx, table):
-            return (False, mono) if report else False
-    return (True, checked) if report else True
+    return d_ch(f, ctx, trunc).is_zero()
 
 
 def is_coboundary(f, ctx: ChContext, trunc: Truncation):

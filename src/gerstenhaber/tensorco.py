@@ -252,18 +252,18 @@ def coderivation_lift_tensor(taylor: dict, q: int):
         out: Elem = {}
         for word, coeff in elem.items():
             n = len(word)
+            # scaled[j] = (-1)^(q * (a_1+...+a_j)) coeff, by running parity
+            scaled = [coeff]
+            for a in word:
+                scaled.append(-scaled[-1] if q % 2 and a.degree % 2 else scaled[-1])
             for r, Qr in taylor.items():
                 if r > n:
                     continue
                 for j in range(0, n - r + 1):
-                    sign = 1
-                    if q % 2:
-                        if word_deg(word[:j]) % 2:
-                            sign = -1
                     val = Qr(word[j : j + r])
                     for letter, c in val.items():
                         neww = word[:j] + (letter,) + word[j + r :]
-                        add_term(out, neww, coeff * sign * c)
+                        add_term(out, neww, scaled[j] * c)
         return out
 
     return lift

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from gerstenhaber.chcoh import (Truncation, assemble_matrix, f3_111,
                                 is_coboundary, is_cocycle, level_shapes,
-                                monomials_for_shape, reachable_shapes,
-                                real_polyvec_context)
+                                reachable_shapes, real_polyvec_context)
 from gerstenhaber.genv import h_bracket, h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.ginfty import (big_delta, ell_on_packets, kappa,
                                  lm_on_packets, m_on_packets, mono_deg,
@@ -21,8 +20,7 @@ from gerstenhaber.polyvec import hom_letter
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (ShuffleQuotient, bat, bat3, bat_elem,
                                     delta, delta_elem)
-from gerstenhaber.suites import (random_assoc_algebra, random_lie,
-                                 suite_shuffle, suite_symco, suite_tensorco)
+from gerstenhaber.suites import suite_shuffle, suite_symco, suite_tensorco
 from gerstenhaber.symco import LieData, d_chevalley_classical
 from gerstenhaber.tensorco import add_scaled, add_term, extend
 
@@ -98,6 +96,25 @@ def test_criterion_2_cocycle_not_coboundary():
     report(2, cocycle and preimage is None and dt < 300,
            f"d=3: coboundary of the 3-cochain vanishes ({cocycle}) and the "
            f"level-2 system is infeasible ({preimage is None}) in {dt:.1f}s")
+
+
+def test_criterion_2_headline_at_d4():
+    """The headline pipeline at d=4 over all tensor degrees (k <= 4)."""
+    t0 = time.time()
+    ctx = real_polyvec_context(4)
+    trunc = Truncation(4, 4, 4, 4)
+    f3 = f3_111(4, ctx)
+    mono, sign = mono_key(
+        [(vf_letter(4, 1, 2),), (vf_letter(4, 2, 3),), (vf_letter(4, 3, 1),)]
+    )
+    value = sign * f3.eval(mono).get(ctx.target.letters[0], Fraction(0))
+    cocycle = is_cocycle(f3, ctx, trunc)
+    preimage = is_coboundary(f3, ctx, trunc)
+    dt = time.time() - t0
+    report(2, value == 1 and cocycle and preimage is None,
+           f"d=4: value {value}, coboundary of the 3-cochain vanishes "
+           f"({cocycle}) and the level-2 system is infeasible "
+           f"({preimage is None}) in {dt:.1f}s")
 
 
 def test_criterion_3_exact_matrix_squares():

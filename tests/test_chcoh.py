@@ -1,19 +1,20 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
-                                Truncation, TruncationError, assemble_matrix,
-                                d_ch_terms, d_ch_value,
+                                Truncation, TruncationError, _word_degrees,
+                                assemble_matrix, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
                                 reconstruct_morphism, recursion_single)
 from gerstenhaber.genv import sandbox_gerstenhaber, zero_gerstenhaber
-from gerstenhaber.ginfty import Mono, big_delta, kappa, mono_deg, mono_key
+from gerstenhaber.ginfty import Mono, big_delta, kappa, mono_deg, mono_key, pdeg
 from gerstenhaber.graded import Letter, word_deg
-from gerstenhaber.polyvec import Polyvec, hom_letter, letter_polyvec
+from gerstenhaber.polyvec import hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
 from gerstenhaber.suites import suite_chcoh
@@ -218,6 +219,110 @@ def test_degree_restricted_enumeration_keeps_order(d, kmax):
             pair = set(degs[:2])
             assert monomials_for_shape(real_polyvec_context(d, kmax), shape, pair) == \
                 [m for m in full if mono_deg(m) in pair]
+
+
+def monomials_for_shape_oracle(ctx, shape, degrees=None) -> list:
+    """The former enumerator: every combo of every packet-length group, with
+    repeated odd packets and off-degree combos filtered out afterwards."""
+    by_len: dict[int, int] = {}
+    for p in shape:
+        by_len[p] = by_len.get(p, 0) + 1
+    allowed = None if degrees is None else _word_degrees(ctx, by_len, degrees)
+    groups = []
+    for p in sorted(by_len):
+        words = ctx.rep_words(p, None if allowed is None else allowed[p])
+        wdeg = [pdeg(w) for w in words]
+        choices = []
+        for combo in combinations_with_replacement(range(len(words)), by_len[p]):
+            if any(i == j and wdeg[i] % 2 for i, j in zip(combo, combo[1:])):
+                continue
+            deg = 0 if degrees is None else sum(wdeg[i] for i in combo)
+            choices.append(([words[i] for i in combo], deg))
+        groups.append(choices)
+    need = None
+    if degrees is not None:
+        need = [set(degrees)]
+        for choices in reversed(groups[1:]):
+            gdegs = {deg for _, deg in choices}
+            need.insert(0, {t - g for t in need[0] for g in gdegs})
+    out = []
+
+    def rec(i, acc, deg):
+        if i == len(groups):
+            out.append(tuple(acc))
+            return
+        for packs, gdeg in groups[i]:
+            if need is None or deg + gdeg in need[i]:
+                rec(i + 1, acc + packs, deg + gdeg)
+
+    rec(0, [], 0)
+    return out
+
+
+def test_monomials_for_shape_matches_combo_oracle():
+    """The one walk over packet slots returns the former per-group combo
+    enumeration, order included, with and without degrees, also for degree
+    sets no monomial reaches and on sandboxes with odd packets."""
+    compared = 0
+    for ctx in table_contexts():
+        for N in (1, 2, 3, 4):
+            for shape in level_shapes(N, 4):
+                full = monomials_for_shape(ctx, shape)
+                assert full == monomials_for_shape_oracle(ctx, shape)
+                degs = sorted({mono_deg(m) for m in full})
+                lo, hi = (degs[0], degs[-1]) if degs else (0, 0)
+                for degrees in ([{deg} for deg in degs[:3] + degs[-2:]]
+                                + [set(degs[::2]), {lo - 3}, {hi + 3},
+                                   {lo - 1, hi + 1}, {lo - 2, hi}]):
+                    got = monomials_for_shape(ctx, shape, degrees)
+                    assert got == monomials_for_shape_oracle(ctx, shape, degrees)
+                    assert got == [m for m in full if mono_deg(m) in degrees]
+                compared += len(full)
+    assert compared > 15000
+
+
+def referenced_shapes_oracle(shape) -> set:
+    """Shapes of the cochain arguments appearing in the coboundary on
+    ``shape``, written out by hand: letter detachment and the packet
+    differential shorten one part, the bracket merges two parts into one of
+    their combined length minus one, and the target bracket term drops one
+    length-1 part."""
+    parts = list(shape)
+    out = set()
+    for j, p in enumerate(parts):
+        rest = parts[:j] + parts[j + 1:]
+        if p > 1:
+            out.add(tuple(sorted(rest + [p - 1])))
+        elif rest:
+            out.add(tuple(sorted(rest)))
+    for j in range(len(parts)):
+        for k in range(j + 1, len(parts)):
+            rest = [parts[i] for i in range(len(parts)) if i not in (j, k)]
+            out.add(tuple(sorted(rest + [parts[j] + parts[k] - 1])))
+    return out
+
+
+def test_live_shape_selection_matches_referenced_oracle():
+    """The row shapes d_ch walks (level N + 1 shapes on which a PacketTable
+    built on f's shapes keeps a term family) are the shapes reachable from
+    level N that reference one of f's shapes, for every set of f's shapes."""
+    from itertools import combinations
+
+    ctx = real_polyvec_context(2, 1)
+    cases = 0
+    for nmax in (1, 2, 3, 4):
+        for N in (1, 2, 3, 4):
+            shapes = level_shapes(N, nmax)
+            want_rows = [s for s in reachable_shapes(shapes) if len(s) <= nmax]
+            for r in range(len(shapes) + 1):
+                for fshapes in map(set, combinations(shapes, r)):
+                    table = PacketTable(ctx, fshapes)
+                    got = [s for s in level_shapes(N + 1, nmax)
+                           if any(table.live(s))]
+                    assert got == [s for s in want_rows
+                                   if referenced_shapes_oracle(s) & fshapes]
+                    cases += 1
+    assert cases > 100
 
 
 def test_headline_decision_builds_only_deciding_tables():

@@ -235,8 +235,6 @@ def test_differential_deterministic_and_product(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
     # offline product check: consecutive exported levels multiply to zero
-    from fractions import Fraction
-
     from gerstenhaber.chcoh import (assemble_matrix, level_shapes,
                                     reachable_shapes, real_polyvec_context)
 
@@ -299,6 +297,22 @@ def test_cocycle_kmax1_golden_digest(capsys):
     assert code == 0
     assert sha256(out) == \
         "2c45a8b5acd46360c84a41fe53dae0cacee363119ca99ad85a36437facf9dcb9"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--d", "3", "--kmax", "3"],
+     "5f64ce1f1eb28800de315708aa38b43cbe631fc99e59c3620ec72144c73317bf"),
+    (["--d", "4", "--kmax", "1"],
+     "e8dbac81ce5e47de4964eb299fc4db01c456062d97a5bc938523c9c2f925656d"),
+    (["--d", "4", "--kmax", "2"],
+     "9e226fa30b7f048fba85c4bbb3f6119c4c7594f7a7faca30590ba8edebdf7046"),
+])
+def test_cocycle_golden_digest(argv, want, capsys):
+    """The headline decision at d=3, k<=3 and at d=4, k<=1 and k<=2 as JSON,
+    pinned byte for byte."""
+    code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
+    assert code == 0
+    assert sha256(out) == want
 
 
 def test_cocycle_pipeline_d3(capsys):

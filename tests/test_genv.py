@@ -3,10 +3,10 @@ from itertools import permutations
 
 import pytest
 
-from gerstenhaber.genv import (GerstBasis, exterior_of_lie, h_bracket,
-                               h_bracket_raw, h_mu, polyvec_basis,
-                               sandbox_gerstenhaber, zero_gerstenhaber)
-from gerstenhaber.graded import koszul_sign, word_deg
+from gerstenhaber.genv import (exterior_of_lie, h_bracket, h_bracket_raw, h_mu,
+                               polyvec_basis, sandbox_gerstenhaber,
+                               zero_gerstenhaber)
+from gerstenhaber.graded import koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient
 from gerstenhaber.suites import suite_genv

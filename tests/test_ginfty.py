@@ -4,7 +4,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.genv import polyvec_basis, sandbox_gerstenhaber
+from gerstenhaber.genv import polyvec_basis
 from gerstenhaber.ginfty import (add_pair, big_delta, ell_on_packets, kappa,
                                  m_on_packets, mono_deg, mono_key,
                                  packet_sort_key, pdeg)

@@ -13,8 +13,7 @@ from gerstenhaber.graded import Letter, koszul_sign, shifted, word_deg
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
                                     bat_elem, build_quotient, d_harrison, delta,
-                                    delta_elem, lift_coderivation, mu,
-                                    validate_harrison_cochain)
+                                    delta_elem, mu, validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
 from gerstenhaber.tensorco import FiniteAlgebra, add_term, extend, m2
 
