@@ -320,25 +320,8 @@ class Cochain:
         return not self.values
 
 
-class FormulaCochain:
-    """A cochain given by a formula on canonical monomials, declared zero off
-    the given shapes and off the monomial degrees in ``degree_support``."""
-
-    def __init__(self, fn, level: int, shapes, degree_support):
-        self.fn = fn
-        self.level = level
-        self._shapes = set(shapes)
-        self.degree_support = degree_support
-
-    def eval(self, mono: Mono) -> Vec:
-        return self.fn(mono)
-
-    def shapes(self):
-        return set(self._shapes)
-
-
-def f3_111(d: int, ctx: ChContext) -> FormulaCochain:
-    """The scalar 3-cochain on triples of single vector-field packets.
+def f3_111(d: int, ctx: ChContext) -> Cochain:
+    """The scalar 3-cochain on triples of single vector-field packets, stored.
 
     On linear vector fields with basis letters x_a d_b the value is
 
@@ -346,6 +329,8 @@ def f3_111(d: int, ctx: ChContext) -> FormulaCochain:
 
     (the two cyclic index contractions of the three Jacobians), and 0 whenever
     any packet is longer than one letter or any letter is not a vector field.
+    The formula is evaluated once on the shape (1, 1, 1) monomials of degree
+    -3, the only ones it can be nonzero on.
     """
     one = ctx.target.letters[0]
 
@@ -357,8 +342,6 @@ def f3_111(d: int, ctx: ChContext) -> FormulaCochain:
         return (a, dirs[0])
 
     def fn(mono: Mono) -> Vec:
-        if len(mono) != 3 or any(len(w) != 1 for w in mono):
-            return {}
         cs = [coords(w[0]) for w in mono]
         if any(c is None for c in cs):
             return {}
@@ -370,7 +353,8 @@ def f3_111(d: int, ctx: ChContext) -> FormulaCochain:
             val -= 1
         return {one: val} if val else {}
 
-    return FormulaCochain(fn, 3, {(1, 1, 1)}, degree_support={-3})
+    monos = monomials_for_shape(ctx, (1, 1, 1), {-3})
+    return Cochain({mono: fn(mono) for mono in monos}, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +563,18 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     return Cochain(preimage, N - 1)
 
 
-def assemble_matrix(ctx: ChContext, src_shapes, row_shapes=None):
+def assemble_matrix(ctx: ChContext, src_shapes):
     """Exact matrix of the coboundary from the given source shapes.
 
-    Rows run over all monomials of ``row_shapes`` (by default every shape
-    reachable from the sources) times target letters, columns over source
-    monomials times target letters.  Returns (matrix, row index list, column
-    index list).
+    Rows run over all monomials of the shapes reachable from the sources
+    times target letters, columns over source monomials times target
+    letters.  Returns (matrix, row index list, column index list).
     """
-    if row_shapes is None:
-        row_shapes = reachable_shapes(src_shapes)
     cols = []
     for shape in src_shapes:
         cols.extend(monomials_for_shape(ctx, shape))
     rows = []
-    for shape in row_shapes:
+    for shape in reachable_shapes(src_shapes):
         rows.extend(monomials_for_shape(ctx, shape))
     return _block_matrix(ctx, rows, cols, PacketTable(ctx)), rows, cols
 

@@ -16,10 +16,12 @@ from itertools import combinations
 
 from .graded import Letter
 from .polyvec import basis as pv_basis
-from .polyvec import _merge_dirs, hom_letter, letter_polyvec, schouten, wedge
+from .polyvec import (_merge_dirs, check_mono, hom_letter, schouten_monos,
+                      wedge_monos)
 from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
-                       extend, int_view, jacobi, symmetry)
+                       extend, fraction_table, int_view, jacobi, on_letters,
+                       symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 Elem = dict  # dict[Word, Fraction]
@@ -43,29 +45,15 @@ class GerstBasis:
     def __init__(self, letters, wedge_table, bracket_table, name=""):
         self.letters = sorted(letters)
         self.by_ident = {a.ident: a for a in self.letters}
-        self.wedge_table = {
-            k: {i: Fraction(c) for i, c in v.items() if c}
-            for k, v in wedge_table.items()
-            if v
-        }
-        self.bracket_table = {
-            k: {i: Fraction(c) for i, c in v.items() if c}
-            for k, v in bracket_table.items()
-            if v
-        }
+        self.wedge_table = fraction_table(wedge_table)
+        self.bracket_table = fraction_table(bracket_table)
         self.name = name
 
     def wedge(self, a: Letter, b: Letter) -> Vec:
-        tab = self.wedge_table.get((a.ident, b.ident))
-        if not tab:
-            return {}
-        return {self.by_ident[i]: c for i, c in tab.items()}
+        return on_letters(self.wedge_table, self.by_ident, (a.ident, b.ident))
 
     def bracket(self, a: Letter, b: Letter) -> Vec:
-        tab = self.bracket_table.get((a.ident, b.ident))
-        if not tab:
-            return {}
-        return {self.by_ident[i]: c for i, c in tab.items()}
+        return on_letters(self.bracket_table, self.by_ident, (a.ident, b.ident))
 
     def mu2(self, a: Letter, b: Letter) -> Vec:
         """Shifted product: (-1)^(deg a) wedge, of shifted degree +1."""
@@ -121,33 +109,34 @@ def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
 
     With kmax = d (the default) the space is closed under wedge and bracket,
     so the tables are exact structure constants of the full finite-dimensional
-    algebra.
+    algebra.  Each constant comes from ``wedge_monos`` or ``schouten_monos``
+    on a pair of basis monomials.
     """
     if kmax is None:
         kmax = d
     letters = []
-    monos = {}
+    monos = []
     for k in range(kmax + 1):
         for mono in pv_basis(d, k):
-            letter = hom_letter(d, mono)
-            letters.append(letter)
-            monos[letter.ident] = mono
+            letters.append(hom_letter(d, mono))
+            monos.append(mono)
     wedge_table = {}
     bracket_table = {}
-    for a in letters:
-        pa = letter_polyvec(d, a)
-        for b in letters:
-            pb = letter_polyvec(d, b)
-            w = wedge(pa, pb)
-            if w.k <= kmax and not w.is_zero():
-                wedge_table[(a.ident, b.ident)] = {
-                    hom_letter(d, m).ident: c for m, c in w.terms.items()
-                }
-            s = schouten(pa, pb)
-            if s.k <= kmax and not s.is_zero():
-                bracket_table[(a.ident, b.ident)] = {
-                    hom_letter(d, m).ident: c for m, c in s.terms.items()
-                }
+
+    def store(table, key, k, val):
+        if val:
+            for mono in val:
+                check_mono(mono, d, k)
+            table[key] = {hom_letter(d, m).ident: c for m, c in val.items()}
+
+    for a, ma in zip(letters, monos):
+        for b, mb in zip(letters, monos):
+            key = (a.ident, b.ident)
+            k = len(ma[1]) + len(mb[1])
+            if k <= kmax:
+                store(wedge_table, key, k, wedge_monos(ma, mb))
+            if k - 1 <= kmax:
+                store(bracket_table, key, k - 1, schouten_monos(ma, mb))
     return GerstBasis(letters, wedge_table, bracket_table, name=f"Tpolyhom(d={d})")
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .graded import Letter, koszul_sort
+from .tensorco import add_term, extend
 
 Mono = tuple  # (exps: tuple[int, ...], dirs: tuple[int, ...]) with dirs 1-based
 
@@ -37,9 +38,7 @@ class Polyvec:
         coeff = Fraction(coeff)
         if not coeff:
             return
-        exps, dirs = mono
-        assert len(exps) == self.d and len(dirs) == self.k
-        assert all(dirs[i] < dirs[i + 1] for i in range(len(dirs) - 1))
+        check_mono(mono, self.d, self.k)
         s = self.terms.get(mono, 0) + coeff
         if s:
             self.terms[mono] = s
@@ -92,6 +91,14 @@ class Polyvec:
         return " + ".join(bits)
 
 
+def check_mono(mono: Mono, d: int, k: int):
+    """Assert that ``mono`` is a monomial on R^d of tensor degree k: d
+    exponents and k strictly increasing directions."""
+    exps, dirs = mono
+    assert len(exps) == d and len(dirs) == k
+    assert all(dirs[i] < dirs[i + 1] for i in range(len(dirs) - 1))
+
+
 def unit(d: int, c=1) -> Polyvec:
     return Polyvec(d, 0, {((0,) * d, ()): Fraction(c)})
 
@@ -127,71 +134,60 @@ def _merge_dirs(da: tuple, db: tuple):
     return koszul_sort(da + db, [1] * (len(da) + len(db)))
 
 
+def wedge_monos(ma: Mono, mb: Mono) -> dict:
+    """Wedge of two basis monomials: {monomial: +-1}, empty when they share
+    a direction."""
+    (ea, da), (eb, db) = ma, mb
+    dirs, sign = _merge_dirs(da, db)
+    if dirs is None:
+        return {}
+    return {(tuple(x + y for x, y in zip(ea, eb)), dirs): sign}
+
+
+def _contract(out: dict, ma: Mono, mb: Mono, sign: int):
+    """out += sign * sum_i (dma/dxi_i) wedge (dmb/dx_i), the half of the
+    Schouten bracket.  The right derivative in the odd direction i moves it
+    past the later directions of ma, and the coordinate derivative brings
+    down the exponent of x_i in mb."""
+    (ea, da), (eb, db) = ma, mb
+    for pos, i in enumerate(da):
+        e = eb[i - 1]
+        if not e:
+            continue
+        dirs, s = _merge_dirs(da[:pos] + da[pos + 1:], db)
+        if dirs is None:
+            continue
+        if (len(da) - 1 - pos) % 2:
+            s = -s
+        exps = [x + y for x, y in zip(ea, eb)]
+        exps[i - 1] -= 1
+        add_term(out, (tuple(exps), dirs), sign * s * e)
+
+
+def schouten_monos(ma: Mono, mb: Mono) -> dict:
+    """Schouten bracket of two basis monomials, {monomial: int}:
+
+        [a, b] = a.b - (-1)^((k_a - 1)(k_b - 1)) b.a  with
+        a.b = sum_i (da/dxi_i) wedge (db/dx_i).
+    """
+    out: dict = {}
+    _contract(out, ma, mb, 1)
+    _contract(out, mb, ma, 1 if (len(ma[1]) - 1) * (len(mb[1]) - 1) % 2 else -1)
+    return out
+
+
 def wedge(a: Polyvec, b: Polyvec) -> Polyvec:
+    """Bilinear extension of ``wedge_monos``, tensor degree k_a + k_b."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    out = Polyvec(a.d, a.k + b.k)
-    for (ea, da), ca in a.terms.items():
-        for (eb, db), cb in b.terms.items():
-            dirs, sign = _merge_dirs(da, db)
-            if dirs is None:
-                continue
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            out.add((exps, dirs), ca * cb * sign)
-    return out
-
-
-def _dxi(mono: Mono, i: int):
-    """Right derivative with respect to the odd direction i, or None."""
-    exps, dirs = mono
-    if i not in dirs:
-        return None, 0
-    pos = dirs.index(i)
-    sign = -1 if (len(dirs) - 1 - pos) % 2 else 1
-    return (exps, dirs[:pos] + dirs[pos + 1 :]), sign
-
-
-def _dx(mono: Mono, i: int):
-    """Derivative of the coefficient in the coordinate x_i (1-based)."""
-    exps, dirs = mono
-    e = exps[i - 1]
-    if not e:
-        return None, 0
-    newe = list(exps)
-    newe[i - 1] -= 1
-    return (tuple(newe), dirs), e
-
-
-def _dot(a: Polyvec, b: Polyvec) -> Polyvec:
-    """sum_i (da/dxi_i) wedge (db/dx_i), the half of the Schouten bracket."""
-    out = Polyvec(a.d, a.k + b.k - 1)
-    for (ea, da), ca in a.terms.items():
-        for i in da:
-            (ma, sa) = _dxi((ea, da), i)[0], _dxi((ea, da), i)[1]
-            for (eb, db), cb in b.terms.items():
-                mb, eb_coeff = _dx((eb, db), i)
-                if mb is None:
-                    continue
-                dirs, sign = _merge_dirs(ma[1], mb[1])
-                if dirs is None:
-                    continue
-                exps = tuple(x + y for x, y in zip(ma[0], mb[0]))
-                out.add((exps, dirs), ca * cb * sa * eb_coeff * sign)
-    return out
+    return Polyvec(a.d, a.k + b.k, extend(wedge_monos, a.terms, b.terms))
 
 
 def schouten(a: Polyvec, b: Polyvec) -> Polyvec:
-    """Schouten bracket, tensor degree k_a + k_b - 1.
-
-    [a, b] = a.b - (-1)^((k_a - 1)(k_b - 1)) b.a  with
-    a.b = sum_i (da/dxi_i) wedge (db/dx_i).
-    """
+    """Bilinear extension of ``schouten_monos``, tensor degree k_a + k_b - 1."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    first = _dot(a, b)
-    second = _dot(b, a)
-    sign = -1 if ((a.k - 1) * (b.k - 1)) % 2 else 1
-    return first - second.scale(sign)
+    return Polyvec(a.d, a.k + b.k - 1, extend(schouten_monos, a.terms, b.terms))
 
 
 def mu2(a: Polyvec, b: Polyvec) -> Polyvec:

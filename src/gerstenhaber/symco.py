@@ -13,8 +13,9 @@ from operator import attrgetter
 
 from .graded import (Letter, bipartitions, koszul_sort, pulled_terms,
                      slot_terms, unshuffle_sign)
-from .tensorco import (add_scaled, add_term, derivation, extend, int_coeffs,
-                       int_view, jacobi, square_zero, symmetry)
+from .tensorco import (add_scaled, add_term, derivation, extend,
+                       fraction_table, int_coeffs, int_view, jacobi,
+                       on_letters, square_zero, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 SymElem = dict  # dict[tuple[Letter, ...], Fraction]
@@ -49,30 +50,18 @@ class LieData:
     def __init__(self, letters, bracket, diff=None):
         self.letters = list(letters)
         self.by_ident = {a.ident: a for a in self.letters}
-        self.bracket_table = {
-            key: {i: Fraction(c) for i, c in val.items() if c}
-            for key, val in bracket.items()
-        }
-        self.diff_table = {
-            key: {i: Fraction(c) for i, c in val.items() if c}
-            for key, val in (diff or {}).items()
-        }
+        self.bracket_table = fraction_table(bracket)
+        self.diff_table = fraction_table(diff or {})
         self._validate()
 
     def bracket_letters(self, a: Letter, b: Letter) -> Vec:
-        tab = self.bracket_table.get((a.ident, b.ident))
-        if not tab:
-            return {}
-        return {self.by_ident[i]: c for i, c in tab.items()}
+        return on_letters(self.bracket_table, self.by_ident, (a.ident, b.ident))
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         return extend(self.bracket_letters, x, y)
 
     def d_letter(self, a: Letter) -> Vec:
-        tab = self.diff_table.get(a.ident)
-        if not tab:
-            return {}
-        return {self.by_ident[i]: c for i, c in tab.items()}
+        return on_letters(self.diff_table, self.by_ident, a.ident)
 
     def _validate(self):
         idents = [a.ident for a in self.letters]

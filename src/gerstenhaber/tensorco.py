@@ -75,6 +75,20 @@ def int_coeffs(vec: dict) -> dict:
     return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
 
 
+def fraction_table(table: dict) -> dict:
+    """Copy of a structure-constant table with Fraction values, zero
+    constants dropped and keys of an empty entry left out."""
+    return {key: {i: Fraction(c) for i, c in val.items() if c}
+            for key, val in table.items() if val}
+
+
+def on_letters(table: dict, by_ident: dict, key) -> dict:
+    """Entry ``key`` of an ident-keyed table as a Letter-keyed dict, {} when
+    it is missing."""
+    val = table.get(key)
+    return {by_ident[i]: c for i, c in val.items()} if val else {}
+
+
 def int_view(table: dict):
     """Op (i, j) -> table[(i, j)] over a private ``int_coeffs`` copy of the
     ident-pair table, {} for a missing pair.  The op returns the stored
@@ -185,18 +199,12 @@ class FiniteAlgebra:
     def __init__(self, letters, product, commutative=False):
         self.letters = list(letters)
         self.by_ident = {a.ident: a for a in self.letters}
-        self.product = {
-            key: {i: Fraction(c) for i, c in val.items() if c}
-            for key, val in product.items()
-        }
+        self.product = fraction_table(product)
         self.commutative = commutative
         self._validate()
 
     def mul_letters(self, a: Letter, b: Letter) -> Vec:
-        tab = self.product.get((a.ident, b.ident))
-        if not tab:
-            return {}
-        return {self.by_ident[i]: c for i, c in tab.items()}
+        return on_letters(self.product, self.by_ident, (a.ident, b.ident))
 
     def _validate(self):
         idents = [a.ident for a in self.letters]

@@ -54,11 +54,11 @@ def lie_oracle(a, b):
     out = Polyvec(a.d, 1)
     for (ea, da), ca in a.terms.items():
         for (eb, db), cb in b.terms.items():
-            m, e = pv._dx((eb, db), da[0])
+            m, e = dx_oracle((eb, db), da[0])
             if m is not None:
                 exps = tuple(x + y for x, y in zip(ea, m[0]))
                 out.add((exps, db), ca * cb * e)
-            m, e = pv._dx((ea, da), db[0])
+            m, e = dx_oracle((ea, da), db[0])
             if m is not None:
                 exps = tuple(x + y for x, y in zip(m[0], eb))
                 out.add((exps, da), -ca * cb * e)
@@ -183,6 +183,14 @@ def test_merge_dirs_matches_the_former_insertion_sort(da, db):
     assert pv._merge_dirs(da, db) == merge_dirs_oracle(da, db)
 
 
+def tables_digest(d, name):
+    """sha256 of the sorted structure-constant table ``name`` of
+    polyvec_basis(d)."""
+    table = getattr(polyvec_basis(d), name)
+    text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name, want", [
     ("wedge_table", "53c2743a01639933426c1244f7ec8d3a9b7ecaa1e05ec85e1d90d3ede9b10d21"),
     ("bracket_table", "df8500d383eff05928f1c15dff09794a4799dcabd2b52ecb88fe45522e140d36"),
@@ -190,6 +198,113 @@ def test_merge_dirs_matches_the_former_insertion_sort(da, db):
 def test_polyvec_basis_tables_golden_digest(name, want):
     """The sorted wedge and bracket structure constants of polyvec_basis(3),
     pinned byte for byte."""
-    table = getattr(polyvec_basis(3), name)
-    text = repr(sorted((k, sorted(v.items())) for k, v in table.items()))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert tables_digest(3, name) == want
+
+
+@pytest.mark.parametrize("name, want", [
+    ("wedge_table", "fc53a8e1dbf7d83a4d587c2989624569ff4e7658c05c0dcd77bbf02fa14b956d"),
+    ("bracket_table", "f2c1763fb8acc48fa277da581b322a8054f3622c5974c267ea8603fa096b13c5"),
+])
+def test_polyvec_basis_d4_tables_golden_digest(name, want):
+    """The same digest of polyvec_basis(4), all 192 basis monomials."""
+    assert tables_digest(4, name) == want
+
+
+def test_polyvec_basis_d3_satisfies_the_gerstenhaber_axioms():
+    """The monomial constants at d = 3 pass ``validate`` on all 38^3 basis
+    triples."""
+    basis = polyvec_basis(3)
+    assert len(basis.letters) == 38
+    assert basis.validate() is basis
+
+
+# The former bilinear wedge and Schouten bracket on Polyvec, kept as oracles
+# for the monomial formulas ``wedge_monos`` and ``schouten_monos``.
+
+def wedge_oracle(a, b):
+    out = Polyvec(a.d, a.k + b.k)
+    for (ea, da), ca in a.terms.items():
+        for (eb, db), cb in b.terms.items():
+            dirs, sign = pv._merge_dirs(da, db)
+            if dirs is None:
+                continue
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out.add((exps, dirs), ca * cb * sign)
+    return out
+
+
+def dxi_oracle(mono, i):
+    """Right derivative with respect to the odd direction i, or None."""
+    exps, dirs = mono
+    if i not in dirs:
+        return None, 0
+    pos = dirs.index(i)
+    sign = -1 if (len(dirs) - 1 - pos) % 2 else 1
+    return (exps, dirs[:pos] + dirs[pos + 1:]), sign
+
+
+def dx_oracle(mono, i):
+    """Derivative of the coefficient in the coordinate x_i (1-based)."""
+    exps, dirs = mono
+    e = exps[i - 1]
+    if not e:
+        return None, 0
+    newe = list(exps)
+    newe[i - 1] -= 1
+    return (tuple(newe), dirs), e
+
+
+def dot_oracle(a, b):
+    """sum_i (da/dxi_i) wedge (db/dx_i)."""
+    out = Polyvec(a.d, a.k + b.k - 1)
+    for (ea, da), ca in a.terms.items():
+        for i in da:
+            ma, sa = dxi_oracle((ea, da), i)
+            for (eb, db), cb in b.terms.items():
+                mb, eb_coeff = dx_oracle((eb, db), i)
+                if mb is None:
+                    continue
+                dirs, sign = pv._merge_dirs(ma[1], mb[1])
+                if dirs is None:
+                    continue
+                exps = tuple(x + y for x, y in zip(ma[0], mb[0]))
+                out.add((exps, dirs), ca * cb * sa * eb_coeff * sign)
+    return out
+
+
+def schouten_oracle(a, b):
+    sign = -1 if ((a.k - 1) * (b.k - 1)) % 2 else 1
+    return dot_oracle(a, b) - dot_oracle(b, a).scale(sign)
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def polyvec_pairs(draw):
+    """Two homogeneous polyvectors on R^d, d <= 4, of several terms with
+    fractional coefficients; some terms are added twice with opposite
+    coefficients, and b may be a itself, so that output terms cancel."""
+    d = draw(st.integers(1, 4))
+
+    def polyvec():
+        k = draw(st.integers(0, d))
+        terms = draw(st.lists(st.tuples(st.sampled_from(basis(d, k)), coefficients),
+                              max_size=6))
+        cancel = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+        out = Polyvec(d, k)
+        for mono, c in terms + [(m, -c) for m, c in cancel]:
+            out.add(mono, c)
+        return out
+
+    a = polyvec()
+    return a, a if draw(st.booleans()) else polyvec()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(polyvec_pairs())
+def test_wedge_and_schouten_match_the_former_bilinear_bodies(pair):
+    a, b = pair
+    assert wedge(a, b) == wedge_oracle(a, b)
+    assert schouten(a, b) == schouten_oracle(a, b)
+    assert schouten(b, a) == schouten_oracle(b, a)
