@@ -23,12 +23,12 @@ Evaluated on a monomial W the terms are, writing x_i for packet degrees:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign, pulled_terms, slot_terms
-from .ginfty import Mono, add_mono, kappa, mono_deg, packet_sort_key, pdeg
+from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
+                     packet_sort_key, pdeg, pgrade)
 from .shuffleco import ShuffleQuotient
 from .tensorco import add_scaled, add_term
 
@@ -67,7 +67,10 @@ class ChContext:
 
     ``f1`` maps source letters to target elements; it must be a degree 0
     morphism of the unshifted algebras (checked for the instances built here
-    by their own tests, not at construction).
+    by their own tests, not at construction).  It must also keep torus
+    weights: a letter may only go to target letters of its own weight, which
+    is checked here (``ValueError``), since every grade-restricted
+    enumeration relies on it.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
@@ -75,25 +78,31 @@ class ChContext:
         self.target = target
         self.f1 = {a: {b: Fraction(c) for b, c in val.items() if c}
                    for a, val in f1.items() if val}
+        for a, val in self.f1.items():
+            for b in val:
+                if a.grade - a.degree != b.grade - b.degree:
+                    raise ValueError(f"f1 changes the weight: {a} -> {b}")
         self.quotient = ShuffleQuotient()
-        # when f1 only hits degree -1 letters, every coboundary term references
-        # arguments of degree exactly deg(W)+1, enabling exact degree pruning
-        self.f1_shifts_by_one = all(a.degree == -1 for a in self.f1)
+        # when f1 only hits letters of grade -1 (degree -1, weight 0), every
+        # coboundary term references arguments of grade exactly grade(W)+1,
+        # enabling exact grade pruning
+        self.f1_shifts_by_one = all(a.grade == -1 for a in self.f1)
         self._rep_words: dict[tuple, list] = {}
 
-    def rep_words(self, length: int, degrees=None) -> list:
+    def rep_words(self, length: int, grades=None) -> list:
         """All representative words of the given length, in canonical order.
 
-        With ``degrees``, only the words whose letter-degree sum lies in it
-        (the same order), and only their multisets are tabulated.
+        With ``grades``, only the words whose grade (the sum of their letter
+        grades) lies in it, in the same order, and only their multisets are
+        walked and tabulated.
         """
-        if degrees is not None:
-            degrees = frozenset(degrees)
-        words = self._rep_words.get((length, degrees))
+        if grades is not None:
+            grades = frozenset(grades)
+        words = self._rep_words.get((length, grades))
         if words is None:
-            words = self.quotient.rep_words(self.source.letters, length, degrees)
+            words = self.quotient.rep_words(self.source.letters, length, grades)
             words.sort(key=packet_sort_key)
-            self._rep_words[length, degrees] = words
+            self._rep_words[length, grades] = words
         return words
 
 
@@ -299,7 +308,8 @@ def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> di
 
 class Cochain:
     """A stored cochain: canonical monomial -> target element, plus its level
-    and its degree support (the degrees of the monomials it is nonzero on)."""
+    and its grade support (the ``mono_grade`` of each monomial it is nonzero
+    on: its degree and torus weight)."""
 
     def __init__(self, values: dict, level: int):
         self.values = {}
@@ -308,7 +318,7 @@ class Cochain:
             if vec:
                 self.values[m] = vec
         self.level = level
-        self.degree_support = {mono_deg(m) for m in self.values}
+        self.grade_support = {mono_grade(m) for m in self.values}
 
     def eval(self, mono: Mono) -> Vec:
         return self.values.get(mono, {})
@@ -329,8 +339,9 @@ def f3_111(d: int, ctx: ChContext) -> Cochain:
 
     (the two cyclic index contractions of the three Jacobians), and 0 whenever
     any packet is longer than one letter or any letter is not a vector field.
-    The formula is evaluated once on the shape (1, 1, 1) monomials of degree
-    -3, the only ones it can be nonzero on.
+    The formula is evaluated once on the shape (1, 1, 1) monomials of grade
+    -3 (degree -3 and weight 0), the only ones it can be nonzero on: each
+    contraction pairs every x_a with a d_a.
     """
     one = ctx.target.letters[0]
 
@@ -390,63 +401,66 @@ def reachable_shapes(shapes) -> list:
     return sorted(out)
 
 
-def _word_degrees(ctx: ChContext, by_len: dict, degrees) -> dict:
-    """Per packet length, the letter-degree sums a packet of that length can
-    have in a monomial of the shape ``by_len`` whose degree lies in
-    ``degrees`` (a monomial's degree is its letter degrees minus its packet
-    count).  The letter-degree sums of p letters are the sums of p of the
-    few distinct letter degrees, so no letter multiset is walked."""
-    degs = sorted({a.degree for a in ctx.source.letters})
-    sums = {p: {sum(c) for c in combinations_with_replacement(degs, p)}
-            for p in by_len}
-    n = sum(by_len.values())
+def _word_grades(ctx: ChContext, by_len: dict, grades) -> dict:
+    """Per packet length p, the word grades (sums of letter grades) a packet
+    of p letters can have in a monomial of the shape ``by_len`` whose grade
+    lies in ``grades`` (a monomial's grade is its letter grades minus its
+    packet count).  The other packets hold N - p letters together (N in the
+    shape), so their grades are the (N - p)-fold sums of the distinct letter
+    grades, and no letter multiset is walked.  A one-packet shape needs no
+    sum: its packet's grade is the monomial's plus one."""
+    letter_grades = {a.grade for a in ctx.source.letters}
+    N, n = sum(p * c for p, c in by_len.items()), sum(by_len.values())
+    sums = [{0}]  # sums[k]: the grades of k letters
+    for _ in range(N - min(by_len)):
+        sums.append({s + g for s in sums[-1] for g in letter_grades})
     out = {}
     for p in by_len:
-        rest = {0}  # letter-degree sums of the other packets together
-        for q, count in by_len.items():
-            for _ in range(count - (q == p)):
-                rest = {r + s for r in rest for s in sums[q]}
-        out[p] = {w for w in sums[p] if any(w + r - n in degrees for r in rest)}
+        out[p] = {t + n - r for t in grades for r in sums[N - p]}
+        if n > 1:  # then p <= N - min(by_len)
+            out[p] &= sums[p]
     return out
 
 
-def monomials_for_shape(ctx: ChContext, shape, degrees=None) -> list:
+def monomials_for_shape(ctx: ChContext, shape, grades=None) -> list:
     """Canonical basis monomials of one shape over the context letters.
 
-    With ``degrees``, only the monomials whose ``mono_deg`` lies in it, in the
-    same order; only the packets that can reach one of them are tabulated.
+    With ``grades``, only the monomials whose ``mono_grade`` lies in it, in
+    the same order; only the packets that can reach one of them are walked
+    and tabulated.
     """
     by_len: dict[int, int] = {}
     for p in shape:
         by_len[p] = by_len.get(p, 0) + 1
-    allowed = None if degrees is None else _word_degrees(ctx, by_len, degrees)
+    allowed = None if grades is None else _word_grades(ctx, by_len, grades)
     lens = sorted(shape)
     words = {p: ctx.rep_words(p, None if allowed is None else allowed[p])
              for p in by_len}
-    wdeg = {p: [pdeg(w) for w in words[p]] for p in by_len}
-    # need[s]: degrees that slots 0..s must sum to for the later slots to
-    # complete them into ``degrees``
+    wgrade = {p: [pgrade(w) for w in words[p]] for p in by_len}
+    odd = {p: [pdeg(w) % 2 for w in words[p]] for p in by_len}
+    # need[s]: grades that slots 0..s must sum to for the later slots to
+    # complete them into ``grades``
     need = None
-    if degrees is not None:
-        need = [set(degrees)]
+    if grades is not None:
+        need = [set(grades)]
         for p in reversed(lens[1:]):
-            need.insert(0, {t - g for g in set(wdeg[p]) for t in need[0]})
+            need.insert(0, {t - g for g in set(wgrade[p]) for t in need[0]})
     n = len(lens)
     out = []
 
-    def rec(s, lo, acc, deg):
+    def rec(s, lo, acc, grade):
         if s == n:
             out.append(acc)
             return
         p = lens[s]
-        ws, ds = words[p], wdeg[p]
+        ws, gs, odds = words[p], wgrade[p], odd[p]
         same = s + 1 < n and lens[s + 1] == p
         for i in range(lo, len(ws)):
-            e = deg + ds[i]
+            e = grade + gs[i]
             if need is None or e in need[s]:
                 # equal-length slots take nondecreasing word indices, and a
                 # repeated odd packet squares to zero
-                rec(s + 1, i + ds[i] % 2 if same else 0, acc + (ws[i],), e)
+                rec(s + 1, i + odds[i] if same else 0, acc + (ws[i],), e)
 
     rec(0, 0, (), 0)
     return out
@@ -459,19 +473,21 @@ def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation,
     Raises TruncationError when a shape reachable from f's own support falls
     outside the window.  Shapes on which ``table`` (built on f's shapes)
     keeps no term family are skipped.  When the letter morphism is supported
-    in degree -1, every coboundary term evaluates f one degree up, so only
-    the monomials of degree s - 1, s in f's degree support, are enumerated.
+    in grade -1 (degree -1 and weight 0), every coboundary term evaluates f
+    one grade up: one degree up in the same torus weight, since wedge and
+    bracket add weights.  Then only the monomials of grade s - 1, s in f's
+    grade support, are enumerated.
     """
     bad = [s for s in reachable_shapes(f.shapes())
            if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
     if bad:
         raise TruncationError(f"required shapes outside truncation: {bad}")
-    degrees = None
+    grades = None
     if ctx.f1_shifts_by_one:
-        degrees = {s - 1 for s in f.degree_support}
+        grades = {s - 1 for s in f.grade_support}
     for shape in level_shapes(f.level + 1, trunc.nmax):
         if any(table.live(shape)):
-            yield from monomials_for_shape(ctx, shape, degrees)
+            yield from monomials_for_shape(ctx, shape, grades)
 
 
 # ---------------------------------------------------------------------------
@@ -509,57 +525,64 @@ def is_cocycle(f, ctx: ChContext, trunc: Truncation) -> bool:
 def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     """Exact solve of d(g) = f over all level-(N-1) shapes, or None.
 
-    The system splits into independent blocks by monomial degree (every
-    coboundary term references arguments of degree deg(W)+1 when the letter
-    morphism is supported in degree -1); each block is decided by an exact
+    The system splits into independent blocks by monomial grade (every
+    coboundary term references arguments of grade grade(W)+1 when the letter
+    morphism is supported in grade -1); each block is decided by an exact
     rank comparison, and a preimage is assembled when every block is solvable.
-    Only the blocks of the row degrees in f's degree support are built and
+    Only the blocks of the row grades in f's grade support are built and
     solved: every other block has right-hand side zero, which zero solves.
+    The preimage lists the solutions degree by degree, in the order in which
+    the rows first reach each degree, and within a degree by column in
+    enumeration order, so it does not depend on how a degree splits into
+    weights.
     """
     N = f.level
     if N < 1:
         raise ValueError("level must be >= 1")
     if not ctx.f1_shifts_by_one:
-        raise ValueError("degree-blocked solve needs a degree -1 letter morphism")
+        raise ValueError("grade-blocked solve needs a letter morphism of grade -1")
     src_shapes = level_shapes(N - 1, trunc.nmax)
     row_shapes = level_shapes(N, trunc.nmax)
     missing = [s for s in f.shapes() if s not in row_shapes]
     if missing:
         raise TruncationError(f"cochain shapes outside truncation: {missing}")
 
-    degrees = f.degree_support
-    col_degrees = {s + 1 for s in degrees}
-    cols_by_deg: dict[int, list] = {}
+    grades = f.grade_support
+    cols: list = []  # every column monomial, in enumeration order
     for shape in src_shapes:
-        for mono in monomials_for_shape(ctx, shape, col_degrees):
-            cols_by_deg.setdefault(mono_deg(mono), []).append(mono)
+        cols += monomials_for_shape(ctx, shape, {s + 1 for s in grades})
+    cols_by_grade: dict[int, list] = {}  # grade -> indices into cols
+    for i, mono in enumerate(cols):
+        cols_by_grade.setdefault(mono_grade(mono), []).append(i)
 
-    rows_by_deg: dict[int, list] = {}
+    rows_by_grade: dict[int, list] = {}
     for shape in row_shapes:
-        for mono in monomials_for_shape(ctx, shape, degrees):
-            rows_by_deg.setdefault(mono_deg(mono), []).append(mono)
+        for mono in monomials_for_shape(ctx, shape, grades):
+            rows_by_grade.setdefault(mono_grade(mono), []).append(mono)
 
     tletters = ctx.target.letters
     tindex = {a: i for i, a in enumerate(tletters)}
     nt = len(tletters)
     table = PacketTable(ctx)
-    preimage: dict = {}
-    for dW, rows in rows_by_deg.items():
-        cols = cols_by_deg.get(dW + 1, [])
+    by_degree: dict[int, dict] = {}  # row degree -> {column * nt + letter: value}
+    for gW, rows in rows_by_grade.items():
+        block = cols_by_grade.get(gW + 1, [])
         b: dict[int, Fraction] = {}
         for ri, W in enumerate(rows):
             for lo, c in f.eval(W).items():
                 b[ri * nt + tindex[lo]] = c
-        if not b and not cols:
+        if not b and not block:
             continue
-        x = solve_in_column_span(_block_matrix(ctx, rows, cols, table), b)
+        x = solve_in_column_span(
+            _block_matrix(ctx, rows, [cols[i] for i in block], table), b)
         if x is None:
             return None
-        for ci, c in x.items():
-            if c:
-                mono = cols[ci // nt]
-                letter = tletters[ci % nt]
-                preimage.setdefault(mono, {})[letter] = c
+        by_degree.setdefault(mono_deg(rows[0]), {}).update(
+            (block[ci // nt] * nt + ci % nt, c) for ci, c in x.items() if c)
+    preimage: dict = {}
+    for solved in by_degree.values():
+        for key in sorted(solved):
+            preimage.setdefault(cols[key // nt], {})[tletters[key % nt]] = solved[key]
     return Cochain(preimage, N - 1)
 
 

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .graded import Letter
 from .polyvec import basis as pv_basis
-from .polyvec import (_merge_dirs, check_mono, hom_letter, schouten_monos,
-                      wedge_monos)
+from .polyvec import (_merge_dirs, check_mono, hom_ident, hom_letter,
+                      schouten_monos, wedge_monos)
 from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
                        extend, fraction_table, int_view, jacobi, on_letters,
@@ -110,7 +110,8 @@ def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
     With kmax = d (the default) the space is closed under wedge and bracket,
     so the tables are exact structure constants of the full finite-dimensional
     algebra.  Each constant comes from ``wedge_monos`` or ``schouten_monos``
-    on a pair of basis monomials.
+    on a pair of basis monomials.  Each letter gets its torus weight once,
+    in its grade (``hom_letter``).
     """
     if kmax is None:
         kmax = d
@@ -127,7 +128,7 @@ def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
         if val:
             for mono in val:
                 check_mono(mono, d, k)
-            table[key] = {hom_letter(d, m).ident: c for m, c in val.items()}
+            table[key] = {hom_ident(m): c for m, c in val.items()}
 
     for a, ma in zip(letters, monos):
         for b, mb in zip(letters, monos):

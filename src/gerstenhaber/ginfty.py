@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
 from .graded import (bipartitions, koszul_sort, pulled_terms, slot_terms,
-                     unshuffle_sign, word_deg)
+                     unshuffle_sign, word_deg, word_grade)
 from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term
 
@@ -35,6 +35,16 @@ def pdeg(packet: Word) -> int:
 
 def mono_deg(mono: Mono) -> int:
     return sum(pdeg(w) for w in mono)
+
+
+def pgrade(packet: Word) -> int:
+    """Packet grade: letter grades summed, minus one for the extra shift
+    (the shift lowers the degree and keeps the weight)."""
+    return word_grade(packet) - 1
+
+
+def mono_grade(mono: Mono) -> int:
+    return sum(pgrade(w) for w in mono)
 
 
 def packet_sort_key(packet: Word):

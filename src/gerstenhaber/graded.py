@@ -10,7 +10,7 @@ on one is built by ``slot_terms`` (in place) or ``pulled_terms`` (to the front).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,16 +22,21 @@ class Letter:
     ``degree`` is the Koszul degree in the space the letter is used in; which
     shift convention that is (shifted or not) is fixed by the owning module.
     ``ident`` must be orderable within one alphabet, it fixes all canonical
-    word and factor orderings.
+    word and factor orderings.  ``grade`` is the degree together with a
+    torus weight, packed by ``pack_grade``; it defaults to the degree (weight
+    0) and takes no part in comparison or hashing.
     """
 
     ident: object
     degree: int
+    grade: int = field(default=None, compare=False)
 
     def __post_init__(self):
         # letters key most dicts and sets of the package: hash once; the
         # value is the dataclass hash, so every dict and set order is kept
         object.__setattr__(self, "_hash", hash((self.ident, self.degree)))
+        if self.grade is None:
+            object.__setattr__(self, "grade", self.degree)
 
     def __hash__(self):
         return self._hash
@@ -40,14 +45,49 @@ class Letter:
         return f"L({self.ident},{self.degree})"
 
 
+# The grade of a degree and a weight (w_1, ..., w_d) in Z^d is the integer
+# degree + w_1 R + ... + w_d R^d, R = GRADE_RADIX, with every coordinate a
+# balanced digit.  While each coordinate of a sum of grades stays below R / 2
+# in absolute value (letter coordinates are small, words and monomials have
+# a few dozen letters), the sum is the grade of the coordinate sums, so sets
+# of grades add as integer sumsets and a grade determines its coordinates.
+GRADE_RADIX = 1 << 20
+
+
+def pack_grade(degree: int, weight: Sequence[int] = ()) -> int:
+    """The grade of a degree and a torus weight, as one integer."""
+    g = 0
+    for w in reversed(weight):
+        g = g * GRADE_RADIX + w
+    return g * GRADE_RADIX + degree
+
+
+def grade_digits(g: int) -> tuple:
+    """The coordinates (degree, w_1, ..., w_k) of a grade, up to its last
+    nonzero weight coordinate."""
+    half = GRADE_RADIX // 2
+    out = []
+    while True:
+        r = (g + half) % GRADE_RADIX - half
+        out.append(r)
+        g = (g - r) // GRADE_RADIX
+        if not g:
+            return tuple(out)
+
+
 def word_deg(word: Sequence[Letter]) -> int:
     """Degree of a word: the sum of its letter degrees."""
     return sum(a.degree for a in word)
 
 
+def word_grade(word: Sequence[Letter]) -> int:
+    """Grade of a word: the sum of its letter grades."""
+    return sum(a.grade for a in word)
+
+
 def shifted(letter: Letter) -> Letter:
     """The same symbol viewed one shift down (degree lowered by 1)."""
-    return Letter(letter.ident, letter.degree - 1)
+    return Letter(letter.ident, letter.degree - 1, letter.grade - 1)
 
 
 def _odd_inversion_sign(odd: Sequence[int], perm: Sequence[int]) -> int:

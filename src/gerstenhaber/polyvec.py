@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .graded import Letter, koszul_sort
+from .graded import Letter, koszul_sort, pack_grade
 from .tensorco import add_term, extend
 
 Mono = tuple  # (exps: tuple[int, ...], dirs: tuple[int, ...]) with dirs 1-based
@@ -208,9 +208,21 @@ def f1(a: Polyvec) -> Fraction:
 
 
 def hom_letter(d: int, mono: Mono) -> Letter:
-    """Letter for a homogeneous basis monomial, graded in the shifted space."""
+    """Letter for a homogeneous basis monomial, graded in the shifted space.
+
+    Its grade carries the torus weight alpha - 1_I of x^alpha d_I: the
+    diagonal torus of GL(d) scales x_i by t_i and d_i by 1/t_i.  Wedge and
+    Schouten bracket add weights, so each weight space is a subcomplex.
+    """
     exps, dirs = mono
-    return Letter((len(dirs), dirs, exps), len(dirs) - 1)
+    weight = [e - (i + 1 in dirs) for i, e in enumerate(exps)]
+    return Letter(hom_ident(mono), len(dirs) - 1, pack_grade(len(dirs) - 1, weight))
+
+
+def hom_ident(mono: Mono) -> tuple:
+    """The ident of ``hom_letter``: (tensor degree, directions, exponents)."""
+    exps, dirs = mono
+    return (len(dirs), dirs, exps)
 
 
 def letter_polyvec(d: int, letter: Letter) -> Polyvec:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .exactlin import echelonize
-from .graded import koszul_sign, word_deg
+from .graded import grade_digits, koszul_sign, word_deg
 from .tensorco import (add_scaled, add_term, coderivation_lift_tensor,
                        d_hochschild, extend, m2)
 
@@ -119,6 +119,54 @@ def _distinct_permutations(pool: list) -> list:
     return out
 
 
+def graded_multisets(letters: list, length: int, grades) -> list:
+    """The multisets of ``length`` letters from the sorted list ``letters``
+    whose grade lies in ``grades``, in ``combinations_with_replacement``
+    order.
+
+    One recursion over the alphabet takes nondecreasing letter indices.  A
+    branch that must still take r letters from letters[j:] is cut when, in
+    one coordinate of the grade (the degree or a weight coordinate), the sum
+    so far plus r times the least or the largest value of that coordinate
+    over letters[j:] cannot reach the range of that coordinate over
+    ``grades``.  The values over letters[j + 1:] lie inside those over
+    letters[j:], so a cut at j also cuts every later letter.
+    """
+    grades = set(grades)
+    if not grades or not letters:
+        return []
+    lgrades = [a.grade for a in letters]
+    digits = [grade_digits(g) for g in lgrades + list(grades)]
+    width = max(map(len, digits))
+    digits = [t + (0,) * (width - len(t)) for t in digits]
+    coords, targets = digits[:len(letters)], digits[len(letters):]
+    tlo = [min(t[c] for t in targets) for c in range(width)]
+    thi = [max(t[c] for t in targets) for c in range(width)]
+    # box[j]: (least, largest) of each coordinate over letters[j:]
+    box = [None] * len(letters)
+    lo, hi = list(coords[-1]), list(coords[-1])
+    for j in range(len(letters) - 1, -1, -1):
+        lo = [min(x, y) for x, y in zip(lo, coords[j])]
+        hi = [max(x, y) for x, y in zip(hi, coords[j])]
+        box[j] = list(zip(lo, hi, tlo, thi))
+    out = []
+
+    def rec(i, r, acc, grade, cur):
+        if not r:
+            if grade in grades:
+                out.append(acc)
+            return
+        for j in range(i, len(letters)):
+            if any(x + r * l > th or x + r * h < tl
+                   for x, (l, h, tl, th) in zip(cur, box[j])):
+                break
+            rec(j, r - 1, acc + (letters[j],), grade + lgrades[j],
+                [x + y for x, y in zip(cur, coords[j])])
+
+    rec(0, length, (), 0, [0] * width)
+    return out
+
+
 class ShuffleQuotient:
     """Reduction to representatives modulo shuffle images, per letter multiset.
 
@@ -162,15 +210,20 @@ class ShuffleQuotient:
         self._table(multiset)
         return list(self.reps[multiset])
 
-    def rep_words(self, alphabet, length: int, degrees=None) -> list:
+    def rep_words(self, alphabet, length: int, grades=None) -> list:
         """Representative words of ``length`` letters over ``alphabet``,
         multiset by multiset in ``combinations_with_replacement`` order of the
-        sorted alphabet.  With ``degrees``, only the multisets whose
-        letter-degree sum lies in it are tabulated and listed."""
+        sorted alphabet.  With ``grades``, only the multisets whose grade
+        (the sum of their letter grades) lies in it are walked, tabulated
+        and listed (``graded_multisets``)."""
+        letters = sorted(alphabet)
+        if grades is None:
+            multisets = combinations_with_replacement(letters, length)
+        else:
+            multisets = graded_multisets(letters, length, grades)
         words: list = []
-        for ms in combinations_with_replacement(sorted(alphabet), length):
-            if degrees is None or word_deg(ms) in degrees:
-                words.extend(self.representatives(ms))
+        for ms in multisets:
+            words.extend(self.representatives(ms))
         return words
 
     def dim(self, letters) -> int:

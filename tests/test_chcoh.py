@@ -5,15 +5,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
-                                Truncation, TruncationError, _word_degrees,
-                                assemble_matrix, d_ch_terms, d_ch_value,
+                                Truncation, TruncationError, _word_grades,
+                                assemble_matrix, d_ch_row, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
                                 reconstruct_morphism, recursion_single)
-from gerstenhaber.genv import sandbox_gerstenhaber, zero_gerstenhaber
-from gerstenhaber.ginfty import Mono, big_delta, kappa, mono_deg, mono_key, pdeg
-from gerstenhaber.graded import Letter, word_deg
+from gerstenhaber.genv import (polyvec_basis, sandbox_gerstenhaber,
+                               zero_gerstenhaber)
+from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
+                                 mono_key, pdeg, pgrade)
+from gerstenhaber.graded import Letter, word_deg, word_grade
 from gerstenhaber.polyvec import hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
@@ -193,55 +195,72 @@ def test_coboundary_roundtrip_small_golden_preimage():
 
 @pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])
 def test_degree_restricted_enumeration_keeps_order(d, kmax):
-    """Restricted to degrees, the enumerators return exactly the filtered
-    full lists, in the same order, from a cold context; the quotient's own
-    walk tabulates only the multisets of the requested degree."""
+    """Restricted to the grades of one degree (or of one grade), the
+    enumerators return exactly the filtered full lists, in the same order,
+    from a cold context; the quotient's own walk tabulates only the
+    multisets of the requested degree (or grade)."""
     full_ctx = real_polyvec_context(d, kmax)
     letters = full_ctx.source.letters
     for p in (1, 2, 3):
         words = full_ctx.rep_words(p)
         unsorted = full_ctx.quotient.rep_words(letters, p)
         for deg in sorted({word_deg(w) for w in words}):
+            grades = {word_grade(w) for w in words if word_deg(w) == deg}
             ctx = real_polyvec_context(d, kmax)
-            assert ctx.rep_words(p, {deg}) == [w for w in words if word_deg(w) == deg]
+            assert ctx.rep_words(p, grades) == [w for w in words if word_deg(w) == deg]
             quo = ShuffleQuotient()
-            assert quo.rep_words(letters, p, {deg}) == \
+            assert quo.rep_words(letters, p, grades) == \
                 [w for w in unsorted if word_deg(w) == deg]
             assert {(len(ms), word_deg(ms)) for ms in quo.tables} == {(p, deg)}
+        for g in sorted({word_grade(w) for w in words}):
+            assert full_ctx.rep_words(p, {g}) == [w for w in words if word_grade(w) == g]
+            quo = ShuffleQuotient()
+            assert quo.rep_words(letters, p, {g}) == \
+                [w for w in unsorted if word_grade(w) == g]
+            assert {(len(ms), word_grade(ms)) for ms in quo.tables} == {(p, g)}
     for N in (1, 2, 3):
         for shape in level_shapes(N, 4):
             full = monomials_for_shape(full_ctx, shape)
             degs = sorted({mono_deg(m) for m in full})
+
+            def grades_of(ds):
+                return {mono_grade(m) for m in full if mono_deg(m) in ds}
+
             for deg in degs:
                 ctx = real_polyvec_context(d, kmax)
-                assert monomials_for_shape(ctx, shape, {deg}) == \
+                assert monomials_for_shape(ctx, shape, grades_of({deg})) == \
                     [m for m in full if mono_deg(m) == deg]
             pair = set(degs[:2])
-            assert monomials_for_shape(real_polyvec_context(d, kmax), shape, pair) == \
+            assert monomials_for_shape(real_polyvec_context(d, kmax), shape,
+                                       grades_of(pair)) == \
                 [m for m in full if mono_deg(m) in pair]
+            for g in sorted({mono_grade(m) for m in full}):
+                assert monomials_for_shape(full_ctx, shape, {g}) == \
+                    [m for m in full if mono_grade(m) == g]
 
 
-def monomials_for_shape_oracle(ctx, shape, degrees=None) -> list:
+def monomials_for_shape_oracle(ctx, shape, grades=None) -> list:
     """The former enumerator: every combo of every packet-length group, with
-    repeated odd packets and off-degree combos filtered out afterwards."""
+    repeated odd packets and off-grade combos filtered out afterwards."""
     by_len: dict[int, int] = {}
     for p in shape:
         by_len[p] = by_len.get(p, 0) + 1
-    allowed = None if degrees is None else _word_degrees(ctx, by_len, degrees)
+    allowed = None if grades is None else _word_grades(ctx, by_len, grades)
     groups = []
     for p in sorted(by_len):
         words = ctx.rep_words(p, None if allowed is None else allowed[p])
         wdeg = [pdeg(w) for w in words]
+        wgrade = [pgrade(w) for w in words]
         choices = []
         for combo in combinations_with_replacement(range(len(words)), by_len[p]):
             if any(i == j and wdeg[i] % 2 for i, j in zip(combo, combo[1:])):
                 continue
-            deg = 0 if degrees is None else sum(wdeg[i] for i in combo)
-            choices.append(([words[i] for i in combo], deg))
+            grade = 0 if grades is None else sum(wgrade[i] for i in combo)
+            choices.append(([words[i] for i in combo], grade))
         groups.append(choices)
     need = None
-    if degrees is not None:
-        need = [set(degrees)]
+    if grades is not None:
+        need = [set(grades)]
         for choices in reversed(groups[1:]):
             gdegs = {deg for _, deg in choices}
             need.insert(0, {t - g for t in need[0] for g in gdegs})
@@ -261,8 +280,10 @@ def monomials_for_shape_oracle(ctx, shape, degrees=None) -> list:
 
 def test_monomials_for_shape_matches_combo_oracle():
     """The one walk over packet slots returns the former per-group combo
-    enumeration, order included, with and without degrees, also for degree
-    sets no monomial reaches and on sandboxes with odd packets."""
+    enumeration, order included, with and without grades: the grades of
+    some degrees, also of degrees no monomial reaches (their weight-0
+    grade), and single grades; on sandboxes (weight 0 throughout, with odd
+    packets) a grade is a degree."""
     compared = 0
     for ctx in table_contexts():
         for N in (1, 2, 3, 4):
@@ -271,12 +292,19 @@ def test_monomials_for_shape_matches_combo_oracle():
                 assert full == monomials_for_shape_oracle(ctx, shape)
                 degs = sorted({mono_deg(m) for m in full})
                 lo, hi = (degs[0], degs[-1]) if degs else (0, 0)
+                allg = sorted({mono_grade(m) for m in full})
                 for degrees in ([{deg} for deg in degs[:3] + degs[-2:]]
                                 + [set(degs[::2]), {lo - 3}, {hi + 3},
                                    {lo - 1, hi + 1}, {lo - 2, hi}]):
-                    got = monomials_for_shape(ctx, shape, degrees)
-                    assert got == monomials_for_shape_oracle(ctx, shape, degrees)
+                    grades = {mono_grade(m) for m in full if mono_deg(m) in degrees}
+                    grades |= {deg for deg in degrees if deg not in degs}
+                    got = monomials_for_shape(ctx, shape, grades)
+                    assert got == monomials_for_shape_oracle(ctx, shape, grades)
                     assert got == [m for m in full if mono_deg(m) in degrees]
+                for grades in [{g} for g in allg[:3] + allg[-2:]] + [set(allg[1::3])]:
+                    got = monomials_for_shape(ctx, shape, grades)
+                    assert got == monomials_for_shape_oracle(ctx, shape, grades)
+                    assert got == [m for m in full if mono_grade(m) in grades]
                 compared += len(full)
     assert compared > 15000
 
@@ -327,8 +355,9 @@ def test_live_shape_selection_matches_referenced_oracle():
 
 def test_headline_decision_builds_only_deciding_tables():
     """Deciding f3 at d=3, k<=1 tabulates, among the length-3 multisets, only
-    those of the deciding row block (letter-degree sum -2); the lazily built
-    tables equal eagerly built ones."""
+    those of the deciding row block (letter grade sum -2: degree -2 and
+    weight 0, the constant twice with one x_i d_i); the lazily built tables
+    equal eagerly built ones."""
     ctx = real_polyvec_context(3, 1)
     f3 = f3_111(3, ctx)
     trunc = Truncation(3, 1, 4, 4)
@@ -336,8 +365,8 @@ def test_headline_decision_builds_only_deciding_tables():
     assert is_coboundary(f3, ctx, trunc) is None
     built = sorted(ctx.quotient.tables)
     long = [ms for ms in built if len(ms) == 3]
-    assert len(long) == 9
-    assert all(sum(a.degree for a in ms) == -2 for ms in long)
+    assert len(long) == 3
+    assert all(word_grade(ms) == -2 for ms in long)
     eager = build_quotient(ctx.source.letters, 3)
     assert len(eager.tables) == 285
     assert ctx.quotient.dump_json(long) == eager.dump_json(long)
@@ -512,6 +541,37 @@ def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
             compared += 1
             nonzero += bool(want)
     assert compared >= 300 and nonzero >= 50
+
+
+@pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])
+def test_d_ch_keeps_the_torus_weight(d, kmax):
+    """On every level-2 and level-3 row, every d_ch_row entry has an argument
+    of the row's weight and one degree up (one grade up), and target letters
+    of weight 0: d_CH is block diagonal by grade, which the grade-restricted
+    decisions rely on."""
+    ctx = real_polyvec_context(d, kmax)
+    table = PacketTable(ctx)
+    rows = 0
+    for shape in level_shapes(2, 4) + level_shapes(3, 4):
+        for W in monomials_for_shape(ctx, shape):
+            for arg, lo, li in d_ch_row(W, ctx, table):
+                assert mono_grade(arg) - mono_deg(arg) == mono_grade(W) - mono_deg(W)
+                assert mono_grade(arg) == mono_grade(W) + 1
+                assert lo.grade == lo.degree and li.grade == li.degree
+            rows += 1
+    assert rows > 300
+
+
+def test_letter_morphism_must_keep_weights():
+    """A letter morphism onto a target letter of another weight is refused:
+    the grade-restricted enumeration would silently drop rows."""
+    source = polyvec_basis(3, 1)
+    target = real_target()
+    one = target.letters[0]
+    with pytest.raises(ValueError):
+        ChContext(source, target, {vf_letter(3, 1, 2): {one: Fraction(1)}})
+    ChContext(source, target, {vf_letter(3, 1, 2): {one: Fraction(0)}})
+    assert real_polyvec_context(3, 1).f1_shifts_by_one
 
 
 def test_truncation_insufficiency_reported():

@@ -306,10 +306,12 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "e8dbac81ce5e47de4964eb299fc4db01c456062d97a5bc938523c9c2f925656d"),
     (["--d", "4", "--kmax", "2"],
      "9e226fa30b7f048fba85c4bbb3f6119c4c7594f7a7faca30590ba8edebdf7046"),
+    (["--d", "5", "--kmax", "1"],
+     "92b20fa75f8903269d766739563476bb5a5ab219ffa35398f55cec0f41a28ec1"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
-    """The headline decision at d=3, k<=3 and at d=4, k<=1 and k<=2 as JSON,
-    pinned byte for byte."""
+    """The headline decision at d=3, k<=3, at d=4, k<=1 and k<=2 and at d=5,
+    k<=1 as JSON, pinned byte for byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want

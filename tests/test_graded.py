@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.graded import (Letter, koszul_sign, koszul_sort, pulled_terms,
-                                 slot_terms, unshuffle_sign)
+from gerstenhaber.graded import (Letter, grade_digits, koszul_sign, koszul_sort,
+                                 pack_grade, pulled_terms, shifted, slot_terms,
+                                 unshuffle_sign, word_grade)
 from gerstenhaber.prng import SplitMix64
 
 
@@ -104,6 +105,31 @@ def test_letter_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, field, value)
     assert a == Letter("x", 0) and hash(a) == hash(("x", 0))
+
+
+def test_grade_defaults_to_degree_and_takes_no_part_in_equality():
+    a = Letter("x", 2)
+    assert a.grade == 2
+    b = Letter("x", 2, pack_grade(2, (1, -1)))
+    assert a == b and hash(a) == hash(b)
+    assert shifted(b).grade == pack_grade(1, (1, -1)) and shifted(a).grade == 1
+
+
+@given(st.lists(st.tuples(st.integers(-3, 5),
+                          st.lists(st.integers(-2, 6), min_size=3, max_size=3)),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_grades_add_like_their_coordinates(parts):
+    """The packed grade of a sum is the sum of the packed grades, and
+    ``grade_digits`` reads the coordinates back (trailing zeros dropped)."""
+    letters = [Letter(i, deg, pack_grade(deg, w)) for i, (deg, w) in enumerate(parts)]
+    deg = sum(p[0] for p in parts)
+    weight = [sum(p[1][c] for p in parts) for c in range(3)]
+    assert word_grade(letters) == pack_grade(deg, weight)
+    digits = (deg, *weight)
+    while len(digits) > 1 and not digits[-1]:
+        digits = digits[:-1]
+    assert grade_digits(word_grade(letters)) == digits
 
 
 # items 0..5 with a fixed degree each, so repeated items have equal degrees

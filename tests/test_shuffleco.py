@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from gerstenhaber.chcoh import TaylorFamily, reconstruct_morphism
 from gerstenhaber.genv import h_mu, polyvec_basis, sandbox_gerstenhaber
-from gerstenhaber.graded import Letter, koszul_sign, shifted, word_deg
+from gerstenhaber.graded import (Letter, koszul_sign, pack_grade, shifted,
+                                 word_deg, word_grade)
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
                                     bat_elem, build_quotient, d_harrison, delta,
-                                    delta_elem, mu, validate_harrison_cochain)
+                                    delta_elem, graded_multisets, mu,
+                                    validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
 from gerstenhaber.tensorco import FiniteAlgebra, add_term, extend, m2
 
@@ -322,3 +324,42 @@ def test_bat_of_odd_word_with_itself_vanishes(u):
 def test_suite_green():
     for name, ok, bad in suite_shuffle(7, 40, polyvec_basis(2)):
         assert ok, f"{name}: {bad}"
+
+
+def graded_multiset_alphabets():
+    """Polyvector letters at d=2, k<=2, d=3, k<=1 and d=4, k<=2 (weights in
+    their grades) and one seeded sandbox (weight 0)."""
+    rng = SplitMix64(81)
+    return [polyvec_basis(2, 2).letters, polyvec_basis(3, 1).letters,
+            polyvec_basis(4, 2).letters, sandbox_gerstenhaber(rng).letters]
+
+
+def test_graded_multisets_match_filtered_combinations():
+    """The pruned walk returns the ``combinations_with_replacement``
+    multisets of the requested grades, order included: every single grade
+    (200 drawn where there are more), unions, degrees out of range, grades
+    with a large weight coordinate, and the empty set."""
+    rng = SplitMix64(82)
+    cases = 0
+    for letters in graded_multiset_alphabets():
+        letters = sorted(letters)
+        for n in (1, 2, 3):
+            full = list(combinations_with_replacement(letters, n))
+            at: dict = {}  # grade -> positions in ``full``
+            for i, ms in enumerate(full):
+                at.setdefault(word_grade(ms), []).append(i)
+            grades = sorted(at)
+            if len(grades) > 200:
+                singles = [grades[rng.randrange(len(grades))] for _ in range(200)]
+            else:
+                singles = grades
+            sets = [{g} for g in singles]
+            sets += [set(grades[i::7]) for i in range(3)]
+            lo, hi = min(a.degree for a in letters), max(a.degree for a in letters)
+            sets += [{n * lo - 1}, {n * hi + 1}, {pack_grade(0, (n + 1,))},
+                     {pack_grade(n * lo, (-n - 1, n + 1)), grades[0]}, set()]
+            for gs in sets:
+                want = [full[i] for i in sorted(i for g in gs for i in at.get(g, ()))]
+                assert graded_multisets(letters, n, gs) == want
+                cases += 1
+    assert cases > 700
