@@ -18,6 +18,13 @@ Evaluated on a monomial W the terms are, writing x_i for packet degrees:
   bracket part:
     -eps(x / x_j x_k rest)          f(l2(X_j, X_k) . rest)      for j < k
     eps(x / x_j rest)               l2'(f1(X_j), f(rest))       for length-1 X_j
+
+The letter morphism f1 is supported on letters of grade -1 (degree -1,
+torus weight 0) and every image is killed by the target bracket (the
+constants projection onto the base field; a unit mapped to a unit), which
+``ChContext`` checks.  So the last term is zero and is not built, and every
+other term evaluates f one grade above W: the coboundary is block diagonal
+by grade, and with these morphisms alone it squares to zero.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .graded import Letter, koszul_sign, pulled_terms, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
                      packet_sort_key, pdeg, pgrade)
 from .shuffleco import ShuffleQuotient
-from .tensorco import add_scaled, add_term
+from .tensorco import ONE, add_scaled, add_term, extend
 
 Vec = dict  # dict[Letter, Fraction] over the target basis
 
@@ -65,28 +72,39 @@ def real_target() -> GerstBasis:
 class ChContext:
     """Source algebra, its shuffle quotient, target algebra and letter morphism.
 
-    ``f1`` maps source letters to target elements; it must be a degree 0
-    morphism of the unshifted algebras (checked for the instances built here
-    by their own tests, not at construction).  It must also keep torus
-    weights: a letter may only go to target letters of its own weight, which
-    is checked here (``ValueError``), since every grade-restricted
-    enumeration relies on it.
+    ``f1`` maps source letters to target elements.  It must be supported on
+    letters of grade -1 (degree -1 and torus weight 0), send them to target
+    letters of grade -1, and each image f1(a) must be killed by the target
+    bracket: [f1(a), b] = 0 for every target letter b.  Anything else raises
+    ``ValueError``.  For these morphisms the coboundary is block diagonal by
+    grade and its target-bracket term vanishes; for others, such as a
+    sandbox's identity, it need not square to zero.  The target side of each
+    term family is resolved here, once, into a map of target letters:
+    ``identity``, and per source letter a of f1 ``mul_left[a]`` (b to
+    f1(a) b) and ``mul_right[a]`` (b to b f1(a)), wedges in the target.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
         self.source = source
         self.target = target
-        self.f1 = {a: {b: Fraction(c) for b, c in val.items() if c}
-                   for a, val in f1.items() if val}
-        for a, val in self.f1.items():
-            for b in val:
-                if a.grade - a.degree != b.grade - b.degree:
-                    raise ValueError(f"f1 changes the weight: {a} -> {b}")
+        self.identity = {b: {b: Fraction(1)} for b in target.letters}
+        self.mul_left: dict = {}
+        self.mul_right: dict = {}
+        for a, val in f1.items():
+            val = {b: Fraction(c) for b, c in val.items() if c}
+            if not val:
+                continue
+            if a.grade != -1 or any(b.grade != -1 for b in val):
+                raise ValueError(f"f1 is not supported in grade -1: {a} -> {val}")
+            for b in target.letters:
+                if extend(target.bracket, val, {b: ONE}):
+                    raise ValueError(f"the target bracket does not kill f1({a}): "
+                                     f"[{val}, {b}] != 0")
+            self.mul_left[a] = {b: extend(target.wedge, val, {b: ONE})
+                                for b in target.letters}
+            self.mul_right[a] = {b: extend(target.wedge, {b: ONE}, val)
+                                 for b in target.letters}
         self.quotient = ShuffleQuotient()
-        # when f1 only hits letters of grade -1 (degree -1, weight 0), every
-        # coboundary term references arguments of grade exactly grade(W)+1,
-        # enabling exact grade pruning
-        self.f1_shifts_by_one = all(a.grade == -1 for a in self.f1)
         self._rep_words: dict[tuple, list] = {}
 
     def rep_words(self, length: int, grades=None) -> list:
@@ -124,41 +142,10 @@ def real_polyvec_context(d: int, kmax: int | None = None) -> ChContext:
 # ---------------------------------------------------------------------------
 # coboundary terms
 
-def _linmap_apply(ctx: ChContext, spec, v: Vec) -> Vec:
-    """Apply one of the target-side linear maps to a target element.
-
-    All degree signs are resolved during term generation (the shifted degree
-    of a cochain value is the degree of its argument plus one), so these maps
-    are plain structure-constant products.
-    """
-    kind = spec[0]
-    if kind == "id":
-        return v
-    out: Vec = {}
-    if kind == "mul_l":
-        a = spec[1]
-        for b, cb in v.items():
-            add_scaled(out, ctx.target.wedge(a, b), cb)
-    elif kind == "mul_r":
-        a = spec[1]
-        for b, cb in v.items():
-            add_scaled(out, ctx.target.wedge(b, a), cb)
-    elif kind == "ell_l":
-        a = spec[1]
-        for b, cb in v.items():
-            add_scaled(out, ctx.target.bracket(a, b), cb)
-    else:
-        raise ValueError(spec)
-    return out
-
-
-def _arg_shape(lens, drop, length=0) -> tuple:
+def _arg_shape(lens, drop, length) -> tuple:
     """The shape left when the parts at ``drop`` are replaced by one part of
-    ``length`` letters (by none when 0)."""
-    parts = [p for i, p in enumerate(lens) if i not in drop]
-    if length:
-        parts.append(length)
-    return tuple(sorted(parts))
+    ``length`` letters."""
+    return tuple(sorted([p for i, p in enumerate(lens) if i not in drop] + [length]))
 
 
 class PacketTable:
@@ -193,73 +180,63 @@ class PacketTable:
         return val
 
     def live(self, lens: tuple) -> tuple:
-        """(packets to detach from or apply mu to, packet pairs to bracket,
-        single-letter packets to pull out), in term order."""
+        """(packets to detach from or apply mu to, packet pairs to bracket),
+        in term order."""
         fams = self._live.get(lens)
         if fams is None:
             n, shapes = len(lens), self.shapes
 
-            def keep(drop, length=0):
+            def keep(drop, length):
                 return shapes is None or _arg_shape(lens, drop, length) in shapes
 
             fams = self._live[lens] = (
                 [j for j in range(n) if lens[j] >= 2 and keep((j,), lens[j] - 1)],
                 [(j, k) for j in range(n) for k in range(j + 1, n)
-                 if keep((j, k), lens[j] + lens[k] - 1)],
-                [j for j in range(n) if lens[j] == 1 and n > 1 and keep((j,))])
+                 if keep((j, k), lens[j] + lens[k] - 1)])
         return fams
 
 
 def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
-    """Yield (coefficient, linmap spec, canonical argument monomial).
+    """The terms of the coboundary on one monomial, as a list of
+    (coefficient, target map, canonical argument monomial): the term is the
+    coefficient times the target map (one of ``ctx``'s maps of target
+    letters) applied to the cochain's value on the argument.
 
     ``table`` is a ``PacketTable`` of ``ctx`` shared by the monomials of one
     computation; term families whose argument shape is not in its ``shapes``
     are not built, since a cochain vanishing off those shapes gets nothing
     from them.  Without one, a fresh table without shapes is used.  Every
     family is one ``graded.slot_terms`` or ``graded.pulled_terms`` call per
-    packet or packet pair; the two ("id",) families are the negatives of the
-    terms of ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
+    packet or packet pair; the two identity families are the negatives of
+    the terms of ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
     """
     if table is None:
         table = PacketTable(ctx)
     degs = [pdeg(w) for w in mono]
-    detach, pairs, pull = table.live(tuple(len(w) for w in mono))
-    quo = ctx.quotient
-    total_deg = sum(degs)
+    detach, pairs = table.live(tuple(len(w) for w in mono))
+    quo, identity = ctx.quotient, ctx.identity
     terms = []
     for j in detach:
         packet = mono[j]
-        a, b = packet[0], packet[-1]
-        # a_1 is carried left past x_1 .. x_(j-1) (the slot_terms sign) and
-        # mu2' adds (-1)^(deg a_1).  a_p is carried right past x_(j+1) .. x_n,
-        # the slot_terms sign times (-1)^(deg a_p * (total - x_j)), and mu2'
-        # adds (-1)^(deg f(M)), deg f(M) = deg M + 1, deg M = total - deg a_p
-        for letter, word, spec, e in (
-                (a, packet[1:], "mul_l", a.degree),
-                (b, packet[:-1], "mul_r",
-                 b.degree * (total_deg - degs[j]) + total_deg - b.degree + 1)):
-            f1a = ctx.f1.get(letter)
-            if f1a:
-                base = Fraction(-1 if e % 2 else 1)
-                st = slot_terms(mono, degs, j, quo.reduce_word(word),
-                                letter.degree, packet_sort_key)
-                for ap, cf in f1a.items():
-                    terms += [(base * cf * c, (spec, ap), key) for key, c in st]
-        terms += [(-c, ("id",), key) for key, c in
+        # a detached letter has degree -1.  a_1 is carried left past x_1 ..
+        # x_(j-1) (the slot_terms sign) and mu2' adds (-1)^(deg a_1) = -1.
+        # a_p is carried right past x_(j+1) .. x_n, the slot_terms sign times
+        # (-1)^(total - x_j), and mu2' adds (-1)^(deg f(M)), deg f(M) =
+        # deg M + 1 = total + 2: together (-1)^(x_j)
+        for letter, word, tmaps, flip in (
+                (packet[0], packet[1:], ctx.mul_left, True),
+                (packet[-1], packet[:-1], ctx.mul_right, degs[j] % 2)):
+            tmap = tmaps.get(letter)
+            if tmap:
+                terms += [(-c if flip else c, tmap, key) for key, c in
+                          slot_terms(mono, degs, j, quo.reduce_word(word), -1,
+                                     packet_sort_key)]
+        terms += [(-c, identity, key) for key, c in
                   slot_terms(mono, degs, j, table.mu(packet), 1, packet_sort_key)]
     for j, k in pairs:
-        terms += [(-c, ("id",), key) for key, c in
+        terms += [(-c, identity, key) for key, c in
                   pulled_terms(mono, degs, (j, k), table.bracket(mono[j], mono[k]),
                                packet_sort_key)]
-    if ctx.target.bracket_table:
-        for j in pull:
-            f1a = ctx.f1.get(mono[j][0])
-            if f1a:
-                # l2'(f1(X_j), f(rest)), with the l2' sign of the pulled letter
-                [(key, eps)] = pulled_terms(mono, degs, (j,), None)
-                terms += [(Fraction(eps) * cf, ("ell_l", ap), key)
-                          for ap, cf in f1a.items()]
     return terms
 
 
@@ -268,10 +245,9 @@ def d_ch_value(feval, mono: Mono, ctx: ChContext,
     """Value of the coboundary of the cochain ``feval`` on one monomial;
     ``table`` as in ``d_ch_terms``."""
     out: Vec = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, table):
-        v = feval(arg)
-        if v:
-            add_scaled(out, _linmap_apply(ctx, spec, v), coeff)
+    for coeff, tmap, arg in d_ch_terms(mono, ctx, table):
+        for b, cb in feval(arg).items():
+            add_scaled(out, tmap[b], coeff * cb)
     return out
 
 
@@ -295,9 +271,8 @@ def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> di
     """Symbolic expansion: {(argument mono, out letter, in letter): coeff};
     ``table`` as in ``d_ch_terms``, made without shapes."""
     row: dict = {}
-    for coeff, spec, arg in d_ch_terms(mono, ctx, table):
-        for b in ctx.target.letters:
-            img = _linmap_apply(ctx, spec, {b: Fraction(1)})
+    for coeff, tmap, arg in d_ch_terms(mono, ctx, table):
+        for b, img in tmap.items():
             for lo, c in img.items():
                 add_term(row, (arg, lo, b), coeff * c)
     return row
@@ -472,19 +447,17 @@ def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation,
 
     Raises TruncationError when a shape reachable from f's own support falls
     outside the window.  Shapes on which ``table`` (built on f's shapes)
-    keeps no term family are skipped.  When the letter morphism is supported
-    in grade -1 (degree -1 and weight 0), every coboundary term evaluates f
-    one grade up: one degree up in the same torus weight, since wedge and
-    bracket add weights.  Then only the monomials of grade s - 1, s in f's
-    grade support, are enumerated.
+    keeps no term family are skipped.  Every coboundary term evaluates f one
+    grade up: one degree up in the same torus weight, since wedge and
+    bracket add weights and the letter morphism is supported in grade -1.
+    So only the monomials of grade s - 1, s in f's grade support, are
+    enumerated.
     """
     bad = [s for s in reachable_shapes(f.shapes())
            if sum(s) > trunc.Nmax or len(s) > trunc.nmax]
     if bad:
         raise TruncationError(f"required shapes outside truncation: {bad}")
-    grades = None
-    if ctx.f1_shifts_by_one:
-        grades = {s - 1 for s in f.grade_support}
+    grades = {s - 1 for s in f.grade_support}
     for shape in level_shapes(f.level + 1, trunc.nmax):
         if any(table.live(shape)):
             yield from monomials_for_shape(ctx, shape, grades)
@@ -526,8 +499,8 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     """Exact solve of d(g) = f over all level-(N-1) shapes, or None.
 
     The system splits into independent blocks by monomial grade (every
-    coboundary term references arguments of grade grade(W)+1 when the letter
-    morphism is supported in grade -1); each block is decided by an exact
+    coboundary term references arguments of grade grade(W)+1); each block is
+    decided by an exact
     rank comparison, and a preimage is assembled when every block is solvable.
     Only the blocks of the row grades in f's grade support are built and
     solved: every other block has right-hand side zero, which zero solves.
@@ -539,8 +512,6 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     N = f.level
     if N < 1:
         raise ValueError("level must be >= 1")
-    if not ctx.f1_shifts_by_one:
-        raise ValueError("grade-blocked solve needs a letter morphism of grade -1")
     src_shapes = level_shapes(N - 1, trunc.nmax)
     row_shapes = level_shapes(N, trunc.nmax)
     missing = [s for s in f.shapes() if s not in row_shapes]

@@ -226,9 +226,6 @@ class ShuffleQuotient:
             words.extend(self.representatives(ms))
         return words
 
-    def dim(self, letters) -> int:
-        return len(self.representatives(letters))
-
     def reduce_word(self, word: Word) -> dict:
         table = self._table(tuple(sorted(word)))
         return table[word]

@@ -11,7 +11,7 @@ from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
                                 reconstruct_morphism, recursion_single)
-from gerstenhaber.genv import (polyvec_basis, sandbox_gerstenhaber,
+from gerstenhaber.genv import (GerstBasis, polyvec_basis, sandbox_gerstenhaber,
                                zero_gerstenhaber)
 from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
                                  mono_key, pdeg, pgrade)
@@ -103,8 +103,8 @@ def test_d_m_cancellation_on_detached_constants():
     mono, _ = mono_key([w, (vf_letter(3, 2, 3),), (vf_letter(3, 3, 1),)])
     # with f3's shapes the bracket part has no live family on this monomial
     table = PacketTable(ctx, f3.shapes())
-    detach, pairs, pull = table.live(tuple(len(p) for p in mono))
-    assert detach == [2] and pairs == [] and pull == []
+    detach, pairs = table.live(tuple(len(p) for p in mono))
+    assert detach == [2] and pairs == []
     assert d_ch_value(f3.eval, mono, ctx, table) == {}
 
 
@@ -312,17 +312,15 @@ def test_monomials_for_shape_matches_combo_oracle():
 def referenced_shapes_oracle(shape) -> set:
     """Shapes of the cochain arguments appearing in the coboundary on
     ``shape``, written out by hand: letter detachment and the packet
-    differential shorten one part, the bracket merges two parts into one of
-    their combined length minus one, and the target bracket term drops one
-    length-1 part."""
+    differential shorten one part, and the bracket merges two parts into one
+    of their combined length minus one (the target bracket term, which would
+    drop one length-1 part, is zero for every accepted letter morphism)."""
     parts = list(shape)
     out = set()
     for j, p in enumerate(parts):
         rest = parts[:j] + parts[j + 1:]
         if p > 1:
             out.add(tuple(sorted(rest + [p - 1])))
-        elif rest:
-            out.add(tuple(sorted(rest)))
     for j in range(len(parts)):
         for k in range(j + 1, len(parts)):
             rest = [parts[i] for i in range(len(parts)) if i not in (j, k)]
@@ -373,30 +371,37 @@ def test_headline_decision_builds_only_deciding_tables():
     assert ctx.quotient.dump_json(built) == eager.dump_json(built)
 
 
+def unit_context(sandbox):
+    """A sandbox mapped onto itself through its unit (the one letter of
+    degree -1), which its bracket kills."""
+    return ChContext(sandbox, sandbox, {a: {a: Fraction(1)} for a in sandbox.letters
+                                        if a.degree == -1})
+
+
 def pruning_contexts(rng):
     """The polyvector context (degree -1 letter morphism, zero target
-    bracket) and a sandbox mapped identically onto itself, whose nonzero
-    target bracket exercises the target-bracket terms."""
-    sandbox = sandbox_gerstenhaber(rng)
-    return [
-        real_polyvec_context(2, 1),
-        ChContext(sandbox, sandbox, {a: {a: Fraction(1)} for a in sandbox.letters}),
-    ]
+    bracket) and a sandbox mapped onto itself through its unit, whose
+    several target letters exercise target maps other than the base
+    field's."""
+    return [real_polyvec_context(2, 1), unit_context(sandbox_gerstenhaber(rng))]
 
 
 def test_d_ch_pruning_matches_full_evaluation():
     """Enumerating d(g) by g's degrees and shapes drops only zero values:
-    the result equals d_ch_value on every level-3 monomial, in order."""
+    the result equals d_ch_value on every level-3 monomial, in order.  On
+    the sandbox every monomial of the shapes gets a value: it has few of
+    them, and a sparse draw can have a zero coboundary."""
     from gerstenhaber.chcoh import d_ch
 
     rng = SplitMix64(77)
     for ctx in pruning_contexts(rng):
         trunc = Truncation(2, 1, 4, 4)
+        every = ctx.target is ctx.source
         for shapes in ([(2,)], [(1, 1)], level_shapes(2, 4)):
             vals = {}
             for shape in shapes:
                 for mono in monomials_for_shape(ctx, shape):
-                    if rng.randrange(3) == 0:
+                    if every or rng.randrange(3) == 0:
                         vals[mono] = {b: Fraction(rng.randint(1, 3))
                                       for b in ctx.target.letters
                                       if rng.randrange(2) == 0}
@@ -428,13 +433,11 @@ def test_d_ch_terms_shape_filter_is_exact():
 
 def table_contexts():
     """d = 2, k <= 2 and d = 3, k <= 1 mapped to the base field, and two
-    seeded sandboxes mapped identically onto themselves."""
+    seeded sandboxes mapped onto themselves through their units."""
     rng = SplitMix64(80)
     out = [real_polyvec_context(2, 2), real_polyvec_context(3, 1)]
     for _ in range(2):
-        sandbox = sandbox_gerstenhaber(rng)
-        out.append(ChContext(sandbox, sandbox,
-                             {a: {a: Fraction(1)} for a in sandbox.letters}))
+        out.append(unit_context(sandbox_gerstenhaber(rng)))
     return out
 
 
@@ -571,7 +574,75 @@ def test_letter_morphism_must_keep_weights():
     with pytest.raises(ValueError):
         ChContext(source, target, {vf_letter(3, 1, 2): {one: Fraction(1)}})
     ChContext(source, target, {vf_letter(3, 1, 2): {one: Fraction(0)}})
-    assert real_polyvec_context(3, 1).f1_shifts_by_one
+
+
+def test_letter_morphism_contract():
+    """ChContext refuses every letter morphism but those supported in grade
+    -1 with images of grade -1 that the target bracket kills: a sandbox's
+    identity, an image [u, v] = u does not kill (in a hand-built,
+    unvalidated target) and an image of degree 0 are refused; the sandbox's
+    unit, and u in a target with zero bracket, are accepted."""
+    sandbox = sandbox_gerstenhaber(SplitMix64(83))
+    with pytest.raises(ValueError):
+        ChContext(sandbox, sandbox, {a: {a: Fraction(1)} for a in sandbox.letters})
+    unit_context(sandbox)
+    source = polyvec_basis(2, 1)
+    consts = [a for a in source.letters if a.degree == -1]
+    u, v = Letter(("u",), -1), Letter(("v",), 0)
+    onto_u = {a: {u: Fraction(1)} for a in consts}
+    with pytest.raises(ValueError):
+        ChContext(source, GerstBasis([u, v], {}, {(u.ident, v.ident): {u.ident: 1}}),
+                  onto_u)
+    ChContext(source, GerstBasis([u, v], {}, {}), onto_u)
+    with pytest.raises(ValueError):
+        ChContext(source, GerstBasis([u, v], {}, {}),
+                  {a: {v: Fraction(1)} for a in consts})
+
+
+def unit_sandbox_cochains():
+    """Four seeded sandboxes mapped onto themselves through their units,
+    each with a seeded level-1 and level-2 cochain whose every value has a
+    nonzero coefficient on every target letter."""
+    rng = SplitMix64(82)
+    for _ in range(4):
+        ctx = unit_context(sandbox_gerstenhaber(rng))
+        for level in (1, 2):
+            vals = {mono: {b: Fraction(rng.choice([-2, -1, 1, 2]))
+                           for b in ctx.target.letters}
+                    for shape in level_shapes(level, 4)
+                    for mono in monomials_for_shape(ctx, shape)
+                    if rng.randrange(2) == 0}
+            yield ctx, Cochain(vals, level)
+
+
+def test_d_ch_squares_to_zero_on_multi_letter_targets():
+    """d_CH^2 = 0 with a target of several letters, not only the base field:
+    d(g) is nonzero and d(d(g)) is zero for every unit-mapped sandbox
+    cochain."""
+    from gerstenhaber.chcoh import d_ch
+
+    trunc = Truncation(2, 1, 4, 4)
+    cases = 0
+    for ctx, g in unit_sandbox_cochains():
+        dg = d_ch(g, ctx, trunc)
+        assert not dg.is_zero()
+        assert d_ch(dg, ctx, trunc).is_zero()
+        cases += 1
+    assert cases == 8
+
+
+def test_coboundary_roundtrip_on_multi_letter_targets():
+    """f = d(g), g' = is_coboundary(f) and d(g') == f for every unit-mapped
+    sandbox cochain: the grade-blocked solve handles several target
+    letters."""
+    from gerstenhaber.chcoh import d_ch
+
+    trunc = Truncation(2, 1, 4, 4)
+    for ctx, g in unit_sandbox_cochains():
+        f = d_ch(g, ctx, trunc)
+        pre = is_coboundary(f, ctx, trunc)
+        assert pre is not None
+        assert d_ch(pre, ctx, trunc).values == f.values
 
 
 def test_truncation_insufficiency_reported():

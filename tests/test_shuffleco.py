@@ -47,10 +47,10 @@ def test_bat3_matches_nested():
 
 def test_quotient_dimensions_small():
     quo = ShuffleQuotient()
-    assert quo.dim([A, B]) == 1     # T^2 is 2-dim, shuffles span 1
-    assert quo.dim([E, E]) == 1     # bat(e,e) = 0
-    assert quo.dim([A, A]) == 0     # bat(a,a) = 2 a(x)a
-    assert quo.dim([A]) == 1
+    assert len(quo.representatives([A, B])) == 1     # T^2 is 2-dim, shuffles span 1
+    assert len(quo.representatives([E, E])) == 1     # bat(e,e) = 0
+    assert len(quo.representatives([A, A])) == 0     # bat(a,a) = 2 a(x)a
+    assert len(quo.representatives([A])) == 1
 
 
 def test_reduction_properties():
