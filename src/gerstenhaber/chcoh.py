@@ -37,7 +37,7 @@ from .graded import Letter, koszul_sign, pulled_terms, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
                      packet_sort_key, pdeg, pgrade)
 from .shuffleco import ShuffleQuotient
-from .tensorco import ONE, add_scaled, add_term, extend
+from .tensorco import ONE, add_scaled, add_term, extend, int_view
 
 Vec = dict  # dict[Letter, Fraction] over the target basis
 
@@ -66,7 +66,8 @@ class Truncation:
 def real_target() -> GerstBasis:
     """The base field as a Gerstenhaber algebra: degree 0, product, zero bracket."""
     one = Letter(("R",), -1)
-    return GerstBasis([one], {(one.ident, one.ident): {one.ident: Fraction(1)}}, {})
+    return GerstBasis([one], int_view({(one.ident, one.ident): {one.ident: 1}}),
+                      int_view({}))
 
 
 class ChContext:

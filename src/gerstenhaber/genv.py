@@ -11,7 +11,7 @@ to the shuffle quotient.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 from .graded import Letter
@@ -20,8 +20,7 @@ from .polyvec import (_merge_dirs, check_mono, hom_ident, hom_letter,
                       schouten_monos, wedge_monos)
 from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
-                       extend, fraction_table, int_view, jacobi, on_letters,
-                       symmetry)
+                       extend, fraction_table, int_view, jacobi, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 Elem = dict  # dict[Word, Fraction]
@@ -30,30 +29,50 @@ Elem = dict  # dict[Word, Fraction]
 class GerstBasis:
     """Finite graded basis with exact wedge and bracket structure constants.
 
-    ``wedge_table[(i, j)]`` and ``bracket_table[(i, j)]`` map ident pairs to
-    dicts ident -> Fraction.  On letters of shifted degrees a, b the wedge has
-    shifted degree a + b + 1 and the bracket a + b.  ``validate()`` checks the
-    axioms on all basis triples with the ``tensorco`` residuals: the wedge
-    graded commutative and associative in the unshifted grading, the bracket
-    graded antisymmetric with Jacobi in the shifted one, and each [a, .] a
-    derivation of the wedge (Leibniz).  It runs them on idents over
-    ``tensorco.int_view``s of the tables (ints where a constant is integral);
-    the tables themselves stay Fraction-valued, and ``wedge``/``bracket``
-    return Letter-keyed Fraction dicts.
+    ``wedge_op(i, j)`` and ``bracket_op(i, j)`` map a pair of letter idents
+    to a dict ident -> coefficient ({} for a zero product); callers only read
+    the returned dicts.  On letters of shifted degrees a, b the wedge has
+    shifted degree a + b + 1 and the bracket a + b.  ``wedge``/``bracket``
+    return the same constants Letter-keyed and Fraction-valued, and
+    ``wedge_table``/``bracket_table`` materialise them over all letter pairs.
+    ``validate()`` checks the axioms on all basis triples with the
+    ``tensorco`` residuals run on the two ops: the wedge graded commutative
+    and associative in the unshifted grading, the bracket graded
+    antisymmetric with Jacobi in the shifted one, and each [a, .] a
+    derivation of the wedge (Leibniz).  An algebra given by tables passes
+    ``tensorco.int_view``s of them.
     """
 
-    def __init__(self, letters, wedge_table, bracket_table, name=""):
+    def __init__(self, letters, wedge, bracket, name=""):
         self.letters = sorted(letters)
         self.by_ident = {a.ident: a for a in self.letters}
-        self.wedge_table = fraction_table(wedge_table)
-        self.bracket_table = fraction_table(bracket_table)
+        self.wedge_op = wedge
+        self.bracket_op = bracket
         self.name = name
 
+    def _on_letters(self, val: dict) -> Vec:
+        return {self.by_ident[i]: Fraction(c) for i, c in val.items() if c}
+
     def wedge(self, a: Letter, b: Letter) -> Vec:
-        return on_letters(self.wedge_table, self.by_ident, (a.ident, b.ident))
+        return self._on_letters(self.wedge_op(a.ident, b.ident))
 
     def bracket(self, a: Letter, b: Letter) -> Vec:
-        return on_letters(self.bracket_table, self.by_ident, (a.ident, b.ident))
+        return self._on_letters(self.bracket_op(a.ident, b.ident))
+
+    def _table(self, op) -> dict:
+        idents = [a.ident for a in self.letters]
+        return fraction_table({(i, j): op(i, j) for i in idents for j in idents})
+
+    @property
+    def wedge_table(self) -> dict:
+        """The wedge over all letter pairs, {(i, j): {ident: Fraction}},
+        zero constants and empty entries left out."""
+        return self._table(self.wedge_op)
+
+    @property
+    def bracket_table(self) -> dict:
+        """The bracket over all letter pairs, as ``wedge_table``."""
+        return self._table(self.bracket_op)
 
     def mu2(self, a: Letter, b: Letter) -> Vec:
         """Shifted product: (-1)^(deg a) wedge, of shifted degree +1."""
@@ -68,15 +87,13 @@ class GerstBasis:
         naming the first that fails, else return self.
 
         The residuals run on letter idents, with degrees read from ident ->
-        degree dicts and the constants from ``int_view``s of the two tables,
-        so an integral table is checked in int arithmetic; the public tables
-        are left as they are."""
+        degree dicts and the constants from the two ops, so integral
+        constants are checked in int arithmetic."""
         idents = [a.ident for a in self.letters]
         udeg = {a.ident: a.degree + 1 for a in self.letters}
         sdeg = {a.ident: a.degree for a in self.letters}
         unshifted, shifted_deg = udeg.__getitem__, sdeg.__getitem__
-        wedge = int_view(self.wedge_table)
-        bracket = int_view(self.bracket_table)
+        wedge, bracket = self.wedge_op, self.bracket_op
         for a in idents:
             ka = udeg[a]
             for b in idents:
@@ -105,40 +122,36 @@ class GerstBasis:
 
 
 def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
-    """Tabulated homogeneous polyvector fields on R^d up to tensor degree kmax.
+    """Homogeneous polyvector fields on R^d up to tensor degree kmax.
 
     With kmax = d (the default) the space is closed under wedge and bracket,
-    so the tables are exact structure constants of the full finite-dimensional
-    algebra.  Each constant comes from ``wedge_monos`` or ``schouten_monos``
-    on a pair of basis monomials.  Each letter gets its torus weight once,
-    in its grade (``hom_letter``).
+    so the constants are exact structure constants of the full
+    finite-dimensional algebra; below it a product of tensor degree above
+    kmax is cut to {}.  Each constant comes from ``wedge_monos`` or
+    ``schouten_monos`` on the pair's two basis monomials, computed the first
+    time the pair is read and kept for the basis's lifetime.  Each letter
+    gets its torus weight once, in its grade (``hom_letter``).
     """
     if kmax is None:
         kmax = d
-    letters = []
-    monos = []
-    for k in range(kmax + 1):
-        for mono in pv_basis(d, k):
-            letters.append(hom_letter(d, mono))
-            monos.append(mono)
-    wedge_table = {}
-    bracket_table = {}
+    letters = [hom_letter(d, mono) for k in range(kmax + 1) for mono in pv_basis(d, k)]
 
-    def store(table, key, k, val):
-        if val:
-            for mono in val:
+    def on_idents(formula, shift):
+        # an ident is a hom_ident: (tensor degree, directions, exponents)
+        @cache
+        def op(i, j):
+            k = i[0] + j[0] + shift
+            if k > kmax:
+                return {}
+            out = {}
+            for mono, c in formula((i[2], i[1]), (j[2], j[1])).items():
                 check_mono(mono, d, k)
-            table[key] = {hom_ident(m): c for m, c in val.items()}
+                out[hom_ident(mono)] = c
+            return out
+        return op
 
-    for a, ma in zip(letters, monos):
-        for b, mb in zip(letters, monos):
-            key = (a.ident, b.ident)
-            k = len(ma[1]) + len(mb[1])
-            if k <= kmax:
-                store(wedge_table, key, k, wedge_monos(ma, mb))
-            if k - 1 <= kmax:
-                store(bracket_table, key, k - 1, schouten_monos(ma, mb))
-    return GerstBasis(letters, wedge_table, bracket_table, name=f"Tpolyhom(d={d})")
+    return GerstBasis(letters, on_idents(wedge_monos, 0), on_idents(schouten_monos, -1),
+                      name=f"Tpolyhom(d={d})")
 
 
 def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
@@ -146,57 +159,45 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
 
     Generators e_1..e_dim have tensor degree 1; the wedge is the exterior
     product and the bracket extends ``lie_table`` ([e_i, e_j] as dicts
-    generator index -> coefficient) as a biderivation.  The result is a
+    generator index -> int coefficient) as a biderivation.  Both are
+    int-valued ops on letter idents, each constant computed the first time
+    its pair is read and kept for the basis's lifetime.  The result is a
     Gerstenhaber algebra whose axioms are validated on all basis triples.
     """
-    subsets = []
-    for r in range(dim + 1):
-        subsets.extend(combinations(range(1, dim + 1), r))
-    letters = {s: Letter(("sb", len(s), s), len(s) - 1) for s in subsets}
+    def ident(s: tuple) -> tuple:
+        return ("sb", len(s), s)
 
-    def wedge_ss(sa, sb) -> dict:
-        merged, sign = _merge_dirs(sa, sb)
-        return {} if merged is None else {merged: sign}
+    letters = [Letter(ident(s), r - 1) for r in range(dim + 1)
+               for s in combinations(range(1, dim + 1), r)]
 
-    bracket_cache: dict = {}
+    @cache
+    def wedge(i, j) -> dict:
+        merged, sign = _merge_dirs(i[2], j[2])
+        return {} if merged is None else {ident(merged): sign}
 
-    def bracket_ss(sa, sb) -> dict:
-        key = (sa, sb)
-        if key in bracket_cache:
-            return bracket_cache[key]
+    @cache
+    def bracket(i, j) -> dict:
+        sa, sb = i[2], j[2]
         out: dict = {}
         if not sa or not sb:
             pass
         elif len(sa) == 1 and len(sb) == 1:
             for gen, c in lie_table.get((sa[0], sb[0]), {}).items():
-                add_term(out, (gen,), Fraction(c))
+                add_term(out, ident((gen,)), c)
         elif len(sa) == 1:
             # [e, b ^ rest] = [e, b] ^ rest + b ^ [e, rest]; e has degree 1
-            b0, rest = (sb[0],), sb[1:]
-            add_scaled(out, extend(wedge_ss, bracket_ss(sa, b0), {rest: ONE}))
-            add_scaled(out, extend(wedge_ss, {b0: ONE}, bracket_ss(sa, rest)))
+            b0, rest = ident(sb[:1]), ident(sb[1:])
+            add_scaled(out, extend(wedge, bracket(i, b0), {rest: ONE}))
+            add_scaled(out, extend(wedge, {b0: ONE}, bracket(i, rest)))
         else:
             # [a ^ beta, c] = a ^ [beta, c] + (-1)^(|beta|(|c|-1)) [a, c] ^ beta
-            a0, beta = (sa[0],), sa[1:]
-            add_scaled(out, extend(wedge_ss, {a0: ONE}, bracket_ss(beta, sb)))
-            sign = -1 if (len(beta) * (len(sb) - 1)) % 2 else 1
-            add_scaled(out, extend(wedge_ss, bracket_ss(a0, sb), {beta: ONE}),
-                       Fraction(sign))
-        bracket_cache[key] = out
+            a0, beta = ident(sa[:1]), ident(sa[1:])
+            add_scaled(out, extend(wedge, {a0: ONE}, bracket(beta, j)))
+            sign = -1 if ((len(sa) - 1) * (len(sb) - 1)) % 2 else 1
+            add_scaled(out, extend(wedge, bracket(a0, j), {beta: ONE}), sign)
         return out
 
-    wedge_table = {}
-    bracket_table = {}
-    for sa, la in letters.items():
-        for sb, lb in letters.items():
-            for merged, sign in wedge_ss(sa, sb).items():
-                wedge_table[(la.ident, lb.ident)] = {letters[merged].ident: sign}
-            br = bracket_ss(sa, sb)
-            if br:
-                bracket_table[(la.ident, lb.ident)] = {
-                    letters[s].ident: c for s, c in br.items()
-                }
-    return GerstBasis(letters.values(), wedge_table, bracket_table, name=name).validate()
+    return GerstBasis(letters, wedge, bracket, name=name).validate()
 
 
 def sandbox_gerstenhaber(rng) -> GerstBasis:
@@ -236,7 +237,7 @@ def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
     tests that every term of h_bracket, h_mu and d_ch drops out.
     """
     letters = [Letter(("z", i), 0) for i in range(dim)]
-    return GerstBasis(letters, {}, {})
+    return GerstBasis(letters, int_view({}), int_view({}))
 
 
 def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:

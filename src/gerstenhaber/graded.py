@@ -186,19 +186,15 @@ def slot_terms(items: Sequence, degs: Sequence[int], j: int, values: dict,
 
 
 def pulled_terms(items: Sequence, degs: Sequence[int], picks: Sequence[int],
-                 values: dict | None, key=None) -> list:
+                 values: dict, key=None) -> list:
     """A degree 1 operation on the items at ``picks`` (increasing), pulled to
     the front: eps(x / x_picks, rest) (-1)^(x_picks[0]) w . rest for each
     (w, c) of ``values``, w of degree (sum of x_picks) + 1.  Sorted and
-    returned as in ``slot_terms``.  With ``values`` None nothing is put in
-    front: the one term is (rest, sign), and the rest of a canonical tuple
-    is canonical."""
+    returned as in ``slot_terms``."""
     sign = unshuffle_sign(degs, picks)
     if degs[picks[0]] % 2:
         sign = -sign
     rest = [x for i, x in enumerate(items) if i not in picks]
-    if values is None:
-        return [(tuple(rest), sign)]
     rdegs = [d for i, d in enumerate(degs) if i not in picks]
     wdeg = sum(degs[i] for i in picks) + 1
     out = []

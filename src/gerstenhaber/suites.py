@@ -411,18 +411,18 @@ def suite_genv(seed: int, trials: int, pv: GerstBasis, corrupt=False) -> list:
 
 
 def _corrupt_sandbox(rng) -> GerstBasis:
-    """A sandbox with one bracket constant deliberately broken (no validation)."""
+    """A sandbox with one bracket constant deliberately broken (no validation):
+    1 added to the coefficient of e_1 in [e_1, e_2]."""
     basis = sandbox_gerstenhaber(rng)
-    btab = dict(basis.bracket_table)
-    letters = basis.letters
-    gens = [a for a in letters if a.degree == 0]
-    if len(gens) >= 2:
-        a, b = gens[0], gens[1]
-        tab = dict(btab.get((a.ident, b.ident), {}))
-        tab[gens[0].ident] = tab.get(gens[0].ident, Fraction(0)) + 1
-        btab[(a.ident, b.ident)] = tab
-    out = GerstBasis(letters, basis.wedge_table, btab, name=basis.name + "*corrupt")
-    return out
+    a, b = [x.ident for x in basis.letters if x.degree == 0][:2]
+    broken = dict(basis.bracket_op(a, b))
+    broken[a] = broken.get(a, 0) + 1
+
+    def bracket(i, j):
+        return broken if (i, j) == (a, b) else basis.bracket_op(i, j)
+
+    return GerstBasis(basis.letters, basis.wedge_op, bracket,
+                      name=basis.name + "*corrupt")
 
 
 def suite_ginfty(seed: int, trials: int, pv: GerstBasis) -> list:

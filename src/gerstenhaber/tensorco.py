@@ -63,10 +63,11 @@ def extend(op, x: dict, y: dict | None = None) -> dict:
 # maps two keys, ``D`` and ``cop`` one key, to a sparse element (the keys of
 # a coproduct value are pairs); ``deg`` is the degree of a key, and only its
 # parity is read.  The residuals only read the values of op, D and cop.  The
-# structure validators (``GerstBasis.validate``, ``FiniteAlgebra._validate``,
-# ``symco.LieData._validate``) run them on letter idents over ``int_view``s
-# of their tables, so a table of integral constants is checked in int
-# arithmetic, with no Letter built and no Fraction unless a constant needs one.
+# structure validators run them on letter idents: ``GerstBasis.validate`` on
+# its two ident operations, ``FiniteAlgebra._validate`` and
+# ``symco.LieData._validate`` over ``int_view``s of their tables, so integral
+# constants are checked in int arithmetic, with no Letter built and no
+# Fraction unless a constant needs one.
 
 
 def int_coeffs(vec: dict) -> dict:

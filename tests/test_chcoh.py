@@ -21,7 +21,7 @@ from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
 from gerstenhaber.suites import suite_chcoh
 from gerstenhaber.symco import LieData, d_chevalley_classical
-from gerstenhaber.tensorco import add_scaled, add_term
+from gerstenhaber.tensorco import add_scaled, add_term, int_view
 
 
 def vf_letter(d, a, b):
@@ -591,11 +591,12 @@ def test_letter_morphism_contract():
     u, v = Letter(("u",), -1), Letter(("v",), 0)
     onto_u = {a: {u: Fraction(1)} for a in consts}
     with pytest.raises(ValueError):
-        ChContext(source, GerstBasis([u, v], {}, {(u.ident, v.ident): {u.ident: 1}}),
+        ChContext(source, GerstBasis([u, v], int_view({}),
+                                     int_view({(u.ident, v.ident): {u.ident: 1}})),
                   onto_u)
-    ChContext(source, GerstBasis([u, v], {}, {}), onto_u)
+    ChContext(source, GerstBasis([u, v], int_view({}), int_view({})), onto_u)
     with pytest.raises(ValueError):
-        ChContext(source, GerstBasis([u, v], {}, {}),
+        ChContext(source, GerstBasis([u, v], int_view({}), int_view({})),
                   {a: {v: Fraction(1)} for a in consts})
 
 

@@ -308,10 +308,14 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "9e226fa30b7f048fba85c4bbb3f6119c4c7594f7a7faca30590ba8edebdf7046"),
     (["--d", "5", "--kmax", "1"],
      "92b20fa75f8903269d766739563476bb5a5ab219ffa35398f55cec0f41a28ec1"),
+    (["--d", "4"],
+     "1d04b795500aa35f55a62a975aaf10cc715acecb6a9589a147c987c6d08b4e30"),
+    (["--d", "5"],
+     "1b4321a91bd79a78bf6704b1c99093182edd8230ae33f6152213f36faba0b30e"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
-    """The headline decision at d=3, k<=3, at d=4, k<=1 and k<=2 and at d=5,
-    k<=1 as JSON, pinned byte for byte."""
+    """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4 and at
+    d=5, k<=1 and k<=5 as JSON, pinned byte for byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want

@@ -3,9 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from gerstenhaber.genv import (exterior_of_lie, h_bracket, h_bracket_raw, h_mu,
-                               polyvec_basis, sandbox_gerstenhaber,
-                               zero_gerstenhaber)
+from gerstenhaber import genv
+from gerstenhaber import polyvec as pv
+from gerstenhaber.chcoh import (Truncation, f3_111, is_coboundary, is_cocycle,
+                                real_polyvec_context)
+from gerstenhaber.genv import (GerstBasis, exterior_of_lie, h_bracket,
+                               h_bracket_raw, h_mu, polyvec_basis,
+                               sandbox_gerstenhaber, zero_gerstenhaber)
 from gerstenhaber.graded import koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient
@@ -112,3 +116,57 @@ def test_corrupted_sandbox_fails_suite():
     assert any(not ok for _, ok, _ in results)
     # and a counterexample is reported
     assert any(bad for _, ok, bad in results if not ok)
+
+
+def test_polyvec_constants_are_computed_on_first_read_and_once(monkeypatch):
+    """polyvec_basis calls no monomial formula; the headline decision at
+    d = 4 calls them once per distinct source pair it reads, about a
+    thousand of the 2 * 192^2 pairs."""
+    calls = []
+    for name in ("wedge_monos", "schouten_monos"):
+        def counted(ma, mb, formula=getattr(genv, name)):
+            calls.append((formula, ma, mb))
+            return formula(ma, mb)
+        monkeypatch.setattr(genv, name, counted)
+    reads = set()
+    for name in ("wedge", "bracket"):
+        def recorded(self, a, b, read=getattr(GerstBasis, name), name=name):
+            reads.add((self, name, a.ident, b.ident))
+            return read(self, a, b)
+        monkeypatch.setattr(GerstBasis, name, recorded)
+
+    assert len(polyvec_basis(6).letters) == 5336
+    assert calls == []
+    ctx = real_polyvec_context(4)
+    trunc = Truncation(4, 4, 4, 4)
+    f3 = f3_111(4, ctx)
+    assert is_cocycle(f3, ctx, trunc)
+    assert is_coboundary(f3, ctx, trunc) is None
+    source_reads = [r for r in reads if r[0] is ctx.source]
+    assert len(calls) == len(source_reads)
+    assert 500 < len(calls) < 2000
+
+
+@pytest.mark.parametrize("d, kmax", [(5, 5), (5, 2), (6, 6), (6, 3)])
+def test_polyvec_constants_match_the_polyvec_oracle(d, kmax):
+    """Past the pinned table digests (d <= 4): on a seeded sample of letter
+    pairs, wedge and bracket equal ``polyvec.wedge``/``schouten`` on the
+    letters' polyvectors, and a product of tensor degree above kmax is cut
+    to {} (at kmax = d every such product is zero anyway)."""
+    rng = SplitMix64(10 * d + kmax)
+    basis = polyvec_basis(d, kmax)
+    cut = nonzero = 0
+    for _ in range(400):
+        a, b = rng.choice(basis.letters), rng.choice(basis.letters)
+        pa, pb = pv.letter_polyvec(d, a), pv.letter_polyvec(d, b)
+        for got, want in ((basis.wedge(a, b), pv.wedge(pa, pb)),
+                          (basis.bracket(a, b), pv.schouten(pa, pb))):
+            if want.k > kmax:
+                assert got == {}
+                cut += not want.is_zero()
+            else:
+                assert got == {basis.by_ident[pv.hom_ident(m)]: c
+                               for m, c in want.terms.items()}
+                nonzero += bool(got)
+    assert nonzero > 20
+    assert cut > 20 if kmax < d else cut == 0

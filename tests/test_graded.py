@@ -197,7 +197,6 @@ def test_coderivation_steps_match_their_formulas(items, degree_of, data):
                                unique=True).map(sorted))
     rest = [x for i, x in enumerate(items) if i not in picks]
     eps = unshuffle_sign(degs, picks) * (-1) ** degs[picks[0]]
-    assert pulled_terms(items, degs, picks, None) == [(tuple(rest), eps)]
     wdeg = sum(degs[i] for i in picks) + 1
     rdegs = [d for i, d in enumerate(degs) if i not in picks]
     want = []

@@ -1,8 +1,8 @@
 """The structure validators against their former Letter-keyed bodies.
 
-``GerstBasis.validate``, ``FiniteAlgebra._validate`` and
-``LieData._validate`` run the shared residuals on letter idents over
-``int_view``s of their tables.  The oracles below are the earlier bodies,
+``GerstBasis.validate`` runs the shared residuals on letter idents over
+its two ident ops (here ``int_view``s of tables), ``FiniteAlgebra._validate``
+and ``LieData._validate`` over ``int_view``s of their tables.  The oracles below are the earlier bodies,
 kept as they were: the same residuals on ``Letter`` keys through the public
 ``wedge``/``bracket``/``unshifted``/``mul_letters``/``bracket_letters``/
 ``d_letter`` lookups, in Fraction arithmetic.  Both must accept and reject the same
@@ -167,7 +167,8 @@ def halved(basis):
     algebra (each axiom is homogeneous in the bracket), with non-integral
     constants."""
     btab = {k: {i: c / 2 for i, c in v.items()} for k, v in basis.bracket_table.items()}
-    return GerstBasis(basis.letters, basis.wedge_table, btab, name=basis.name + "/2")
+    return GerstBasis(basis.letters, int_view(basis.wedge_table), int_view(btab),
+                      name=basis.name + "/2")
 
 
 def gerst_cases():
@@ -184,7 +185,7 @@ def check_gerst(basis, counts):
     cases = [(wt, basis.bracket_table) for wt in wts]
     cases += [(basis.wedge_table, bt) for bt in bts]
     for wt, bt in cases:
-        mutant = GerstBasis(basis.letters, wt, bt)
+        mutant = GerstBasis(basis.letters, int_view(wt), int_view(bt))
         want = verdict(lambda: gerst_oracle(mutant))
         assert verdict(mutant.validate) == want
         counts[want is None] += 1
