@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import Letter, koszul_sign, pulled_terms, slot_terms
+from .graded import Letter, koszul_sign, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
                      packet_sort_key, pdeg, pgrade)
 from .shuffleco import ShuffleQuotient
@@ -125,19 +125,21 @@ class ChContext:
         return words
 
 
+def constants_context(source: GerstBasis) -> ChContext:
+    """``source`` mapped onto the base field by the constants projection:
+    every letter of degree -1 goes to the unit of ``real_target()``."""
+    target = real_target()
+    one = target.letters[0]
+    return ChContext(source, target, {a: {one: Fraction(1)}
+                                      for a in source.letters if a.degree == -1})
+
+
 def real_polyvec_context(d: int, kmax: int | None = None) -> ChContext:
     """Homogeneous polyvector fields mapped onto the base field by the
     constants projection."""
     from .genv import polyvec_basis
 
-    source = polyvec_basis(d, kmax)
-    target = real_target()
-    one = target.letters[0]
-    f1 = {}
-    for a in source.letters:
-        if a.degree == -1:  # tensor degree 0: the constants
-            f1[a] = {one: Fraction(1)}
-    return ChContext(source, target, f1)
+    return constants_context(polyvec_basis(d, kmax))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +209,10 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
     computation; term families whose argument shape is not in its ``shapes``
     are not built, since a cochain vanishing off those shapes gets nothing
     from them.  Without one, a fresh table without shapes is used.  Every
-    family is one ``graded.slot_terms`` or ``graded.pulled_terms`` call per
-    packet or packet pair; the two identity families are the negatives of
-    the terms of ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
+    family is one ``graded.slot_terms`` call per packet or packet pair,
+    which puts each value into the sorted rest of ``mono`` with its sign;
+    the two identity families are the negatives of the terms of
+    ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
     """
     if table is None:
         table = PacketTable(ctx)
@@ -230,14 +233,15 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
             tmap = tmaps.get(letter)
             if tmap:
                 terms += [(-c if flip else c, tmap, key) for key, c in
-                          slot_terms(mono, degs, j, quo.reduce_word(word), -1,
+                          slot_terms(mono, degs, (j,), quo.reduce_word(word), -1,
                                      packet_sort_key)]
         terms += [(-c, identity, key) for key, c in
-                  slot_terms(mono, degs, j, table.mu(packet), 1, packet_sort_key)]
+                  slot_terms(mono, degs, (j,), table.mu(packet), 1,
+                             packet_sort_key)]
     for j, k in pairs:
         terms += [(-c, identity, key) for key, c in
-                  pulled_terms(mono, degs, (j, k), table.bracket(mono[j], mono[k]),
-                               packet_sort_key)]
+                  slot_terms(mono, degs, (j, k), table.bracket(mono[j], mono[k]),
+                             1, packet_sort_key)]
     return terms
 
 
@@ -639,9 +643,6 @@ class TaylorFamily:
 
     def __init__(self, coeffs: dict):
         self.coeffs = {tuple(sorted(s)): v for s, v in coeffs.items()}
-
-    def shapes(self):
-        return set(self.coeffs)
 
     def __call__(self, mono: Mono) -> Vec:
         shape = tuple(sorted(len(w) for w in mono))

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import (bipartitions, koszul_sort, pulled_terms, slot_terms,
-                     unshuffle_sign, word_deg, word_grade)
+from .graded import (bipartitions, koszul_sort, slot_terms, unshuffle_sign,
+                     word_deg, word_grade)
 from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term
 
@@ -123,7 +123,7 @@ def ell_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> 
     for i in range(len(mono)):
         for j in range(i + 1, len(mono)):
             bracket = h_bracket(mono[i], mono[j], basis, quotient)
-            for key, c in pulled_terms(mono, degs, (i, j), bracket, packet_sort_key):
+            for key, c in slot_terms(mono, degs, (i, j), bracket, 1, packet_sort_key):
                 add_term(out, key, c)
     return out
 
@@ -135,7 +135,7 @@ def m_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> Mo
     for j in range(len(mono)):
         if len(mono[j]) > 1:
             mu = h_mu(mono[j], basis, quotient)
-            for key, c in slot_terms(mono, degs, j, mu, 1, packet_sort_key):
+            for key, c in slot_terms(mono, degs, (j,), mu, 1, packet_sort_key):
                 add_term(out, key, c)
     return out
 

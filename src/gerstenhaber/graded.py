@@ -5,11 +5,13 @@ transposing two adjacent graded objects of degrees u and v.  The helpers here
 are the single source of those signs; only parities of degrees matter.  Every
 graded-symmetric product (packet monomials, symmetric Lie words, polyvector
 directions) is put in order by ``koszul_sort``, and every coderivation term
-on one is built by ``slot_terms`` (in place) or ``pulled_terms`` (to the front).
+on a sorted one is built by ``slot_terms``, which inserts the operator's
+value into the sorted rest without sorting again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -168,40 +170,46 @@ def unshuffle_sign(degrees: Sequence[int], left: Sequence[int]) -> int:
     return _odd_inversion_sign([degrees[p] % 2 for p in perm], perm)
 
 
-def slot_terms(items: Sequence, degs: Sequence[int], j: int, values: dict,
-               op_deg: int, key=None) -> list:
-    """An operator of degree ``op_deg`` applied in place to item j:
-    (-1)^(op_deg * (x_1 + ... + x_(j-1))) x_1 ... w ... x_n for each (w, c)
-    of ``values``, w of degree x_j + op_deg.  ``degs`` are the item degrees;
-    each result is sorted by ``koszul_sort`` with ``key``.  Returns a list of
-    (sorted tuple, signed c), dropping square-zero results."""
-    sign = -1 if op_deg * sum(degs[:j]) % 2 else 1
-    wdegs = [*degs[:j], degs[j] + op_deg, *degs[j + 1:]]
+def slot_terms(items: Sequence, degs: Sequence[int], picks: Sequence[int],
+               values: dict, op_deg: int, key=None) -> list:
+    """One coderivation step: an operator of degree ``op_deg`` applied to the
+    items at ``picks`` (one position j, or two j < k for the degree 1 l2,
+    which carries (-1)^(x_j)), its value put into the rest of the product.
+
+    ``items`` is sorted by ``key`` (by the items themselves without one) with
+    no repeated odd-degree item, equal keys only on equal items, and ``degs``
+    are the item degrees.  For each (w, c) of ``values``, w of degree
+    (sum of x_picks) + op_deg, w goes into the rest at its ``bisect_left``
+    place with c times (-1)^(op_deg * (x_1 + ... + x_(j-1))), for a pair
+    times (-1)^(x_j + x_k * (x_(j+1) + ... + x_(k-1))), and times
+    (-1)^(deg w * the degrees w passes on its way from slot j to its place).
+    For a pair this is eps(x / x_j x_k, rest) (-1)^(x_j) with w pulled to the
+    front.  Returns a list of (sorted tuple, signed c), dropping each w equal
+    to an odd neighbour, whose product squares to zero.
+    """
+    if not values:
+        return []
+    rest = tuple(x for i, x in enumerate(items) if i not in picks)
+    keys = rest if key is None else [key(x) for x in rest]
+    # odd[p]: parity of the degrees of rest[:p]
+    odd = [0]
+    for i, d in enumerate(degs):
+        if i not in picks:
+            odd.append(odd[-1] ^ (d & 1))
+    j = picks[0]
+    sign = op_deg * odd[j]
+    if len(picks) == 2:
+        # items j+1 .. k-1 are rest[j:k-1]
+        k = picks[1]
+        sign += degs[j] + degs[k] * (odd[k - 1] ^ odd[j])
+    wodd = (op_deg + sum(degs[i] for i in picks)) & 1
     out = []
     for w, c in values.items():
-        word, s = koszul_sort([*items[:j], w, *items[j + 1:]], wdegs, key)
-        if word is not None:
-            out.append((word, c if sign * s > 0 else -c))
-    return out
-
-
-def pulled_terms(items: Sequence, degs: Sequence[int], picks: Sequence[int],
-                 values: dict, key=None) -> list:
-    """A degree 1 operation on the items at ``picks`` (increasing), pulled to
-    the front: eps(x / x_picks, rest) (-1)^(x_picks[0]) w . rest for each
-    (w, c) of ``values``, w of degree (sum of x_picks) + 1.  Sorted and
-    returned as in ``slot_terms``."""
-    sign = unshuffle_sign(degs, picks)
-    if degs[picks[0]] % 2:
-        sign = -sign
-    rest = [x for i, x in enumerate(items) if i not in picks]
-    rdegs = [d for i, d in enumerate(degs) if i not in picks]
-    wdeg = sum(degs[i] for i in picks) + 1
-    out = []
-    for w, c in values.items():
-        word, s = koszul_sort([w, *rest], [wdeg, *rdegs], key)
-        if word is not None:
-            out.append((word, c if sign * s > 0 else -c))
+        p = bisect_left(keys, w if key is None else key(w))
+        if wodd and p < len(rest) and rest[p] == w:
+            continue
+        s = sign + wodd * (odd[p] ^ odd[j])
+        out.append((rest[:p] + (w,) + rest[p:], -c if s & 1 else c))
     return out
 
 

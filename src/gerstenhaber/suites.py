@@ -117,37 +117,44 @@ def random_lie(rng) -> LieData:
 # ---------------------------------------------------------------------------
 # suites
 
+def _check(name: str, trials: int, trial) -> Result:
+    """Run ``trial(t)`` for t = 0, 1, ..., trials - 1 and stop at the first
+    counterexample it returns: (name, False, counterexample), else
+    (name, True, None).  A trial returns None when it passes or is skipped."""
+    for t in range(trials):
+        bad = trial(t)
+        if bad is not None:
+            return name, False, bad
+    return name, True, None
+
+
 def suite_tensorco(seed: int, trials: int) -> list:
     rng = SplitMix64(seed)
     results = []
 
-    bad = None
-    for _ in range(trials):
+    def coassociative(_):
         alg = random_assoc_algebra(rng)
         letters = [shifted(a) for a in alg.letters]
         w = _rand_word(letters, rng.randint(1, 5), rng)
         if coassociativity(deconcat, w):
-            bad = f"coassociativity fails on {w}"
-            break
-    results.append(("tensorco: deconcatenation coassociative", bad is None, bad))
+            return f"coassociativity fails on {w}"
+    results.append(_check("tensorco: deconcatenation coassociative", trials,
+                           coassociative))
 
-    bad = None
-    for _ in range(trials):
+    def square_zero_coderivation(_):
         alg = random_assoc_algebra(rng)
         mdiff = m_differential(alg)
         letters = [shifted(a) for a in alg.letters]
         w = _rand_word(letters, rng.randint(1, 5), rng)
         m = lambda u: mdiff({u: ONE})
         if coderivation(m, 1, deconcat, 0, word_deg, w):
-            bad = f"coderivation law fails on {w}"
-            break
+            return f"coderivation law fails on {w}"
         if square_zero(m, w):
-            bad = f"m.m != 0 on {w}"
-            break
-    results.append(("tensorco: m is a square-zero coderivation", bad is None, bad))
+            return f"m.m != 0 on {w}"
+    results.append(_check("tensorco: m is a square-zero coderivation", trials,
+                           square_zero_coderivation))
 
-    bad = None
-    for _ in range(trials):
+    def hochschild_squares_to_zero(_):
         alg = random_assoc_algebra(rng)
         letters = [shifted(a) for a in alg.letters]
         arity = rng.randint(1, 3)
@@ -161,11 +168,9 @@ def suite_tensorco(seed: int, trials: int) -> list:
         for _ in range(6):
             w = _rand_word(letters, arity + 2, rng)
             if ddC(w):
-                bad = f"d_H^2 != 0 on {w}"
-                break
-        if bad:
-            break
-    results.append(("tensorco: Hochschild coboundary squares to zero", bad is None, bad))
+                return f"d_H^2 != 0 on {w}"
+    results.append(_check("tensorco: Hochschild coboundary squares to zero", trials,
+                           hochschild_squares_to_zero))
     return results
 
 
@@ -173,38 +178,34 @@ def suite_symco(seed: int, trials: int) -> list:
     rng = SplitMix64(seed)
     results = []
 
-    bad = None
-    for _ in range(trials):
+    def coproduct(_):
         lie = random_lie(rng)
         letters = list(lie.letters)
         word, sign = sym_key(_rand_word(letters, rng.randint(1, 5), rng))
         if word is None:
-            continue
+            return None
         if cosymmetry(sym_coproduct, lambda w: word_deg(w) - len(w), word):
-            bad = f"cocommutativity fails on {word}"
-            break
+            return f"cocommutativity fails on {word}"
         if coassociativity(sym_coproduct, word):
-            bad = f"coassociativity fails on {word}"
-            break
-    results.append(("symco: coproduct cocommutative and coassociative", bad is None, bad))
+            return f"coassociativity fails on {word}"
+    results.append(_check("symco: coproduct cocommutative and coassociative", trials,
+                           coproduct))
 
-    bad = None
-    for _ in range(trials):
+    def codifferential(_):
         lie = random_lie(rng)
         ell = ell_lift(lie)
         word, sign = sym_key(_rand_word(lie.letters, rng.randint(1, 4), rng))
         if word is None:
-            continue
+            return None
         if square_zero(lambda u: ell({u: ONE}), word):
-            bad = f"l.l != 0 on {word}"
-            break
-    results.append(("symco: lifted codifferential squares to zero", bad is None, bad))
+            return f"l.l != 0 on {word}"
+    results.append(_check("symco: lifted codifferential squares to zero", trials,
+                           codifferential))
 
-    bad = None
-    for _ in range(trials):
+    def chevalley_squares_to_zero(_):
         lie = random_lie(rng)
         if lie.diff_table:
-            continue
+            return None
         deg_f = rng.randrange(2)
         table: dict = {}
         n = rng.randint(1, 2)
@@ -220,11 +221,9 @@ def suite_symco(seed: int, trials: int) -> list:
         for _ in range(6):
             args = [rng.choice(lie.letters) for _ in range(n + 2)]
             if ddF(args):
-                bad = f"d_L^2 != 0 on {args}"
-                break
-        if bad:
-            break
-    results.append(("symco: Chevalley coboundary squares to zero", bad is None, bad))
+                return f"d_L^2 != 0 on {args}"
+    results.append(_check("symco: Chevalley coboundary squares to zero", trials,
+                           chevalley_squares_to_zero))
     return results
 
 
@@ -241,76 +240,68 @@ def suite_shuffle(seed: int, trials: int, pv: GerstBasis) -> list:
     results = []
     quo = ShuffleQuotient()
 
-    bad = None
-    for _ in range(trials):
+    def commutative(_):
         basis = _basis_pair(rng, pv)
         a = _rand_word(basis.letters, rng.randint(1, 3), rng)
         b = _rand_word(basis.letters, rng.randint(1, 3), rng)
         if symmetry(bat, word_deg, a, b):
-            bad = f"commutativity fails on {a}, {b}"
-            break
-    results.append(("shuffle: graded commutativity of the shuffle product", bad is None, bad))
+            return f"commutativity fails on {a}, {b}"
+    results.append(_check("shuffle: graded commutativity of the shuffle product", trials,
+                           commutative))
 
-    bad = None
-    for _ in range(trials):
+    def associative(_):
         basis = _basis_pair(rng, pv)
         a = _rand_word(basis.letters, rng.randint(1, 2), rng)
         b = _rand_word(basis.letters, rng.randint(1, 2), rng)
         c = _rand_word(basis.letters, rng.randint(1, 2), rng)
         if (associativity(bat, a, b, c)
                 or bat3(a, b, c) != bat_elem(bat(a, b), {c: ONE})):
-            bad = f"associativity fails on {a}, {b}, {c}"
-            break
-    results.append(("shuffle: shuffle product associativity", bad is None, bad))
+            return f"associativity fails on {a}, {b}, {c}"
+    results.append(_check("shuffle: shuffle product associativity", trials,
+                           associative))
 
-    bad = None
-    for _ in range(trials):
+    def images_vanish(_):
         basis = _basis_pair(rng, pv)
         a = _rand_word(basis.letters, rng.randint(1, 2), rng)
         b = _rand_word(basis.letters, rng.randint(1, 2), rng)
         if quo.reduce(bat(a, b)):
-            bad = f"shuffle image does not vanish: {a}, {b}"
-            break
+            return f"shuffle image does not vanish: {a}, {b}"
         if delta_elem(bat(a, b), quo):
-            bad = f"cocrochet of a shuffle image nonzero: {a}, {b}"
-            break
-    results.append(("shuffle: shuffle images vanish in the quotient", bad is None, bad))
+            return f"cocrochet of a shuffle image nonzero: {a}, {b}"
+    results.append(_check("shuffle: shuffle images vanish in the quotient", trials,
+                           images_vanish))
 
-    bad = None
-    for _ in range(trials):
+    def cocrochet(_):
         basis = _basis_pair(rng, pv)
         w = _rand_rep_packet(basis.letters, rng.randint(1, 4), rng, quo)
         if w is None:
-            continue
+            return None
         dl = lambda u: delta(u, quo)
         if cosymmetry(dl, word_deg, w, -1):
-            bad = f"coantisymmetry fails on {w}"
-            break
+            return f"coantisymmetry fails on {w}"
         if cojacobi(dl, word_deg, w):
-            bad = f"coJacobi fails on {w}"
-            break
-    results.append(("shuffle: cocrochet coantisymmetry and coJacobi", bad is None, bad))
+            return f"coJacobi fails on {w}"
+    results.append(_check("shuffle: cocrochet coantisymmetry and coJacobi", trials,
+                           cocrochet))
 
-    bad = None
-    for _ in range(trials):
+    def mu_squares_to_zero(_):
         alg = random_assoc_algebra(rng)
         if not alg.commutative:
-            continue
+            return None
         mufun = mu(alg, quo)
         letters = [shifted(a) for a in alg.letters]
         w = _rand_rep_packet(letters, rng.randint(1, 4), rng, quo)
         if w is None:
-            continue
+            return None
         if square_zero(mufun, w):
-            bad = f"mu.mu != 0 on {w}"
-            break
-    results.append(("shuffle: quotient differential squares to zero", bad is None, bad))
+            return f"mu.mu != 0 on {w}"
+    results.append(_check("shuffle: quotient differential squares to zero", trials,
+                           mu_squares_to_zero))
 
-    bad = None
-    for _ in range(trials):
+    def harrison_squares_to_zero(_):
         alg = random_assoc_algebra(rng)
         if not alg.commutative or any(a.degree != 0 for a in alg.letters):
-            continue
+            return None
         letters = [shifted(a) for a in alg.letters]
         n = rng.randint(1, 2)
         table: dict = {}
@@ -331,11 +322,9 @@ def suite_shuffle(seed: int, trials: int, pv: GerstBasis) -> list:
             if w is None:
                 continue
             if ddC(w):
-                bad = f"d_Ha^2 != 0 on {w}"
-                break
-        if bad:
-            break
-    results.append(("shuffle: Harrison coboundary squares to zero", bad is None, bad))
+                return f"d_Ha^2 != 0 on {w}"
+    results.append(_check("shuffle: Harrison coboundary squares to zero", trials,
+                           harrison_squares_to_zero))
     return results
 
 
@@ -349,20 +338,18 @@ def suite_genv(seed: int, trials: int, pv: GerstBasis, corrupt=False) -> list:
             return _corrupt_sandbox(rng)
         return sandbox_gerstenhaber(rng) if trial % 2 else pv
 
-    bad = None
-    for t in range(trials):
+    def antisymmetric(t):
         basis = basis_for(t)
         a = _rand_rep_packet(basis.letters, rng.randint(1, 3), rng, quo)
         b = _rand_rep_packet(basis.letters, rng.randint(1, 3), rng, quo)
         if a is None or b is None:
-            continue
+            return None
         if symmetry(lambda x, y: h_bracket(x, y, basis, quo), word_deg, a, b, -1):
-            bad = f"antisymmetry fails on {a}, {b}"
-            break
-    results.append(("bracket extension: graded antisymmetry", bad is None, bad))
+            return f"antisymmetry fails on {a}, {b}"
+    results.append(_check("bracket extension: graded antisymmetry", trials,
+                           antisymmetric))
 
-    bad = None
-    for t in range(trials):
+    def jacobi_identity(t):
         basis = basis_for(t)
         words = []
         for _ in range(3):
@@ -371,28 +358,26 @@ def suite_genv(seed: int, trials: int, pv: GerstBasis, corrupt=False) -> list:
                 break
             words.append(w)
         if len(words) < 3:
-            continue
+            return None
         a, b, c = words
         if jacobi(lambda x, y: h_bracket(x, y, basis, quo), word_deg, a, b, c):
-            bad = f"Jacobi fails on {a}, {b}, {c}"
-            break
-    results.append(("bracket extension: graded Jacobi", bad is None, bad))
+            return f"Jacobi fails on {a}, {b}, {c}"
+    results.append(_check("bracket extension: graded Jacobi", trials,
+                           jacobi_identity))
 
-    bad = None
-    for t in range(trials):
+    def bracket_derivation(t):
         basis = basis_for(t)
         a = _rand_rep_packet(basis.letters, rng.randint(1, 3), rng, quo)
         b = _rand_rep_packet(basis.letters, rng.randint(1, 3), rng, quo)
         if a is None or b is None:
-            continue
+            return None
         if derivation(lambda w: h_mu(w, basis, quo), 1,
                       lambda x, y: h_bracket(x, y, basis, quo), word_deg, a, b):
-            bad = f"differential-bracket compatibility fails on {a}, {b}"
-            break
-    results.append(("bracket extension: differential is a bracket derivation", bad is None, bad))
+            return f"differential-bracket compatibility fails on {a}, {b}"
+    results.append(_check("bracket extension: differential is a bracket derivation",
+                           trials, bracket_derivation))
 
-    bad = None
-    for t in range(trials):
+    def shuffle_compatible(t):
         basis = basis_for(t)
         p, q, r = (rng.randint(1, 2) for _ in range(3))
         a = _rand_word(basis.letters, p, rng)
@@ -404,9 +389,9 @@ def suite_genv(seed: int, trials: int, pv: GerstBasis, corrupt=False) -> list:
         s = -1 if (word_deg(a) % 2 and word_deg(b) % 2) else 1
         add_scaled(rhs, extend(bat, {b: ONE}, br(a, c)), s)
         if lhs != rhs:
-            bad = f"compatibility with shuffles fails on {a}, {b}, {c}"
-            break
-    results.append(("bracket extension: compatibility with shuffle images", bad is None, bad))
+            return f"compatibility with shuffles fails on {a}, {b}, {c}"
+    results.append(_check("bracket extension: compatibility with shuffle images",
+                           trials, shuffle_compatible))
     return results
 
 
@@ -493,21 +478,18 @@ def suite_ginfty(seed: int, trials: int, pv: GerstBasis) -> list:
 
 
 def suite_chcoh(seed: int, trials: int) -> list:
-    from .chcoh import (ChContext, Cochain, Truncation, d_ch, level_shapes,
-                        monomials_for_shape, real_target)
+    from .chcoh import (Cochain, Truncation, constants_context, d_ch, level_shapes,
+                        monomials_for_shape)
 
     rng = SplitMix64(seed)
     results = []
     trunc = Truncation(2, 1, 4, 4)
     pv = polyvec_basis(2, 1)
 
-    bad = None
-    for t in range(max(1, trials // 10)):
+    def squares_to_zero(t):
         src = sandbox_gerstenhaber(rng) if t % 2 else pv
-        tgt = real_target()
-        one = tgt.letters[0]
-        f1 = {a: {one: Fraction(1)} for a in src.letters if a.degree == -1}
-        ctx = ChContext(src, tgt, f1)
+        ctx = constants_context(src)
+        one = ctx.target.letters[0]
         vals = {}
         for shape in level_shapes(2, 3):
             for mono in monomials_for_shape(ctx, shape):
@@ -515,9 +497,9 @@ def suite_chcoh(seed: int, trials: int) -> list:
                     vals[mono] = {one: Fraction(rng.randint(-2, 2))}
         ddg = d_ch(d_ch(Cochain(vals, 2), ctx, trunc), ctx, trunc)
         if not ddg.is_zero():
-            bad = f"d_CH^2 != 0 at {next(iter(ddg.values))}"
-            break
-    results.append(("chcoh: combined coboundary squares to zero", bad is None, bad))
+            return f"d_CH^2 != 0 at {next(iter(ddg.values))}"
+    results.append(_check("chcoh: combined coboundary squares to zero",
+                           max(1, trials // 10), squares_to_zero))
     return results
 
 

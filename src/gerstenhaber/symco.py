@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .graded import (Letter, bipartitions, koszul_sort, pulled_terms,
-                     slot_terms, unshuffle_sign)
+from .graded import (Letter, bipartitions, koszul_sort, slot_terms,
+                     unshuffle_sign)
 from .tensorco import (add_scaled, add_term, derivation, extend,
                        fraction_table, int_coeffs, int_view, jacobi,
                        on_letters, square_zero, symmetry)
@@ -128,11 +128,11 @@ def ell_lift(data: LieData):
             if data.diff_table:
                 for j in range(n):
                     dj = data.d_letter(word[j])
-                    terms += slot_terms(word, degs, j, dj, 1, ident_key)
+                    terms += slot_terms(word, degs, (j,), dj, 1, ident_key)
             for i in range(n):
                 for j in range(i + 1, n):
                     bij = data.bracket_letters(word[i], word[j])
-                    terms += pulled_terms(word, degs, (i, j), bij, ident_key)
+                    terms += slot_terms(word, degs, (i, j), bij, 1, ident_key)
             for key, c in terms:
                 add_term(out, key, coeff * c)
         return out

@@ -108,6 +108,27 @@ def test_d_m_cancellation_on_detached_constants():
     assert d_ch_value(f3.eval, mono, ctx, table) == {}
 
 
+def test_coboundary_steps_do_not_sort_or_unshuffle(monkeypatch):
+    """The coboundary puts each term into the sorted rest of its monomial:
+    d_ch(f3) at d = 3 calls neither ``koszul_sort`` nor ``unshuffle_sign``
+    (the polyvector constants, which sort directions, are not patched)."""
+    import gerstenhaber.ginfty as ginfty
+    import gerstenhaber.graded as graded
+    from gerstenhaber.chcoh import d_ch
+
+    ctx = real_polyvec_context(3, 1)
+    f3 = f3_111(3, ctx)
+    calls = []
+    for mod in (graded, ginfty):
+        for name in ("koszul_sort", "unshuffle_sign"):
+            if hasattr(mod, name):
+                fn = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, _f=fn, _n=name, **k:
+                                    calls.append(_n) or _f(*a, **k))
+    assert d_ch(f3, ctx, Truncation(3, 1, 4, 4)).is_zero()
+    assert calls == []
+
+
 def test_d_ell_is_classical_chevalley_on_vector_fields():
     """On four single vector-field packets the bracket part is minus the
     alternating classical coboundary of the trace 3-cochain, computed here

@@ -199,6 +199,19 @@ def test_verify_all_golden_digest(capsys):
         "4f66f44eeb0dedd939c2e9f2b36b9721a27fbaf0ebdff54395d4f0c0fa7718fa"
 
 
+@pytest.mark.parametrize("seed, want", [
+    ("3", "91bec5a1b214adac3a007ffa8986bce96ebe55f3ebb2a38c738e377b4da5a11a"),
+    ("7", "479dfeb76edfa11c0a555de98b62bb8eac1f1dda44b24f7dfc4aa8b533f066f7"),
+])
+def test_verify_corrupted_sandbox_golden_digest(seed, want, capsys):
+    """The failing genv report on corrupted sandboxes, first counterexamples
+    included, pinned byte for byte."""
+    code, out, _ = run(capsys, "verify", "--suite", "genv", "--seed", seed,
+                       "--trials", "10", "--corrupt-sandbox")
+    assert code == 1
+    assert sha256(out) == want
+
+
 def test_differential_golden_digest(capsys):
     """The exported level-2 coboundary matrix at d=2, k<=1, pinned byte for
     byte."""

@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gerstenhaber.graded import (Letter, grade_digits, koszul_sign, koszul_sort,
-                                 pack_grade, pulled_terms, shifted, slot_terms,
-                                 unshuffle_sign, word_grade)
+                                 pack_grade, shifted, slot_terms, unshuffle_sign,
+                                 word_grade)
 from gerstenhaber.prng import SplitMix64
 
 
@@ -174,17 +174,17 @@ def test_koszul_sort_cases():
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=5).map(sorted),
        degree_tables, st.data())
 def test_coderivation_steps_match_their_formulas(items, degree_of, data):
-    """slot_terms and pulled_terms against the formulas written with
-    ``koszul_sign`` and ``unshuffle_sign``, on sorted tuples with a value of
-    two items of the right degree parity."""
+    """slot_terms against the formulas written with ``koszul_sign`` and
+    ``unshuffle_sign``, on sorted tuples with a value of three items of the
+    right degree parity, which go in before, among and after the rest."""
     assume(not any(a == b and degree_of[a] % 2 for a, b in zip(items, items[1:])))
     degs = [degree_of[x] for x in items]
     n = len(items)
-    values = {10: 3, 11: -2}
+    values = {-0.5: 3, 2.5: 1, 10: -2}
     for j in range(n):
         for op_deg in (1, 2):
             wdeg = degs[j] + op_deg
-            got = slot_terms(items, degs, j, values, op_deg)
+            got = slot_terms(items, degs, (j,), values, op_deg)
             want = []
             for w, c in values.items():
                 new = items[:j] + [w] + items[j + 1:]
@@ -193,7 +193,9 @@ def test_coderivation_steps_match_their_formulas(items, degree_of, data):
                 s *= (-1) ** (op_deg * sum(degs[:j]))
                 want.append((tuple(new[i] for i in perm), s * c))
             assert got == want
-    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+    if n < 2:
+        return
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                unique=True).map(sorted))
     rest = [x for i, x in enumerate(items) if i not in picks]
     eps = unshuffle_sign(degs, picks) * (-1) ** degs[picks[0]]
@@ -204,4 +206,34 @@ def test_coderivation_steps_match_their_formulas(items, degree_of, data):
         perm = sorted(range(len(rest) + 1), key=lambda i: ([w] + rest)[i])
         s = koszul_sign([wdeg] + rdegs, perm)
         want.append((tuple(([w] + rest)[i] for i in perm), eps * s * c))
-    assert pulled_terms(items, degs, picks, values) == want
+    assert slot_terms(items, degs, picks, values, 1) == want
+
+
+def test_coderivation_step_drops_odd_squares_only():
+    # w = c of degree 1 next to the odd c: squares to zero
+    assert slot_terms("abc", [1, 0, 1], (1,), {"c": 1, "a": 2}, 1) == []
+    # w = c of degree 2 next to the even c: kept
+    assert slot_terms("abc", [0, 1, 2], (1,), {"c": 5}, 1) == [(("a", "c", "c"), 5)]
+    # l2(a, b) of degree 1: c squares to zero, d passes the odd c
+    assert slot_terms("abc", [0, 0, 1], (0, 1), {"c": 1, "d": 1}, 1) == \
+        [(("c", "d"), -1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=6, unique=True).map(sorted),
+       st.lists(st.integers(0, 9), max_size=4, unique=True), st.data())
+def test_coderivation_step_keys_the_rest_once(items, values, data):
+    """The key is called once per item of the rest and once per value, and
+    not at all without values."""
+    picks = data.draw(st.sampled_from([(j,) for j in range(len(items))] +
+                                      [(j, k) for j in range(len(items))
+                                       for k in range(j + 1, len(items))]))
+    calls = []
+
+    def key(x):
+        calls.append(x)
+        return -x
+
+    items = items[::-1]
+    slot_terms(items, [0] * len(items), picks, dict.fromkeys(values, 1), 2, key)
+    assert len(calls) == (len(items) - len(picks) + len(values) if values else 0)
