@@ -37,9 +37,10 @@ from .graded import Letter, koszul_sign, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
                      packet_sort_key, pdeg, pgrade)
 from .shuffleco import ShuffleQuotient
-from .tensorco import ONE, add_scaled, add_term, extend, int_view
+from .tensorco import ONE, add_scaled, add_term, extend, int_coeffs, int_view
 
-Vec = dict  # dict[Letter, Fraction] over the target basis
+Vec = dict  # dict[Letter, int | Fraction] over the target basis, Fraction
+            # in a Cochain
 
 
 class TruncationError(Exception):
@@ -83,16 +84,17 @@ class ChContext:
     term family is resolved here, once, into a map of target letters:
     ``identity``, and per source letter a of f1 ``mul_left[a]`` (b to
     f1(a) b) and ``mul_right[a]`` (b to b f1(a)), wedges in the target.
+    Their coefficients are ints unless not integers.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
         self.source = source
         self.target = target
-        self.identity = {b: {b: Fraction(1)} for b in target.letters}
+        self.identity = {b: {b: 1} for b in target.letters}
         self.mul_left: dict = {}
         self.mul_right: dict = {}
         for a, val in f1.items():
-            val = {b: Fraction(c) for b, c in val.items() if c}
+            val = int_coeffs({b: Fraction(c) for b, c in val.items() if c})
             if not val:
                 continue
             if a.grade != -1 or any(b.grade != -1 for b in val):
@@ -130,7 +132,7 @@ def constants_context(source: GerstBasis) -> ChContext:
     every letter of degree -1 goes to the unit of ``real_target()``."""
     target = real_target()
     one = target.letters[0]
-    return ChContext(source, target, {a: {one: Fraction(1)}
+    return ChContext(source, target, {a: {one: 1}
                                       for a in source.letters if a.degree == -1})
 
 
@@ -479,15 +481,14 @@ def _block_matrix(ctx: ChContext, rows: list, cols: list,
     tindex = {a: i for i, a in enumerate(ctx.target.letters)}
     nt = len(tindex)
     col_index = {m: i for i, m in enumerate(cols)}
-    mat = SparseMat(len(rows) * nt, len(cols) * nt)
+    entries: dict = {}
     for ri, W in enumerate(rows):
         for (arg, lo, li), c in d_ch_row(W, ctx, table).items():
             ci = col_index.get(arg)
             if ci is not None:
-                r = ri * nt + tindex[lo]
-                cc = ci * nt + tindex[li]
-                mat[r, cc] = mat[r, cc] + c
-    return mat
+                rc = (ri * nt + tindex[lo], ci * nt + tindex[li])
+                entries[rc] = entries.get(rc, 0) + c
+    return SparseMat(len(rows) * nt, len(cols) * nt, entries)
 
 
 def is_cocycle(f, ctx: ChContext, trunc: Truncation) -> bool:

@@ -10,7 +10,6 @@ to the shuffle quotient.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 
@@ -22,8 +21,8 @@ from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
                        extend, fraction_table, int_view, jacobi, symmetry)
 
-Vec = dict   # dict[Letter, Fraction]
-Elem = dict  # dict[Word, Fraction]
+Vec = dict   # dict[Letter, int | Fraction], int unless not an integer
+Elem = dict  # dict[Word, int | Fraction], as Vec
 
 
 class GerstBasis:
@@ -33,8 +32,10 @@ class GerstBasis:
     to a dict ident -> coefficient ({} for a zero product); callers only read
     the returned dicts.  On letters of shifted degrees a, b the wedge has
     shifted degree a + b + 1 and the bracket a + b.  ``wedge``/``bracket``
-    return the same constants Letter-keyed and Fraction-valued, and
-    ``wedge_table``/``bracket_table`` materialise them over all letter pairs.
+    return the same constants Letter-keyed, with the zero ones dropped and
+    each as the op gives it (an int on integral ops), and
+    ``wedge_table``/``bracket_table`` materialise them over all letter pairs
+    with Fraction values.
     ``validate()`` checks the axioms on all basis triples with the
     ``tensorco`` residuals run on the two ops: the wedge graded commutative
     and associative in the unshifted grading, the bracket graded
@@ -51,7 +52,7 @@ class GerstBasis:
         self.name = name
 
     def _on_letters(self, val: dict) -> Vec:
-        return {self.by_ident[i]: Fraction(c) for i, c in val.items() if c}
+        return {self.by_ident[i]: c for i, c in val.items() if c}
 
     def wedge(self, a: Letter, b: Letter) -> Vec:
         return self._on_letters(self.wedge_op(a.ident, b.ident))

@@ -11,23 +11,28 @@ split u|v of each word with (len u, u) <= (len v, v) gives a shuffle row
 (the split v|u only repeats it up to sign), ``exactlin.echelonize`` brings
 the integer rows to reduced row echelon form with words ordered
 lexicographically, and eliminated (pivot) words are rewritten into the
-remaining representative words.  The coderivation lifts and the Harrison
-coboundary are the tensor ones of ``tensorco`` read through that reduction.
+remaining representative words.  A reduction row keeps its coefficients as
+``int``s unless one is not an integer (``tensorco.int_coeffs``), so
+``reduce_word`` and ``reduce`` stay in int arithmetic on integral tables;
+``ShuffleQuotient.tables`` is a read-only view that gives the same rows with
+``Fraction`` values.  The coderivation lifts and the Harrison coboundary are
+the tensor ones of ``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .exactlin import echelonize
 from .graded import grade_digits, koszul_sign, word_deg
 from .tensorco import (add_scaled, add_term, coderivation_lift_tensor,
-                       d_hochschild, extend, m2)
+                       d_hochschild, extend, int_coeffs, m2)
 
 Word = tuple   # tuple[Letter, ...]
-Elem = dict    # dict[Word, Fraction]
+Elem = dict    # dict[Word, int | Fraction]
 
 
 def _shuffle(a: tuple, b: tuple, odd) -> dict:
@@ -167,20 +172,45 @@ def graded_multisets(letters: list, length: int, grades) -> list:
     return out
 
 
+class _FractionTables(Mapping):
+    """Read-only view multiset -> {word: {representative: Fraction}} of a
+    table store.  A table is converted when it is read; ``len``, iteration
+    and ``in`` read only the store's keys."""
+
+    def __init__(self, store: dict):
+        self._store = store
+
+    def __getitem__(self, multiset) -> dict:
+        return {w: {u: Fraction(c) for u, c in row.items()}
+                for w, row in self._store[multiset].items()}
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def __contains__(self, multiset) -> bool:
+        return multiset in self._store
+
+
 class ShuffleQuotient:
     """Reduction to representatives modulo shuffle images, per letter multiset.
 
     Tables are built lazily per multiset and cached; the construction is
     deterministic (lexicographic word order, lowest-word pivots), so the
-    representative basis does not depend on call order.
+    representative basis does not depend on call order.  ``reduce_word``
+    returns a stored row, so callers only read it; ``tables`` is a read-only
+    view of the built tables with Fraction rows.
     """
 
     def __init__(self):
-        self.tables: dict[tuple, dict] = {}
+        self._tables: dict[tuple, dict] = {}
+        self.tables = _FractionTables(self._tables)
         self.reps: dict[tuple, list] = {}
 
     def _table(self, multiset: tuple) -> dict:
-        table = self.tables.get(multiset)
+        table = self._tables.get(multiset)
         if table is not None:
             return table
         # Code the distinct letters 0..k-1 in sorted order, so coded words
@@ -197,11 +227,12 @@ class ShuffleQuotient:
                 if (p, w[:p]) <= (len(w) - p, w[p:])]
         rows, pivots = echelonize(rows, len(coded))
         words = [tuple(alphabet[c] for c in w) for w in coded]
-        table = {w: {w: Fraction(1)} for w in words}
+        table = {w: {w: 1} for w in words}
         for row, col in zip(rows, pivots):
-            table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
+            table[words[col]] = {words[u]: -v for u, v in int_coeffs(row).items()
+                                 if u != col}
         pivset = set(pivots)
-        self.tables[multiset] = table
+        self._tables[multiset] = table
         self.reps[multiset] = [w for i, w in enumerate(words) if i not in pivset]
         return table
 
@@ -238,7 +269,7 @@ class ShuffleQuotient:
 
     def is_representative(self, word: Word) -> bool:
         red = self.reduce_word(word)
-        return red == {word: Fraction(1)}
+        return red == {word: 1}
 
     def dump_json(self, multisets) -> str:
         """JSON description {multiset, dim, representatives} per multiset."""
@@ -297,7 +328,7 @@ def lift_coderivation(taylor: dict, q: int, quotient: ShuffleQuotient):
     the tensor coderivation lift of a word (``coderivation_lift_tensor``),
     reduced in the quotient."""
     lift = coderivation_lift_tensor(taylor, q)
-    return lambda word: quotient.reduce(lift({word: Fraction(1)}))
+    return lambda word: quotient.reduce(lift({word: 1}))
 
 
 def mu(alg, quotient: ShuffleQuotient):

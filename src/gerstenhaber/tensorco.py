@@ -4,7 +4,17 @@ Letters of a ``FiniteAlgebra`` carry their unshifted degree.  Tensor words
 live over the shifted copy of the basis: their letters are the same symbols
 with the degree lowered by one (``graded.shifted``), and every sign below
 reads those shifted degrees directly.  An element is a sparse dict
-word -> Fraction.
+word -> coefficient.
+
+Coefficients are exact rationals, and int and Fraction terms add up to the
+same exact value.  From the shuffle-quotient tables and the ``GerstBasis``
+constants through the ``genv`` operators and ``chcoh`` row assembly, a
+coefficient is an ``int`` unless it is not an integer; ``int_coeffs`` is the
+one place that makes that choice.  The values a caller stores, exports or
+hashes stay ``Fraction``: ``Cochain.values``, ``SparseMat`` entries,
+``exactlin`` results, the ``ShuffleQuotient.tables`` view,
+``GerstBasis.wedge_table``/``bracket_table`` and the ``FiniteAlgebra``
+products.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from fractions import Fraction
 from .graded import Letter, shifted, word_deg
 
 Word = tuple  # tuple[Letter, ...] with shifted degrees
-Elem = dict   # dict[Word, Fraction]
-Vec = dict    # dict[Letter, Fraction], an element of the algebra
+Elem = dict   # dict[Word, int | Fraction]
+Vec = dict    # dict[Letter, int | Fraction], an element of the algebra
 ONE = 1
 
 

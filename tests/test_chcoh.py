@@ -1,18 +1,19 @@
 import hashlib
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
-                                Truncation, TruncationError, _word_grades,
-                                assemble_matrix, d_ch_row, d_ch_terms, d_ch_value,
+                                Truncation, TruncationError,
+                                _coboundary_monomials, _word_grades,
+                                assemble_matrix, d_ch, d_ch_row, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
                                 reconstruct_morphism, recursion_single)
-from gerstenhaber.genv import (GerstBasis, polyvec_basis, sandbox_gerstenhaber,
-                               zero_gerstenhaber)
+from gerstenhaber.genv import (GerstBasis, h_bracket, h_mu, polyvec_basis,
+                               sandbox_gerstenhaber, zero_gerstenhaber)
 from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
                                  mono_key, pdeg, pgrade)
 from gerstenhaber.graded import Letter, word_deg, word_grade
@@ -1078,3 +1079,56 @@ def test_d_ch_operator_squares_to_zero_as_cochain():
     # and the concrete 3-cochain is annihilated at d=3
     ctx3 = real_polyvec_context(3)
     assert d_ch(f3_111(3, ctx3), ctx3, Truncation(3, 3, 4, 4)).is_zero()
+
+
+def test_row_assembly_coefficients_are_ints_on_integral_tables():
+    """Coefficient policy: on integral tables and constants every coefficient
+    of the coboundary path is an int, from the reduction rows through the
+    packet operators to ``d_ch_row`` on the level-3 monomials that a level-2
+    cochain at d = 3, k <= 1 reaches."""
+    def ints(vals):
+        return all(type(c) is int for c in vals)
+
+    ctx = real_polyvec_context(3, 1)
+    source, quo = ctx.source, ctx.quotient
+    packets = {n: ctx.rep_words(n) for n in (1, 2, 3)}
+    for ms in quo.tables:
+        for w in set(permutations(ms)):
+            assert ints(quo.reduce_word(w).values())
+    for a in source.letters:
+        for b in source.letters:
+            assert ints(source.wedge(a, b).values())
+            assert ints(source.bracket(a, b).values())
+    for x in packets[1] + packets[2]:
+        for y in packets[1]:
+            assert ints(h_bracket(x, y, source, quo).values())
+    for x in packets[2] + packets[3]:
+        assert ints(h_mu(x, source, quo).values())
+
+    one = ctx.target.letters[0]
+    g = Cochain({m: {one: Fraction(1)} for s in level_shapes(2, 4)
+                 for m in monomials_for_shape(ctx, s)}, 2)
+    table = PacketTable(ctx, g.shapes())
+    rows = list(_coboundary_monomials(g, ctx, Truncation(3, 1, 4, 4), table))
+    assert len(rows) > 100
+    for mono in rows:
+        row = d_ch_row(mono, ctx, table)
+        assert ints(row.values())
+
+
+def test_fractional_cochain_values_round_trip_exactly():
+    """A level-2 cochain with values in {+-1/3, +-3/2} at d = 3, k <= 1:
+    its coboundary has a preimage whose coboundary is the same, exactly."""
+    rng = SplitMix64(19)
+    ctx = real_polyvec_context(3, 1)
+    one = ctx.target.letters[0]
+    trunc = Truncation(3, 1, 4, 4)
+    choices = [Fraction(1, 3), Fraction(-1, 3), Fraction(3, 2), Fraction(-3, 2)]
+    vals = {mono: {one: rng.choice(choices)}
+            for shape in level_shapes(2, 4)
+            for mono in monomials_for_shape(ctx, shape) if rng.randrange(3) == 0}
+    f = d_ch(Cochain(vals, 2), ctx, trunc)
+    assert any(v[one].denominator > 1 for v in f.values.values())
+    pre = is_coboundary(f, ctx, trunc)
+    assert pre is not None
+    assert d_ch(pre, ctx, trunc).values == f.values

@@ -14,7 +14,7 @@ from gerstenhaber.graded import koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient
 from gerstenhaber.suites import suite_genv
-from gerstenhaber.tensorco import add_term
+from gerstenhaber.tensorco import add_term, int_view
 
 
 def brute_bracket(a, b, basis):
@@ -170,3 +170,25 @@ def test_polyvec_constants_match_the_polyvec_oracle(d, kmax):
                 nonzero += bool(got)
     assert nonzero > 20
     assert cut > 20 if kmax < d else cut == 0
+
+
+def test_halved_bracket_keeps_exact_fractions():
+    """A GerstBasis whose bracket table is halved through ``int_view``
+    brackets packets to exactly half of the integral basis's value, with the
+    non-integral coefficients as Fractions."""
+    basis = polyvec_basis(2)
+    halved = {key: {i: c / 2 for i, c in val.items()}
+              for key, val in basis.bracket_table.items()}
+    half = GerstBasis(basis.letters, basis.wedge_op, int_view(halved))
+    quo = ShuffleQuotient()
+    rng = SplitMix64(23)
+    halves = 0
+    for _ in range(60):
+        x = tuple(rng.choice(basis.letters) for _ in range(rng.randint(1, 2)))
+        y = tuple(rng.choice(basis.letters) for _ in range(rng.randint(1, 2)))
+        want = {w: Fraction(c, 2) for w, c in h_bracket(x, y, basis, quo).items()}
+        got = h_bracket(x, y, half, quo)
+        assert got == want
+        halves += sum(type(c) is Fraction and c.denominator == 2
+                      for c in got.values())
+    assert halves > 10

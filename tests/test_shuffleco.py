@@ -1,12 +1,14 @@
 import hashlib
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerstenhaber import shuffleco
 from gerstenhaber.chcoh import TaylorFamily, reconstruct_morphism
 from gerstenhaber.genv import h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.graded import (Letter, koszul_sign, pack_grade, shifted,
@@ -363,3 +365,32 @@ def test_graded_multisets_match_filtered_combinations():
                 assert graded_multisets(letters, n, gs) == want
                 cases += 1
     assert cases > 700
+
+
+def test_tables_view_reads_the_reduction_rows_as_fractions(monkeypatch):
+    """``ShuffleQuotient.tables`` gives, per built multiset, the
+    ``reduce_word`` rows with Fraction values; ``len``, iteration and ``in``
+    see exactly the built multisets and convert no row."""
+    letters = polyvec_basis(2, 1).letters
+    quo = build_quotient(letters, 3)
+    built = sorted(quo.reps)
+    assert isinstance(quo.tables, Mapping)
+    for ms in built:
+        table = quo.tables[ms]
+        assert sorted(table) == sorted(set(permutations(ms)))
+        for w, row in table.items():
+            assert row == quo.reduce_word(w)
+            assert all(type(c) is Fraction for c in row.values())
+    with pytest.raises(TypeError):
+        quo.tables[built[0]] = {}
+
+    def no_conversion(*args):
+        raise AssertionError("a table row was converted")
+
+    monkeypatch.setattr(shuffleco, "Fraction", no_conversion)
+    assert len(quo.tables) == len(built)
+    assert sorted(quo.tables) == built
+    assert all(ms in quo.tables for ms in built)
+    assert (letters[0],) * 4 not in quo.tables
+    with pytest.raises(AssertionError):
+        quo.tables[built[0]]
