@@ -39,8 +39,8 @@ from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
 from .shuffleco import ShuffleQuotient
 from .tensorco import ONE, add_scaled, add_term, extend, int_coeffs, int_view
 
-Vec = dict  # dict[Letter, int | Fraction] over the target basis, Fraction
-            # in a Cochain
+Vec = dict  # dict[Letter, int | Fraction] over the target basis: a Cochain
+            # stores Fraction values, d_ch reads them as ints where integers
 
 
 class TruncationError(Exception):
@@ -237,20 +237,24 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
                 terms += [(-c if flip else c, tmap, key) for key, c in
                           slot_terms(mono, degs, (j,), quo.reduce_word(word), -1,
                                      packet_sort_key)]
-        terms += [(-c, identity, key) for key, c in
-                  slot_terms(mono, degs, (j,), table.mu(packet), 1,
-                             packet_sort_key)]
+        val = table.mu(packet)
+        if val:
+            terms += [(-c, identity, key) for key, c in
+                      slot_terms(mono, degs, (j,), val, 1, packet_sort_key)]
     for j, k in pairs:
-        terms += [(-c, identity, key) for key, c in
-                  slot_terms(mono, degs, (j, k), table.bracket(mono[j], mono[k]),
-                             1, packet_sort_key)]
+        val = table.bracket(mono[j], mono[k])
+        if val:
+            terms += [(-c, identity, key) for key, c in
+                      slot_terms(mono, degs, (j, k), val, 1, packet_sort_key)]
     return terms
 
 
 def d_ch_value(feval, mono: Mono, ctx: ChContext,
                table: PacketTable | None = None) -> Vec:
     """Value of the coboundary of the cochain ``feval`` on one monomial;
-    ``table`` as in ``d_ch_terms``."""
+    ``table`` as in ``d_ch_terms``.  The value is in the arithmetic of
+    ``feval``'s values: ints on a cochain read as ints where its values are
+    integers, as ``d_ch`` reads it."""
     out: Vec = {}
     for coeff, tmap, arg in d_ch_terms(mono, ctx, table):
         for b, cb in feval(arg).items():
@@ -263,12 +267,21 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
 
     Evaluates on every monomial of ``_coboundary_monomials``; raises
     TruncationError when a shape reachable from f's own support would fall
-    outside the window.
+    outside the window.  f's values are read once, through
+    ``tensorco.int_coeffs``, so the terms add up as ints where f's values
+    are integers; the result stores ``Fraction`` values, as every
+    ``Cochain`` does.
     """
     table = PacketTable(ctx, f.shapes())
+    fvals = {m: int_coeffs(v) for m, v in f.values.items()}
+    empty: Vec = {}
+
+    def feval(mono: Mono) -> Vec:
+        return fvals.get(mono, empty)
+
     values: dict = {}
     for mono in _coboundary_monomials(f, ctx, trunc, table):
-        val = d_ch_value(f.eval, mono, ctx, table)
+        val = d_ch_value(feval, mono, ctx, table)
         if val:
             values[mono] = val
     return Cochain(values, f.level + 1)

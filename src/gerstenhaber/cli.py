@@ -150,6 +150,12 @@ def cmd_cocycle(args) -> int:
     if args.d < 3:
         sys.stderr.write("the 3-cochain needs d >= 3 for a nonzero value\n")
         return 2
+    if args.Nmax < 1:
+        sys.stderr.write(f"need a level bound Nmax >= 1, got {args.Nmax}\n")
+        return 2
+    if args.nmax < 1:
+        sys.stderr.write(f"need a packet count bound nmax >= 1, got {args.nmax}\n")
+        return 2
     kmax = _kmax(args, 1, "the 3-cochain lives on vector fields")
     if kmax is None:
         return 2

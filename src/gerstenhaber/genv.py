@@ -252,15 +252,19 @@ def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:
 
     and the coefficient is the Koszul shuffle sign alone: the signs of the
     two outer shuffles times (-1)^(O(b[:j]) O(a[i:]) + odd(b_j) O(a[i+1:])),
-    with O the number of odd letters.
+    with O the number of odd letters.  An outer shuffle with one empty side
+    is the other side alone, with sign +1, and is not run through
+    ``_shuffle``.
     """
     p = len(a)
     letters = a + b
     odd = [x.degree % 2 for x in letters]
 
-    def shuffles(u, v):
+    def shuffles(u: range, v: range):
         """Signed shuffles of two runs of positions in a + b, as letter words
         (positions as codes: every coefficient is +-1)."""
+        if not (u and v):
+            return [(letters[u.start:u.stop] + letters[v.start:v.stop], 1)]
         return [(tuple(letters[c] for c in w), s)
                 for w, s in _shuffle(tuple(u), tuple(v), odd).items()]
 

@@ -1132,3 +1132,36 @@ def test_fractional_cochain_values_round_trip_exactly():
     pre = is_coboundary(f, ctx, trunc)
     assert pre is not None
     assert d_ch(pre, ctx, trunc).values == f.values
+
+
+@pytest.mark.parametrize("d,kmax,level", [(2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2)])
+def test_d_ch_matches_the_assembled_matrix(d, kmax, level):
+    """d_ch, which reads the cochain as ints where its values are integers,
+    equals the assembled coboundary matrix applied to the cochain's vector,
+    on values mixing integers and fractions; every value it returns is a
+    Fraction."""
+    rng = SplitMix64(20 + 10 * d + level)
+    ctx = real_polyvec_context(d, kmax)
+    tletters = ctx.target.letters
+    tindex = {a: i for i, a in enumerate(tletters)}
+    nt = len(tletters)
+    choices = [Fraction(c) for c in (1, -1, 2, -2)] + \
+        [Fraction(1, 3), Fraction(-1, 3), Fraction(3, 2), Fraction(-3, 2)]
+    mat, rows, cols = assemble_matrix(ctx, level_shapes(level, 4))
+    vals = {mono: {rng.choice(tletters): rng.choice(choices)}
+            for mono in cols if rng.randrange(2) == 0}
+    g = Cochain(vals, level)
+    assert {type(c) for v in vals.values() for c in v.values()} == {Fraction}
+    assert any(c.denominator == 1 for v in vals.values() for c in v.values())
+    assert any(c.denominator > 1 for v in vals.values() for c in v.values())
+
+    col_index = {m: ci for ci, m in enumerate(cols)}
+    x = {col_index[m] * nt + tindex[a]: c
+         for m, v in g.values.items() for a, c in v.items()}
+    want: dict = {}
+    for r, c in mat.mul_vec(x).items():
+        want.setdefault(rows[r // nt], {})[tletters[r % nt]] = c
+    got = d_ch(g, ctx, Truncation(d, kmax, 4, 4))
+    assert want and got.level == level + 1
+    assert got.values == want
+    assert all(type(c) is Fraction for v in got.values.values() for c in v.values())

@@ -147,6 +147,26 @@ def test_cocycle_rejects_negative_kmax(capsys):
     assert "kmax >= 1" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--Nmax", "0"), ("--Nmax", "-2"),
+                                         ("--nmax", "0"), ("--nmax", "-2")])
+def test_cocycle_rejects_bounds_below_one(flag, value, capsys):
+    """A window bound below 1 is a usage error naming the flag, not an
+    insufficient truncation."""
+    code, out, err = run(capsys, "cocycle", "--d", "3", "--kmax", "1",
+                         flag, value)
+    assert code == 2 and out == ""
+    assert f"{flag.lstrip('-')} >= 1, got {value}" in err
+    assert "truncation" not in err
+
+
+@pytest.mark.parametrize("flag", ["--Nmax", "--nmax"])
+def test_cocycle_too_small_bound_is_insufficient_truncation(flag, capsys):
+    code, out, err = run(capsys, "cocycle", "--d", "3", "--kmax", "1",
+                         flag, "3")
+    assert code == 2 and out == ""
+    assert err.startswith("insufficient truncation: ")
+
+
 def test_dims_rejects_negative_kmax(capsys):
     code, out, err = run(capsys, "dims", "--d", "3", "--kmax", "-2")
     assert code == 2 and out == ""
@@ -325,10 +345,12 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "1d04b795500aa35f55a62a975aaf10cc715acecb6a9589a147c987c6d08b4e30"),
     (["--d", "5"],
      "1b4321a91bd79a78bf6704b1c99093182edd8230ae33f6152213f36faba0b30e"),
+    (["--d", "6", "--kmax", "2"],
+     "e456db3bae5d104dcb370e435349a812e02c82d976d66d4dccc83d303da19b41"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
-    """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4 and at
-    d=5, k<=1 and k<=5 as JSON, pinned byte for byte."""
+    """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4, at
+    d=5, k<=1 and k<=5 and at d=6, k<=2 as JSON, pinned byte for byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want
