@@ -30,13 +30,14 @@ by grade, and with these morphisms alone it squares to zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
-                     packet_sort_key, pdeg, pgrade)
-from .shuffleco import ShuffleQuotient
+                     packet_sort_key, pdeg)
+from .shuffleco import ShuffleQuotient, graded_multisets
 from .tensorco import ONE, add_scaled, add_term, extend, int_coeffs, int_view
 
 Vec = dict  # dict[Letter, int | Fraction] over the target basis: a Cochain
@@ -108,22 +109,12 @@ class ChContext:
             self.mul_right[a] = {b: extend(target.wedge, {b: ONE}, val)
                                  for b in target.letters}
         self.quotient = ShuffleQuotient()
-        self._rep_words: dict[tuple, list] = {}
+        self._monomials: dict[tuple, list] = {}  # see monomials_for_shape
 
-    def rep_words(self, length: int, grades=None) -> list:
-        """All representative words of the given length, in canonical order.
-
-        With ``grades``, only the words whose grade (the sum of their letter
-        grades) lies in it, in the same order, and only their multisets are
-        walked and tabulated.
-        """
-        if grades is not None:
-            grades = frozenset(grades)
-        words = self._rep_words.get((length, grades))
-        if words is None:
-            words = self.quotient.rep_words(self.source.letters, length, grades)
-            words.sort(key=packet_sort_key)
-            self._rep_words[length, grades] = words
+    def rep_words(self, length: int) -> list:
+        """All representative words of the given length, in canonical order."""
+        words = self.quotient.rep_words(self.source.letters, length)
+        words.sort(key=packet_sort_key)
         return words
 
 
@@ -159,9 +150,9 @@ class PacketTable:
     ``h_mu`` of a packet and, per tuple of packet lengths, the term families
     of ``d_ch_terms`` that ``shapes`` keeps.
 
-    A decision builds one table per call and drops it on return, so a
-    long-lived context does not grow.  The values are shared: read them, do
-    not change them.
+    A decision builds one table per call and drops it on return; a
+    long-lived context keeps only its monomial lists and quotient tables.
+    The values are shared: read them, do not change them.
     """
 
     def __init__(self, ctx: ChContext, shapes=None):
@@ -396,68 +387,78 @@ def reachable_shapes(shapes) -> list:
     return sorted(out)
 
 
-def _word_grades(ctx: ChContext, by_len: dict, grades) -> dict:
-    """Per packet length p, the word grades (sums of letter grades) a packet
-    of p letters can have in a monomial of the shape ``by_len`` whose grade
-    lies in ``grades`` (a monomial's grade is its letter grades minus its
-    packet count).  The other packets hold N - p letters together (N in the
-    shape), so their grades are the (N - p)-fold sums of the distinct letter
-    grades, and no letter multiset is walked.  A one-packet shape needs no
-    sum: its packet's grade is the monomial's plus one."""
-    letter_grades = {a.grade for a in ctx.source.letters}
-    N, n = sum(p * c for p, c in by_len.items()), sum(by_len.values())
-    sums = [{0}]  # sums[k]: the grades of k letters
-    for _ in range(N - min(by_len)):
-        sums.append({s + g for s in sums[-1] for g in letter_grades})
-    out = {}
-    for p in by_len:
-        out[p] = {t + n - r for t in grades for r in sums[N - p]}
-        if n > 1:  # then p <= N - min(by_len)
-            out[p] &= sums[p]
-    return out
-
-
 def monomials_for_shape(ctx: ChContext, shape, grades=None) -> list:
-    """Canonical basis monomials of one shape over the context letters.
+    """Canonical basis monomials of one shape over the context letters, in
+    the ``packet_sort_key`` order of their packets.
 
     With ``grades``, only the monomials whose ``mono_grade`` lies in it, in
-    the same order; only the packets that can reach one of them are walked
-    and tabulated.
+    the same order, and only their packets are tabulated.  The list is kept
+    on the context per (shape, grade set): read it, do not change it.
     """
-    by_len: dict[int, int] = {}
-    for p in shape:
-        by_len[p] = by_len.get(p, 0) + 1
-    allowed = None if grades is None else _word_grades(ctx, by_len, grades)
-    lens = sorted(shape)
-    words = {p: ctx.rep_words(p, None if allowed is None else allowed[p])
-             for p in by_len}
-    wgrade = {p: [pgrade(w) for w in words[p]] for p in by_len}
-    odd = {p: [pdeg(w) % 2 for w in words[p]] for p in by_len}
-    # need[s]: grades that slots 0..s must sum to for the later slots to
-    # complete them into ``grades``
-    need = None
-    if grades is not None:
-        need = [set(grades)]
-        for p in reversed(lens[1:]):
-            need.insert(0, {t - g for g in set(wgrade[p]) for t in need[0]})
+    lens = tuple(sorted(shape))
+    key = (lens, None if grades is None else frozenset(grades))
+    if key not in ctx._monomials:
+        ctx._monomials[key] = (_slot_walk(ctx, lens) if grades is None
+                               else _split_walk(ctx, lens, key[1]))
+    return ctx._monomials[key]
+
+
+def _slot_walk(ctx: ChContext, lens: tuple) -> list:
+    """Every monomial of the sorted packet lengths ``lens``: one recursion
+    over the packet slots, each taking the representative words in order."""
+    words = {p: ctx.rep_words(p) for p in set(lens)}
+    odd = {p: [pdeg(w) % 2 for w in ws] for p, ws in words.items()}
     n = len(lens)
     out = []
 
-    def rec(s, lo, acc, grade):
+    def rec(s, lo, acc):
         if s == n:
             out.append(acc)
             return
         p = lens[s]
-        ws, gs, odds = words[p], wgrade[p], odd[p]
+        ws, odds = words[p], odd[p]
         same = s + 1 < n and lens[s + 1] == p
         for i in range(lo, len(ws)):
-            e = grade + gs[i]
-            if need is None or e in need[s]:
-                # equal-length slots take nondecreasing word indices, and a
-                # repeated odd packet squares to zero
-                rec(s + 1, i + odds[i] if same else 0, acc + (ws[i],), e)
+            # equal-length slots take nondecreasing word indices, and a
+            # repeated odd packet squares to zero
+            rec(s + 1, i + odds[i] if same else 0, acc + (ws[i],))
 
-    rec(0, 0, (), 0)
+    rec(0, 0, ())
+    return out
+
+
+def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
+    """The monomials of the sorted packet lengths ``lens`` whose grade lies
+    in ``grades``.  A monomial's letter grades sum to its grade plus its
+    packet count, so one ``graded_multisets`` walk lists the letter
+    multisets of whole monomials.  Each is split into packets, sub-multisets
+    for those of two or more letters, shortest first, and the letters left
+    over as single-letter ones; equal-length packets are nondecreasing, a
+    repeated odd packet squares to zero, and the list is sorted once."""
+    big = [p for p in lens if p > 1]
+    out = []
+
+    def split(rest, s, acc):
+        if s == len(big):
+            if not any(a == b and (a.degree - 1) % 2 for a, b in zip(rest, rest[1:])):
+                out.append(tuple((a,) for a in rest) + acc)
+            return
+        p = big[s]
+        prev = acc[-1] if s and big[s - 1] == p else None
+        # the k-th p-letter combination of rest leaves the k-th from last of
+        # its (len(rest) - p)-letter ones; the dict keeps each sub-multiset once
+        for sub, left in dict(zip(combinations(rest, p), reversed(
+                list(combinations(rest, len(rest) - p))))).items():
+            for w in ctx.quotient.representatives(sub):
+                if prev is None or packet_sort_key(w) > packet_sort_key(prev) \
+                        or w == prev and not pdeg(w) % 2:
+                    split(left, s + 1, acc + (w,))
+
+    for ms in graded_multisets(ctx.source.letters, sum(lens),
+                               {t + len(lens) for t in grades}):
+        split(ms, 0, ())
+    # packets in one place have one length: their idents in a row order them
+    out.sort(key=lambda mono: [a.ident for w in mono for a in w])
     return out
 
 
@@ -681,8 +682,6 @@ def reconstruct_morphism(taylor: TaylorFamily, source_quotient: ShuffleQuotient,
                                 rec_cache)
 
     def full(mono: Mono) -> dict:
-        from itertools import combinations as comb
-
         n = len(mono)
         degs = [pdeg(w) for w in mono]
         out: dict = {}
@@ -693,7 +692,7 @@ def reconstruct_morphism(taylor: TaylorFamily, source_quotient: ShuffleQuotient,
                 return
             first, rest = indices[0], indices[1:]
             for k in range(len(rest) + 1):
-                for others in comb(rest, k):
+                for others in combinations(rest, k):
                     block = (first,) + others
                     remaining = [i for i in rest if i not in others]
                     for tail in partitions(remaining):

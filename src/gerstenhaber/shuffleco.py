@@ -135,12 +135,18 @@ def graded_multisets(letters: list, length: int, grades) -> list:
     so far plus r times the least or the largest value of that coordinate
     over letters[j:] cannot reach the range of that coordinate over
     ``grades``.  The values over letters[j + 1:] lie inside those over
-    letters[j:], so a cut at j also cuts every later letter.
+    letters[j:], so a cut at j also cuts every later letter.  The last
+    letter is not walked: it is looked up by the grade it must have.
     """
     grades = set(grades)
+    if not length:
+        return [()] if 0 in grades else []
     if not grades or not letters:
         return []
     lgrades = [a.grade for a in letters]
+    at: dict = {}  # letter grade -> indices of the letters of that grade
+    for j, g in enumerate(lgrades):
+        at.setdefault(g, []).append(j)
     digits = [grade_digits(g) for g in lgrades + list(grades)]
     width = max(map(len, digits))
     digits = [t + (0,) * (width - len(t)) for t in digits]
@@ -157,16 +163,18 @@ def graded_multisets(letters: list, length: int, grades) -> list:
     out = []
 
     def rec(i, r, acc, grade, cur):
-        if not r:
-            if grade in grades:
-                out.append(acc)
+        if r == 1:
+            out.extend(acc + (letters[j],) for j in
+                       sorted(j for t in grades for j in at.get(t - grade, ())
+                              if j >= i))
             return
         for j in range(i, len(letters)):
             if any(x + r * l > th or x + r * h < tl
                    for x, (l, h, tl, th) in zip(cur, box[j])):
                 break
+            # the looked-up last letter (r == 2 here) needs no coordinates
             rec(j, r - 1, acc + (letters[j],), grade + lgrades[j],
-                [x + y for x, y in zip(cur, coords[j])])
+                [x + y for x, y in zip(cur, coords[j])] if r > 2 else None)
 
     rec(0, length, (), 0, [0] * width)
     return out
@@ -241,19 +249,12 @@ class ShuffleQuotient:
         self._table(multiset)
         return list(self.reps[multiset])
 
-    def rep_words(self, alphabet, length: int, grades=None) -> list:
+    def rep_words(self, alphabet, length: int) -> list:
         """Representative words of ``length`` letters over ``alphabet``,
         multiset by multiset in ``combinations_with_replacement`` order of the
-        sorted alphabet.  With ``grades``, only the multisets whose grade
-        (the sum of their letter grades) lies in it are walked, tabulated
-        and listed (``graded_multisets``)."""
-        letters = sorted(alphabet)
-        if grades is None:
-            multisets = combinations_with_replacement(letters, length)
-        else:
-            multisets = graded_multisets(letters, length, grades)
+        sorted alphabet."""
         words: list = []
-        for ms in multisets:
+        for ms in combinations_with_replacement(sorted(alphabet), length):
             words.extend(self.representatives(ms))
         return words
 

@@ -6,7 +6,7 @@ import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
                                 Truncation, TruncationError,
-                                _coboundary_monomials, _word_grades,
+                                _coboundary_monomials,
                                 assemble_matrix, d_ch, d_ch_row, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
@@ -15,8 +15,8 @@ from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
 from gerstenhaber.genv import (GerstBasis, h_bracket, h_mu, polyvec_basis,
                                sandbox_gerstenhaber, zero_gerstenhaber)
 from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
-                                 mono_key, pdeg, pgrade)
-from gerstenhaber.graded import Letter, word_deg, word_grade
+                                 mono_key, pdeg)
+from gerstenhaber.graded import Letter, word_grade
 from gerstenhaber.polyvec import hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
@@ -218,28 +218,9 @@ def test_coboundary_roundtrip_small_golden_preimage():
 @pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])
 def test_degree_restricted_enumeration_keeps_order(d, kmax):
     """Restricted to the grades of one degree (or of one grade), the
-    enumerators return exactly the filtered full lists, in the same order,
-    from a cold context; the quotient's own walk tabulates only the
-    multisets of the requested degree (or grade)."""
+    enumerator returns exactly the filtered full list, in the same order,
+    from a cold context."""
     full_ctx = real_polyvec_context(d, kmax)
-    letters = full_ctx.source.letters
-    for p in (1, 2, 3):
-        words = full_ctx.rep_words(p)
-        unsorted = full_ctx.quotient.rep_words(letters, p)
-        for deg in sorted({word_deg(w) for w in words}):
-            grades = {word_grade(w) for w in words if word_deg(w) == deg}
-            ctx = real_polyvec_context(d, kmax)
-            assert ctx.rep_words(p, grades) == [w for w in words if word_deg(w) == deg]
-            quo = ShuffleQuotient()
-            assert quo.rep_words(letters, p, grades) == \
-                [w for w in unsorted if word_deg(w) == deg]
-            assert {(len(ms), word_deg(ms)) for ms in quo.tables} == {(p, deg)}
-        for g in sorted({word_grade(w) for w in words}):
-            assert full_ctx.rep_words(p, {g}) == [w for w in words if word_grade(w) == g]
-            quo = ShuffleQuotient()
-            assert quo.rep_words(letters, p, {g}) == \
-                [w for w in unsorted if word_grade(w) == g]
-            assert {(len(ms), word_grade(ms)) for ms in quo.tables} == {(p, g)}
     for N in (1, 2, 3):
         for shape in level_shapes(N, 4):
             full = monomials_for_shape(full_ctx, shape)
@@ -261,43 +242,61 @@ def test_degree_restricted_enumeration_keeps_order(d, kmax):
                     [m for m in full if mono_grade(m) == g]
 
 
+def test_monomials_for_shape_keeps_each_list_on_the_context(monkeypatch):
+    """A second call with the same shape and grade set returns the list of
+    the first, with no table built and no multiset walked; another grade set
+    gives its own filtered list, and the empty set none."""
+    import gerstenhaber.chcoh as chcoh
+
+    full = monomials_for_shape(real_polyvec_context(3, 1), (1, 2))
+    allg = sorted({mono_grade(m) for m in full})
+    grades, other = set(allg[::2]), set(allg[1::2])
+    ctx = real_polyvec_context(3, 1)
+    first = monomials_for_shape(ctx, (1, 2), grades)
+    built = len(ctx.quotient.tables)
+
+    def walk(*args):
+        raise AssertionError("graded_multisets called on a kept list")
+
+    with monkeypatch.context() as m:
+        m.setattr(chcoh, "graded_multisets", walk)
+        assert monomials_for_shape(ctx, (2, 1), set(grades)) is first
+    assert len(ctx.quotient.tables) == built
+    assert first == [m for m in full if mono_grade(m) in grades]
+    assert monomials_for_shape(ctx, (1, 2), other) == \
+        [m for m in full if mono_grade(m) in other]
+    assert monomials_for_shape(ctx, (1, 2), set()) == []
+
+
 def monomials_for_shape_oracle(ctx, shape, grades=None) -> list:
     """The former enumerator: every combo of every packet-length group, with
     repeated odd packets and off-grade combos filtered out afterwards."""
     by_len: dict[int, int] = {}
     for p in shape:
         by_len[p] = by_len.get(p, 0) + 1
-    allowed = None if grades is None else _word_grades(ctx, by_len, grades)
     groups = []
     for p in sorted(by_len):
-        words = ctx.rep_words(p, None if allowed is None else allowed[p])
+        words = ctx.rep_words(p)
         wdeg = [pdeg(w) for w in words]
-        wgrade = [pgrade(w) for w in words]
         choices = []
         for combo in combinations_with_replacement(range(len(words)), by_len[p]):
             if any(i == j and wdeg[i] % 2 for i, j in zip(combo, combo[1:])):
                 continue
-            grade = 0 if grades is None else sum(wgrade[i] for i in combo)
-            choices.append(([words[i] for i in combo], grade))
+            choices.append([words[i] for i in combo])
         groups.append(choices)
-    need = None
-    if grades is not None:
-        need = [set(grades)]
-        for choices in reversed(groups[1:]):
-            gdegs = {deg for _, deg in choices}
-            need.insert(0, {t - g for t in need[0] for g in gdegs})
     out = []
 
-    def rec(i, acc, deg):
+    def rec(i, acc):
         if i == len(groups):
             out.append(tuple(acc))
             return
-        for packs, gdeg in groups[i]:
-            if need is None or deg + gdeg in need[i]:
-                rec(i + 1, acc + packs, deg + gdeg)
+        for packs in groups[i]:
+            rec(i + 1, acc + packs)
 
-    rec(0, [], 0)
-    return out
+    rec(0, [])
+    if grades is None:
+        return out
+    return [m for m in out if mono_grade(m) in grades]
 
 
 def test_monomials_for_shape_matches_combo_oracle():

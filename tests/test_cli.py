@@ -347,10 +347,13 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "1b4321a91bd79a78bf6704b1c99093182edd8230ae33f6152213f36faba0b30e"),
     (["--d", "6", "--kmax", "2"],
      "e456db3bae5d104dcb370e435349a812e02c82d976d66d4dccc83d303da19b41"),
+    (["--d", "6"],
+     "69121226abc762bcd6e2a80f1c0ebee73c72274d1d7bb5dd01839f1f2773eb07"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
     """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4, at
-    d=5, k<=1 and k<=5 and at d=6, k<=2 as JSON, pinned byte for byte."""
+    d=5, k<=1 and k<=5 and at d=6, k<=2 and k<=6 as JSON, pinned byte for
+    byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want

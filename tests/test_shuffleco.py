@@ -340,12 +340,13 @@ def test_graded_multisets_match_filtered_combinations():
     """The pruned walk returns the ``combinations_with_replacement``
     multisets of the requested grades, order included: every single grade
     (200 drawn where there are more), unions, degrees out of range, grades
-    with a large weight coordinate, and the empty set."""
+    with a large weight coordinate, and the empty set.  At length 0 the one
+    multiset is the empty one, of grade 0."""
     rng = SplitMix64(82)
     cases = 0
     for letters in graded_multiset_alphabets():
         letters = sorted(letters)
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             full = list(combinations_with_replacement(letters, n))
             at: dict = {}  # grade -> positions in ``full``
             for i, ms in enumerate(full):
