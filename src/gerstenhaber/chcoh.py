@@ -394,6 +394,8 @@ def monomials_for_shape(ctx: ChContext, shape, grades=None) -> list:
     With ``grades``, only the monomials whose ``mono_grade`` lies in it, in
     the same order, and only their packets are tabulated.  The list is kept
     on the context per (shape, grade set): read it, do not change it.
+    Each walk is faster on some workload (slots for ``assemble_matrix``,
+    multiset splits for graded calls), so both stay.
     """
     lens = tuple(sorted(shape))
     key = (lens, None if grades is None else frozenset(grades))

@@ -206,14 +206,14 @@ def cmd_differential(args) -> int:
     if args.d < 1 or args.level < 1:
         sys.stderr.write("need d >= 1 and level >= 1\n")
         return 2
-    if args.operator != "dch":
-        return _cmd_differential_classical(args)
     if args.nmax < 1:
         sys.stderr.write("need a packet count bound nmax >= 1\n")
         return 2
     kmax = _kmax(args, 0, "tensor degree bound")
     if kmax is None:
         return 2
+    if args.operator != "dch":
+        return _cmd_differential_classical(args)
     ctx = real_polyvec_context(args.d, kmax)
     shapes = level_shapes(args.level, args.nmax)
     mat, rows, cols = assemble_matrix(ctx, shapes)

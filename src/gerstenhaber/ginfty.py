@@ -16,12 +16,13 @@ that is legitimate because the cocrochet kills shuffle images.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import (bipartitions, koszul_sort, slot_terms, unshuffle_sign,
-                     word_deg, word_grade)
+from .graded import (bipartitions, koszul_sort, unshuffle_sign, word_deg,
+                     word_grade)
 from .shuffleco import ShuffleQuotient, Word, delta
-from .tensorco import add_term
+from .tensorco import add_term, coderivation_lift_sym
 
 Mono = tuple      # tuple[Word, ...] canonical
 MonoElem = dict   # dict[Mono, Fraction]
@@ -116,32 +117,20 @@ def kappa(mono: Mono, quotient: ShuffleQuotient) -> PairElem:
 
 
 def ell_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
-    """Bracket coderivation: l2(X_i, X_j) = (-1)^(x_i) [X_i, X_j], pulled to
-    the front."""
-    degs = [pdeg(w) for w in mono]
-    out: MonoElem = {}
-    for i in range(len(mono)):
-        for j in range(i + 1, len(mono)):
-            bracket = h_bracket(mono[i], mono[j], basis, quotient)
-            for key, c in slot_terms(mono, degs, (i, j), bracket, 1, packet_sort_key):
-                add_term(out, key, c)
-    return out
+    """Bracket coderivation: the lift of l2(X_i, X_j) = (-1)^(x_i) [X_i, X_j],
+    with ``h_bracket`` as its part (the pair step adds the sign)."""
+    br = partial(h_bracket, basis=basis, quotient=quotient)
+    return coderivation_lift_sym({2: br}, pdeg, packet_sort_key)({mono: 1})
 
 
 def m_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
-    """Product codifferential: mu applied to one factor at a time."""
-    degs = [pdeg(w) for w in mono]
-    out: MonoElem = {}
-    for j in range(len(mono)):
-        if len(mono[j]) > 1:
-            mu = h_mu(mono[j], basis, quotient)
-            for key, c in slot_terms(mono, degs, (j,), mu, 1, packet_sort_key):
-                add_term(out, key, c)
-    return out
+    """Product codifferential: the lift of ``h_mu``, mu on one factor at a time."""
+    mu = partial(h_mu, basis=basis, quotient=quotient)
+    return coderivation_lift_sym({1: mu}, pdeg, packet_sort_key)({mono: 1})
 
 
 def lm_on_packets(mono: Mono, basis: GerstBasis, quotient: ShuffleQuotient) -> MonoElem:
-    out = ell_on_packets(mono, basis, quotient)
-    for k, v in m_on_packets(mono, basis, quotient).items():
-        add_term(out, k, v)
-    return out
+    """``m_on_packets`` plus ``ell_on_packets``: one lift with both parts."""
+    mu = partial(h_mu, basis=basis, quotient=quotient)
+    br = partial(h_bracket, basis=basis, quotient=quotient)
+    return coderivation_lift_sym({1: mu, 2: br}, pdeg, packet_sort_key)({mono: 1})

@@ -208,8 +208,8 @@ class ShuffleQuotient:
     Tables are built lazily per multiset and cached; the construction is
     deterministic (lexicographic word order, lowest-word pivots), so the
     representative basis does not depend on call order.  ``reduce_word``
-    returns a stored row, so callers only read it; ``tables`` is a read-only
-    view of the built tables with Fraction rows.
+    and ``representatives`` return stored rows and lists: only read them.
+    ``tables`` is a read-only view of the built tables with Fraction rows.
     """
 
     def __init__(self):
@@ -245,9 +245,12 @@ class ShuffleQuotient:
         return table
 
     def representatives(self, letters) -> list:
-        multiset = tuple(sorted(letters))
-        self._table(multiset)
-        return list(self.reps[multiset])
+        """The stored representative words of the multiset of ``letters``; a
+        sorted tuple is looked up without sorting."""
+        if type(letters) is not tuple or letters not in self.reps:
+            letters = tuple(sorted(letters))
+            self._table(letters)
+        return self.reps[letters]
 
     def rep_words(self, alphabet, length: int) -> list:
         """Representative words of ``length`` letters over ``alphabet``,

@@ -11,14 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from .graded import (Letter, bipartitions, koszul_sort, slot_terms,
-                     unshuffle_sign)
-from .tensorco import (add_scaled, add_term, derivation, extend,
+from .graded import Letter, bipartitions, koszul_sort, unshuffle_sign
+from .tensorco import (add_scaled, coderivation_lift_sym, derivation, extend,
                        fraction_table, int_coeffs, int_view, jacobi,
                        on_letters, square_zero, symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
-SymElem = dict  # dict[tuple[Letter, ...], Fraction]
 
 
 def sdeg(letter: Letter) -> int:
@@ -109,35 +107,11 @@ def ell2(data: LieData, a: Letter, b: Letter) -> Vec:
 
 
 def ell_lift(data: LieData):
-    """Degree 1 coderivation of the symmetric coproduct with parts l1 = d, l2.
-
-    On a word X_1...X_n the value is
-
-        sum_j (-1)^(x_1+...+x_(j-1)) X_1 ... dX_j ... X_n
-        + sum_(i<j) eps(x / x_i x_j rest) l2(X_i, X_j) . X_1 ... ^i ... ^j ... X_n
-
-    with shifted degrees everywhere.
-    """
-
-    def ell(elem: SymElem) -> SymElem:
-        out: SymElem = {}
-        for word, coeff in elem.items():
-            n = len(word)
-            degs = [sdeg(a) for a in word]
-            terms = []
-            if data.diff_table:
-                for j in range(n):
-                    dj = data.d_letter(word[j])
-                    terms += slot_terms(word, degs, (j,), dj, 1, ident_key)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    bij = data.bracket_letters(word[i], word[j])
-                    terms += slot_terms(word, degs, (i, j), bij, 1, ident_key)
-            for key, c in terms:
-                add_term(out, key, coeff * c)
-        return out
-
-    return ell
+    """Degree 1 coderivation of the symmetric coproduct with parts l1 = d and
+    l2 = ``ell2``, by ``tensorco.coderivation_lift_sym``, whose pair step
+    adds l2's (-1)^x to the bracket; shifted degrees everywhere."""
+    return coderivation_lift_sym({1: data.d_letter, 2: data.bracket_letters},
+                                 sdeg, ident_key)
 
 
 def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):

@@ -1,5 +1,9 @@
 """Tensor coalgebra of a shifted associative algebra and the Hochschild coboundary.
 
+Each coalgebra has one coderivation lift: ``coderivation_lift_tensor`` for
+deconcatenation, ``coderivation_lift_sym`` for the symmetric coproduct (used
+by ``symco.ell_lift`` and the ``ginfty`` packet codifferentials).
+
 Letters of a ``FiniteAlgebra`` carry their unshifted degree.  Tensor words
 live over the shifted copy of the basis: their letters are the same symbols
 with the degree lowered by one (``graded.shifted``), and every sign below
@@ -22,8 +26,9 @@ products.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .graded import Letter, shifted, word_deg
+from .graded import Letter, shifted, slot_terms, word_deg
 
 Word = tuple  # tuple[Letter, ...] with shifted degrees
 Elem = dict   # dict[Word, int | Fraction]
@@ -285,6 +290,31 @@ def coderivation_lift_tensor(taylor: dict, q: int):
                     for letter, c in val.items():
                         neww = word[:j] + (letter,) + word[j + r :]
                         add_term(out, neww, scaled[j] * c)
+        return out
+
+    return lift
+
+
+def coderivation_lift_sym(taylor: dict, deg, key):
+    """Unique degree 1 coderivation of the symmetric coproduct with given parts.
+
+    ``taylor[r]`` (r = 1, 2) maps r items to a sparse element over items;
+    ``deg`` gives an item's shifted degree and ``key`` sorts the products,
+    which are sorted tuples of items.  On each product the lift makes one
+    ``graded.slot_terms`` step per r-subset of positions, in ``combinations``
+    order: Q_1 in slot j with (-1)^(x_1+...+x_(j-1)), Q_2(x_i, x_j) with
+    eps(x / x_i x_j rest) (-1)^(x_i), each value sorted into the rest.
+    """
+
+    def lift(elem: dict) -> dict:
+        out: dict = {}
+        for items, coeff in elem.items():
+            degs = [deg(x) for x in items]
+            for r, Qr in taylor.items():
+                for picks in combinations(range(len(items)), r):
+                    val = Qr(*(items[i] for i in picks))
+                    for k, c in slot_terms(items, degs, picks, val, 1, key):
+                        add_term(out, k, coeff * c)
         return out
 
     return lift

@@ -184,16 +184,21 @@ def test_cocycle_clamps_and_reports_kmax(capsys):
     assert json.loads(out)["truncation"]["kmax"] == 3
 
 
-def test_differential_rejects_negative_kmax(capsys):
-    code, out, err = run(capsys, "differential", "--d", "2", "--kmax", "-1",
-                         "--level", "1")
+DIFFERENTIAL_OPERATORS = ["dch", "dH", "dHa", "dC"]
+
+
+@pytest.mark.parametrize("operator", DIFFERENTIAL_OPERATORS)
+def test_differential_rejects_negative_kmax(operator, capsys):
+    code, out, err = run(capsys, "differential", "--operator", operator,
+                         "--d", "2", "--kmax", "-1", "--level", "1")
     assert code == 2 and out == ""
     assert "kmax >= 0" in err
 
 
-def test_differential_rejects_nmax_zero(capsys):
-    code, out, err = run(capsys, "differential", "--d", "2", "--nmax", "0",
-                         "--level", "1")
+@pytest.mark.parametrize("operator", DIFFERENTIAL_OPERATORS)
+def test_differential_rejects_nmax_zero(operator, capsys):
+    code, out, err = run(capsys, "differential", "--operator", operator,
+                         "--d", "2", "--nmax", "0", "--level", "1")
     assert code == 2 and out == ""
     assert "nmax >= 1" in err
 
@@ -243,15 +248,19 @@ def test_differential_golden_digest(capsys):
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["--d", "3", "--kmax", "1"],
+    (["--d", "3", "--kmax", "1", "--level", "2"],
      "f2c457a26777e737a10722e91cc2c94b485f4911eb2c356a09ef24f80bf7d99d"),
-    (["--d", "2", "--kmax", "2"],
+    (["--d", "2", "--kmax", "2", "--level", "2"],
      "246b00a737f4bc013109b22fe13b639078f5e6daf06fbbe126bf8521e65c1b70"),
+    (["--d", "3", "--kmax", "1", "--level", "3"],
+     "7b43993fc1d8372615d97e9ad4de97dccf5963df016faf14d247dd0b0176919a"),
+    (["--d", "2", "--kmax", "2", "--level", "3"],
+     "565f6190f2ffafac86949331647884b47110e5139a4a35ef9b3f63490528b7ef"),
 ])
 def test_differential_golden_digest_rows(argv, want, capsys):
-    """The exported level-2 coboundary matrices at d=3, k<=1 and at d=2,
-    k<=2 (bivector brackets), pinned byte for byte."""
-    code, out, _ = run(capsys, "differential", *argv, "--level", "2")
+    """The exported level-2 and level-3 coboundary matrices at d=3, k<=1 and
+    at d=2, k<=2 (bivector brackets), pinned byte for byte."""
+    code, out, _ = run(capsys, "differential", *argv)
     assert code == 0
     assert sha256(out) == want
 
@@ -349,11 +358,13 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "e456db3bae5d104dcb370e435349a812e02c82d976d66d4dccc83d303da19b41"),
     (["--d", "6"],
      "69121226abc762bcd6e2a80f1c0ebee73c72274d1d7bb5dd01839f1f2773eb07"),
+    (["--d", "7"],
+     "98178dba237bd927a6a61fc1e60e5f94bdd91959b6bceedbbb8f501b030ea863"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
     """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4, at
-    d=5, k<=1 and k<=5 and at d=6, k<=2 and k<=6 as JSON, pinned byte for
-    byte."""
+    d=5, k<=1 and k<=5, at d=6, k<=2 and k<=6 and at d=7, k<=7 as JSON,
+    pinned byte for byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want

@@ -395,3 +395,30 @@ def test_tables_view_reads_the_reduction_rows_as_fractions(monkeypatch):
     assert (letters[0],) * 4 not in quo.tables
     with pytest.raises(AssertionError):
         quo.tables[built[0]]
+
+
+def test_representatives_return_the_stored_list(monkeypatch):
+    """``representatives`` returns the list stored for the multiset: the same
+    object for every order of its letters, with each table built once and a
+    sorted tuple looked up without sorting."""
+    letters = polyvec_basis(2, 1).letters
+    ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
+    builds = []
+    echelonize = shuffleco.echelonize
+    monkeypatch.setattr(shuffleco, "echelonize",
+                        lambda *args: builds.append(args) or echelonize(*args))
+    quo = ShuffleQuotient()
+    reps = quo.representatives(ms)
+    assert reps and len(builds) == 1
+    assert quo.representatives(ms) is reps
+    shuffled = [ms[2], ms[0], ms[3], ms[1]]
+    assert shuffled != sorted(shuffled)
+    assert quo.representatives(shuffled) is reps
+    assert quo.representatives(tuple(reversed(ms))) is reps
+    assert len(builds) == 1
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a sorted multiset was sorted again")
+
+    monkeypatch.setattr(shuffleco, "sorted", no_sort, raising=False)
+    assert quo.representatives(ms) is reps
