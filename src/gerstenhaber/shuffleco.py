@@ -11,7 +11,11 @@ split u|v of each word with (len u, u) <= (len v, v) gives a shuffle row
 (the split v|u only repeats it up to sign), ``exactlin.echelonize`` brings
 the integer rows to reduced row echelon form with words ordered
 lexicographically, and eliminated (pivot) words are rewritten into the
-remaining representative words.  A reduction row keeps its coefficients as
+remaining representative words.  The representative words are also known
+in closed form, the Lyndon words plus the squares of odd Lyndon words for
+the reversed letter order, so a multiset's list is generated
+(``_super_lyndon``) and a table is built only where ``reduce_word`` reads
+one.  A reduction row keeps its coefficients as
 ``int``s unless one is not an integer (``tensorco.int_coeffs``), so
 ``reduce_word`` and ``reduce`` stay in int arithmetic on integral tables;
 ``ShuffleQuotient.tables`` is a read-only view that gives the same rows with
@@ -111,8 +115,8 @@ def bat3(a: Word, b: Word, c: Word) -> Elem:
 
 def _distinct_permutations(pool: list) -> list:
     """All distinct orderings of a sorted multiset, in lexicographic order."""
-    if not pool:
-        return [()]
+    if len(pool) < 2:
+        return [tuple(pool)]
     out = []
     last = None
     for i, x in enumerate(pool):
@@ -122,6 +126,39 @@ def _distinct_permutations(pool: list) -> list:
         for tail in _distinct_permutations(pool[:i] + pool[i + 1 :]):
             out.append((x,) + tail)
     return out
+
+
+def _coded_words(multiset: tuple) -> tuple:
+    """(alphabet, odd, coded) for a sorted letter multiset: its distinct
+    letters in sorted order, their parities, and its distinct words with
+    the letters coded 0..k-1 in that order, so the coded words come in the
+    lexicographic order of the Letter words."""
+    alphabet = sorted(set(multiset))
+    code = {x: i for i, x in enumerate(alphabet)}
+    return (alphabet, [x.degree % 2 for x in alphabet],
+            _distinct_permutations([code[x] for x in multiset]))
+
+
+def _super_lyndon(multiset: tuple) -> list:
+    """The representative words of a sorted letter multiset, generated.
+
+    They are the Lyndon words and the squares u.u of odd Lyndon words u,
+    both for the reversed letter order (Radford 1979; Reutenauer, *Free Lie
+    Algebras*, ch. 6).  A word is Lyndon for the reversed order when it is
+    greater, in the forward order, than each of its proper rotations.  The
+    words come in the lexicographic order of the distinct permutations, the
+    order of the reduction table's list.
+    """
+    alphabet, odd, coded = _coded_words(multiset)
+    n = len(multiset)
+    h = n // 2
+
+    def lyndon(w):
+        return all(w > w[i:] + w[:i] for i in range(1, len(w)))
+
+    return [tuple(alphabet[c] for c in w) for w in coded
+            if lyndon(w) or (n % 2 == 0 and w[:h] == w[h:]
+                             and sum(odd[c] for c in w[:h]) % 2 and lyndon(w[:h]))]
 
 
 def graded_multisets(letters: list, length: int, grades) -> list:
@@ -205,11 +242,16 @@ class _FractionTables(Mapping):
 class ShuffleQuotient:
     """Reduction to representatives modulo shuffle images, per letter multiset.
 
-    Tables are built lazily per multiset and cached; the construction is
-    deterministic (lexicographic word order, lowest-word pivots), so the
-    representative basis does not depend on call order.  ``reduce_word``
-    and ``representatives`` return stored rows and lists: only read them.
-    ``tables`` is a read-only view of the built tables with Fraction rows.
+    Tables are built lazily per multiset, by ``reduce_word`` only, and
+    cached; the construction is deterministic (lexicographic word order,
+    lowest-word pivots), so the representative basis does not depend on call
+    order.  ``reps`` is the one store of representative lists: it holds the
+    list of every built table and the generated list of every multiset
+    ``representatives`` has met, with or without a table.  A table built
+    after its list was generated must give the same list, or it raises
+    ``ArithmeticError``.  ``reduce_word`` and ``representatives`` return
+    stored rows and lists: only read them.  ``tables`` is a read-only view of
+    the built tables with Fraction rows.
     """
 
     def __init__(self):
@@ -221,12 +263,7 @@ class ShuffleQuotient:
         table = self._tables.get(multiset)
         if table is not None:
             return table
-        # Code the distinct letters 0..k-1 in sorted order, so coded words
-        # come out in the lexicographic order of the Letter words.
-        alphabet = sorted(set(multiset))
-        code = {x: i for i, x in enumerate(alphabet)}
-        odd = [x.degree % 2 for x in alphabet]
-        coded = _distinct_permutations([code[x] for x in multiset])
+        alphabet, odd, coded = _coded_words(multiset)
         index = {w: i for i, w in enumerate(coded)}
         # One row per proper split u|v with (len u, u) <= (len v, v): the
         # split v|u of the word v+u gives the row bat(v, u) = +-bat(u, v).
@@ -240,16 +277,22 @@ class ShuffleQuotient:
             table[words[col]] = {words[u]: -v for u, v in int_coeffs(row).items()
                                  if u != col}
         pivset = set(pivots)
+        reps = [w for i, w in enumerate(words) if i not in pivset]
+        # A list generated before the table must be the table's list.
+        if self.reps.setdefault(multiset, reps) != reps:
+            raise ArithmeticError(f"generated representatives of {multiset} "
+                                  "differ from the reduction table's")
         self._tables[multiset] = table
-        self.reps[multiset] = [w for i, w in enumerate(words) if i not in pivset]
         return table
 
     def representatives(self, letters) -> list:
-        """The stored representative words of the multiset of ``letters``; a
-        sorted tuple is looked up without sorting."""
+        """The stored representative words of the multiset of ``letters``,
+        generated (``_super_lyndon``) when the multiset has none stored; a
+        sorted tuple is looked up without sorting.  Builds no table."""
         if type(letters) is not tuple or letters not in self.reps:
             letters = tuple(sorted(letters))
-            self._table(letters)
+            if letters not in self.reps:
+                self.reps[letters] = _super_lyndon(letters)
         return self.reps[letters]
 
     def rep_words(self, alphabet, length: int) -> list:
@@ -293,13 +336,16 @@ class ShuffleQuotient:
 def build_quotient(alphabet, length: int) -> ShuffleQuotient:
     """Quotient tables for every letter multiset of size <= length.
 
-    The engine builds tables lazily; this eager builder stays because the
-    golden table digests of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and
-    d = 3, k <= 1) are defined over all of its tables.
+    The engine builds tables lazily and generates representative lists
+    without them; this eager builder stays because the golden table digests
+    of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and d = 3, k <= 1) are
+    defined over all of its tables, and its lists are the oracle for the
+    generated ones.
     """
     q = ShuffleQuotient()
     for n in range(1, length + 1):
-        q.rep_words(alphabet, n)
+        for ms in combinations_with_replacement(sorted(alphabet), n):
+            q._table(ms)
     return q
 
 

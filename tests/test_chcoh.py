@@ -373,23 +373,28 @@ def test_live_shape_selection_matches_referenced_oracle():
 
 
 def test_headline_decision_builds_only_deciding_tables():
-    """Deciding f3 at d=3, k<=1 tabulates, among the length-3 multisets, only
-    those of the deciding row block (letter grade sum -2: degree -2 and
-    weight 0, the constant twice with one x_i d_i); the lazily built tables
-    equal eagerly built ones."""
+    """Deciding f3 at d=3, k<=1 builds a reduction table only where
+    ``reduce_word`` reads one: the nine one-letter multisets of the vector
+    field letters (degree 0) and the three pairs of the constant (degree -1)
+    with an x_i d_i (weight 0); every other representative list is
+    generated.  The lazily built tables equal eagerly built ones."""
     ctx = real_polyvec_context(3, 1)
     f3 = f3_111(3, ctx)
     trunc = Truncation(3, 1, 4, 4)
     assert is_cocycle(f3, ctx, trunc)
     assert is_coboundary(f3, ctx, trunc) is None
     built = sorted(ctx.quotient.tables)
-    long = [ms for ms in built if len(ms) == 3]
-    assert len(long) == 3
-    assert all(word_grade(ms) == -2 for ms in long)
+    fields = [a for a in ctx.source.letters if a.degree == 0]
+    const = [a for a in ctx.source.letters if a.degree == -1]
+    euler = [a for a in fields if a.grade == 0]
+    assert len(fields) == 9 and len(const) == 1 and len(euler) == 3
+    assert built == sorted([(a,) for a in fields] +
+                           [tuple(sorted((c, a))) for c in const for a in euler])
+    assert len(ctx.quotient.reps) > len(built)
     eager = build_quotient(ctx.source.letters, 3)
     assert len(eager.tables) == 285
-    assert ctx.quotient.dump_json(long) == eager.dump_json(long)
     assert ctx.quotient.dump_json(built) == eager.dump_json(built)
+    assert all(ctx.quotient.tables[ms] == eager.tables[ms] for ms in built)
 
 
 def unit_context(sandbox):

@@ -120,6 +120,21 @@ def test_dims_lengths_up_to_nmax(capsys):
     assert run(capsys, "dims", "--d", "2")[1] == out
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--d", "3"],
+     "6154555988adc3eb64fc9716dbcb72cd9ac014255eb0535a8b181328b3923823"),
+    (["--d", "2", "--kmax", "2"],
+     "93d37ee55a9016717355dff0d237ca42661a96f15e55373593925886bc60abb9"),
+])
+def test_dims_golden_digest_full_nmax(argv, want, capsys):
+    """The quotient dimensions at the default --Nmax 3 (every multiset up to
+    length 3 at d = 3, k <= 3, and up to length 3 at d = 2, k <= 2), pinned
+    byte for byte."""
+    code, out, _ = run(capsys, "dims", *argv, "--format", "json")
+    assert code == 0
+    assert sha256(out) == want
+
+
 def test_dims_d1_and_rejection(capsys):
     code, out, _ = run(capsys, "dims", "--d", "1", "--Nmax", "1",
                        "--format", "json")

@@ -399,26 +399,90 @@ def test_tables_view_reads_the_reduction_rows_as_fractions(monkeypatch):
 
 def test_representatives_return_the_stored_list(monkeypatch):
     """``representatives`` returns the list stored for the multiset: the same
-    object for every order of its letters, with each table built once and a
-    sorted tuple looked up without sorting."""
+    object for every order of its letters, generated without a table (no
+    ``echelonize`` or ``_shuffle`` call), kept when a later ``reduce_word``
+    builds the table once, and a sorted tuple is looked up without
+    sorting."""
     letters = polyvec_basis(2, 1).letters
     ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
-    builds = []
-    echelonize = shuffleco.echelonize
+    builds, shuffles = [], []
+    echelonize, shuffle = shuffleco.echelonize, shuffleco._shuffle
     monkeypatch.setattr(shuffleco, "echelonize",
                         lambda *args: builds.append(args) or echelonize(*args))
+    monkeypatch.setattr(shuffleco, "_shuffle",
+                        lambda *args: shuffles.append(args) or shuffle(*args))
     quo = ShuffleQuotient()
     reps = quo.representatives(ms)
-    assert reps and len(builds) == 1
+    assert reps and builds == [] and shuffles == []
     assert quo.representatives(ms) is reps
     shuffled = [ms[2], ms[0], ms[3], ms[1]]
     assert shuffled != sorted(shuffled)
     assert quo.representatives(shuffled) is reps
     assert quo.representatives(tuple(reversed(ms))) is reps
-    assert len(builds) == 1
+    assert quo.rep_words(set(ms), 4) and quo.representatives(ms) is reps
+    assert builds == [] and shuffles == [] and not quo.tables
+    quo.reduce_word(tuple(shuffled))
+    quo.reduce_word(ms)
+    assert len(builds) == 1 and shuffles
+    assert quo.representatives(ms) is reps
 
     def no_sort(*args, **kwargs):
         raise AssertionError("a sorted multiset was sorted again")
 
     monkeypatch.setattr(shuffleco, "sorted", no_sort, raising=False)
     assert quo.representatives(ms) is reps
+
+
+@pytest.mark.parametrize("d, kmax, length, count", [
+    (2, 2, 4, 494),
+    (3, 1, 3, 285),
+    (3, 3, 3, 10659),
+])
+def test_generated_representatives_equal_the_table_lists(d, kmax, length, count):
+    """The list ``representatives`` generates (super-Lyndon words for the
+    reversed letter order) equals, word for word and in order, the list of
+    the multiset's reduction table, on every multiset of the polyvector
+    letters up to ``length``; generating builds no table."""
+    letters = polyvec_basis(d, kmax).letters
+    eager = build_quotient(letters, length)
+    assert len(eager.reps) == len(eager.tables) == count
+    generated = ShuffleQuotient()
+    for ms, reps in eager.reps.items():
+        assert generated.representatives(ms) == reps
+    assert len(generated.reps) == count and not generated.tables
+
+
+@st.composite
+def random_multisets(draw):
+    """A multiset of 1..6 letters over an alphabet of 2..4 letters whose
+    degrees are drawn from -3..2 (repeats and odd squares included)."""
+    degs = draw(st.lists(st.integers(-3, 2), min_size=2, max_size=4))
+    alphabet = [Letter(("r", i), deg) for i, deg in enumerate(degs)]
+    picks = draw(st.lists(st.integers(0, len(degs) - 1), min_size=1, max_size=6))
+    return tuple(sorted(alphabet[i] for i in picks))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_multisets())
+def test_generated_representatives_equal_the_table_list_on_random_alphabets(ms):
+    table_first = ShuffleQuotient()
+    table_first.reduce_word(ms)
+    generated = ShuffleQuotient()
+    assert generated.representatives(ms) == table_first.representatives(ms)
+    assert not generated.tables
+
+
+def test_a_generated_list_that_disagrees_with_the_table_raises(monkeypatch):
+    """When a table is built for a multiset whose list was generated first,
+    its echelon representatives are compared with that list: a list missing
+    one word makes ``reduce_word`` raise and keeps the table out."""
+    letters = polyvec_basis(2, 1).letters
+    ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
+    generate = shuffleco._super_lyndon
+    assert len(generate(ms)) > 1
+    monkeypatch.setattr(shuffleco, "_super_lyndon", lambda ms: generate(ms)[1:])
+    quo = ShuffleQuotient()
+    assert quo.representatives(ms) == generate(ms)[1:]
+    with pytest.raises(ArithmeticError):
+        quo.reduce_word(ms)
+    assert ms not in quo.tables
