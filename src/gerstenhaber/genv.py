@@ -36,12 +36,13 @@ class GerstBasis:
     each as the op gives it (an int on integral ops), and
     ``wedge_table``/``bracket_table`` materialise them over all letter pairs
     with Fraction values.
-    ``validate()`` checks the axioms on all basis triples with the
+    ``validate()`` checks the axioms on basis pairs and triples with the
     ``tensorco`` residuals run on the two ops: the wedge graded commutative
     and associative in the unshifted grading, the bracket graded
     antisymmetric with Jacobi in the shifted one, and each [a, .] a
-    derivation of the wedge (Leibniz).  An algebra given by tables passes
-    ``tensorco.int_view``s of them.
+    derivation of the wedge (Leibniz).  Each residual is checked once per
+    orbit of arguments on which it agrees up to sign (see ``validate``).
+    An algebra given by tables passes ``tensorco.int_view``s of them.
     """
 
     def __init__(self, letters, wedge, bracket, name=""):
@@ -84,8 +85,21 @@ class GerstBasis:
         return letter.degree + 1
 
     def validate(self):
-        """Check the axioms on all basis pairs and triples; raise ValueError
+        """Check the axioms on basis pairs and triples; raise ValueError
         naming the first that fails, else return self.
+
+        The degree checks run on every ordered pair.  Each residual runs
+        once per orbit of arguments on which it agrees up to sign, on the
+        orbit's first member in loop order (positions x, y, z in the sorted
+        letters): symmetry on x <= y, as symmetry(b, a) = +-symmetry(a, b);
+        and, once the pair loop has passed (so the wedge is graded
+        commutative and the bracket graded antisymmetric on all elements),
+        associativity on x <= z, as (a, b, c) -> (c, b, a) only changes its
+        sign, Leibniz on y <= z, likewise under (a, b, c) -> (a, c, b), and
+        Jacobi on x <= y <= z, as the Jacobiator is graded antisymmetric.
+        A skipped member fails only with the checked one, which comes
+        earlier in loop order, so the first error raised is the one that
+        checking every ordered pair and triple raises.
 
         The residuals run on letter idents, with degrees read from ident ->
         degree dicts and the constants from the two ops, so integral
@@ -95,29 +109,29 @@ class GerstBasis:
         sdeg = {a.ident: a.degree for a in self.letters}
         unshifted, shifted_deg = udeg.__getitem__, sdeg.__getitem__
         wedge, bracket = self.wedge_op, self.bracket_op
-        for a in idents:
+        for x, a in enumerate(idents):
             ka = udeg[a]
-            for b in idents:
+            for y, b in enumerate(idents):
                 kb = udeg[b]
                 for c, coeff in wedge(a, b).items():
                     if coeff and udeg[c] != ka + kb:
                         raise ValueError("wedge not degree 0")
-                if symmetry(wedge, unshifted, a, b):
+                if x <= y and symmetry(wedge, unshifted, a, b):
                     raise ValueError("wedge not graded commutative")
                 for c, coeff in bracket(a, b).items():
                     if coeff and udeg[c] != ka + kb - 1:
                         raise ValueError("bracket not degree -1")
-                if symmetry(bracket, shifted_deg, a, b, -1):
+                if x <= y and symmetry(bracket, shifted_deg, a, b, -1):
                     raise ValueError("bracket not graded antisymmetric")
-        for a in idents:
+        for x, a in enumerate(idents):
             ad_a = partial(bracket, a)
-            for b in idents:
-                for c in idents:
-                    if associativity(wedge, a, b, c):
+            for y, b in enumerate(idents):
+                for z, c in enumerate(idents):
+                    if x <= z and associativity(wedge, a, b, c):
                         raise ValueError("wedge not associative")
-                    if derivation(ad_a, sdeg[a], wedge, unshifted, b, c):
+                    if y <= z and derivation(ad_a, sdeg[a], wedge, unshifted, b, c):
                         raise ValueError("Leibniz axiom fails")
-                    if jacobi(bracket, shifted_deg, a, b, c):
+                    if x <= y <= z and jacobi(bracket, shifted_deg, a, b, c):
                         raise ValueError("graded Jacobi fails")
         return self
 
@@ -163,7 +177,8 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
     generator index -> int coefficient) as a biderivation.  Both are
     int-valued ops on letter idents, each constant computed the first time
     its pair is read and kept for the basis's lifetime.  The result is a
-    Gerstenhaber algebra whose axioms are validated on all basis triples.
+    Gerstenhaber algebra whose axioms ``GerstBasis.validate`` checks on one
+    basis pair or triple per orbit on which a residual agrees up to sign.
     """
     def ident(s: tuple) -> tuple:
         return ("sb", len(s), s)

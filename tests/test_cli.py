@@ -231,12 +231,14 @@ def sha256(text):
 
 
 def test_verify_all_golden_digest(capsys):
-    """The seeded verify report at 50 trials, pinned byte for byte."""
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7",
-                       "--trials", "50")
-    assert code == 0
-    assert sha256(out) == \
-        "4f66f44eeb0dedd939c2e9f2b36b9721a27fbaf0ebdff54395d4f0c0fa7718fa"
+    """The seeded verify report at 5 trials (the benchmark's argv) and at
+    50, pinned byte for byte; the text report names no trial count."""
+    for trials in ("5", "50"):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7",
+                           "--trials", trials)
+        assert code == 0
+        assert sha256(out) == \
+            "4f66f44eeb0dedd939c2e9f2b36b9721a27fbaf0ebdff54395d4f0c0fa7718fa"
 
 
 @pytest.mark.parametrize("seed, want", [

@@ -12,6 +12,7 @@ partner so that the later pair and triple checks are reached.
 """
 
 import copy
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerstenhaber import genv
 from gerstenhaber.genv import GerstBasis, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.graded import Letter
 from gerstenhaber.prng import SplitMix64
@@ -176,7 +178,7 @@ def gerst_cases():
     return bases + [halved(b) for b in bases[1:] if b.bracket_table]
 
 
-def check_gerst(basis, counts):
+def check_gerst(basis, verdicts):
     idents = [a.ident for a in basis.letters]
     udeg = {a.ident: a.degree + 1 for a in basis.letters}
     sdeg = {a.ident: a.degree for a in basis.letters}
@@ -188,7 +190,7 @@ def check_gerst(basis, counts):
         mutant = GerstBasis(basis.letters, int_view(wt), int_view(bt))
         want = verdict(lambda: gerst_oracle(mutant))
         assert verdict(mutant.validate) == want
-        counts[want is None] += 1
+        verdicts[want] += 1
 
 
 def test_valid_structures_are_accepted_by_both():
@@ -215,12 +217,94 @@ def test_halved_sandboxes_run_the_fraction_branch_of_the_view():
     assert fractional >= 3
 
 
+PAIR_AND_TRIPLE_MESSAGES = ("wedge not graded commutative",
+                            "bracket not graded antisymmetric",
+                            "wedge not associative", "Leibniz axiom fails",
+                            "graded Jacobi fails")
+
+
 def test_gerst_basis_mutants_get_the_oracle_verdicts():
-    counts = {True: 0, False: 0}
+    verdicts = Counter()
     for basis in gerst_cases():
-        check_gerst(basis, counts)
+        check_gerst(basis, verdicts)
     # both verdicts occur, and the partner mutants reach the triple checks
-    assert counts[True] > 50 and counts[False] > 1000
+    assert verdicts[None] > 50 and verdicts.total() - verdicts[None] > 1000
+    for message in PAIR_AND_TRIPLE_MESSAGES:
+        assert verdicts[message], message
+
+
+def table_basis(degrees, wedge, bracket):
+    """A GerstBasis on letters ident -> shifted degree, from ident-pair
+    tables of int constants."""
+    letters = [Letter(i, k) for i, k in degrees.items()]
+    return GerstBasis(letters, int_view(wedge), int_view(bracket))
+
+
+def repeated_argument_cases():
+    """Algebras whose first failing residual, in the oracle's loop order,
+    has a repeated argument.  Each passes the pair checks."""
+    # Jacobi: [a, a] = c, [c, a] = d, [a, c] = -d, zero wedge.  The
+    # Jacobiator vanishes on every triple but (a, a, a).
+    jac = table_basis({"a": 1, "c": 2, "d": 3}, {},
+                      {("a", "a"): {"c": 1}, ("c", "a"): {"d": 1},
+                       ("a", "c"): {"d": -1}})
+    # Leibniz: b of even unshifted degree with b ^ b = w, [a, w] = t,
+    # [a, b] = 0, every other wedge and bracket zero.  [a, .] fails the
+    # Leibniz rule on (b, b) only.
+    leib = table_basis({"a": 0, "b": -1, "t": -1, "w": -1},
+                       {("b", "b"): {"w": 1}},
+                       {("a", "w"): {"t": 1}, ("w", "a"): {"t": -1}})
+    # Associativity: p odd, p ^ q = q ^ p = r, p ^ r = s = -(r ^ p).  It
+    # fails on (p, q, p), but a graded commutative wedge gives
+    # assoc(p, q, p) = 2 (-1)^|q| assoc(q, p, p) = 2 (-1)^|q| assoc(p, p, q),
+    # and one of those two comes first: no algebra that passes the pair
+    # checks fails associativity first on an x = z triple.
+    assoc = table_basis({"p": 0, "q": -1, "r": 0, "s": 1},
+                        {("p", "q"): {"r": 1}, ("q", "p"): {"r": 1},
+                         ("p", "r"): {"s": 1}, ("r", "p"): {"s": -1}}, {})
+    return [pytest.param(jac, "graded Jacobi fails", ("a", "a", "a"), id="jacobi"),
+            pytest.param(leib, "Leibniz axiom fails", ("a", "b", "b"), id="leibniz"),
+            pytest.param(assoc, "wedge not associative", ("p", "p", "q"),
+                         id="associativity")]
+
+
+def first_failing_triple(basis, message):
+    """The first ordered triple on which the oracle's triple check named by
+    ``message`` fails."""
+    L = basis.letters
+    wedge, bracket, shifted = basis.wedge, basis.bracket, (lambda x: x.degree)
+    residual = {
+        "wedge not associative": lambda a, b, c: associativity(wedge, a, b, c),
+        "Leibniz axiom fails": lambda a, b, c: derivation(
+            partial(bracket, a), a.degree, wedge, basis.unshifted, b, c),
+        "graded Jacobi fails": lambda a, b, c: jacobi(bracket, shifted, a, b, c),
+    }[message]
+    return next((a.ident, b.ident, c.ident) for a in L for b in L for c in L
+                if residual(a, b, c))
+
+
+@pytest.mark.parametrize("basis, message, triple", repeated_argument_cases())
+def test_failures_on_a_repeated_argument_get_the_oracle_verdicts(basis, message, triple):
+    """``validate`` checks the orbit representatives with repeated
+    arguments too: Jacobi on x <= y <= z, Leibniz on y <= z.  The
+    associativity case fails first on (p, p, q), not on (p, q, p)."""
+    assert verdict(lambda: gerst_oracle(basis)) == message
+    assert verdict(basis.validate) == message
+    assert first_failing_triple(basis, message) == triple
+
+
+def test_validate_checks_each_residual_once_per_orbit(monkeypatch):
+    """On an 8-letter sandbox: symmetry on the 36 pairs x <= y for each op,
+    associativity on x <= z and Leibniz on y <= z (8 * 36 triples each),
+    Jacobi on the 120 triples x <= y <= z."""
+    basis = next(b for b in sandboxes(11, 8) if len(b.letters) == 8)
+    calls = Counter()
+    for name in ("symmetry", "associativity", "derivation", "jacobi"):
+        monkeypatch.setattr(genv, name, lambda *a, _f=getattr(genv, name), _n=name, **k:
+                            calls.update([_n]) or _f(*a, **k))
+    assert basis.validate() is basis
+    assert calls == {"symmetry": 72, "associativity": 288, "derivation": 288,
+                     "jacobi": 120}
 
 
 def lie_cases(rng, n):
