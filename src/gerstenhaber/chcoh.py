@@ -192,7 +192,7 @@ class PacketTable:
         return fams
 
 
-def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
+def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
     """The terms of the coboundary on one monomial, as a list of
     (coefficient, target map, canonical argument monomial): the term is the
     coefficient times the target map (one of ``ctx``'s maps of target
@@ -201,14 +201,11 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
     ``table`` is a ``PacketTable`` of ``ctx`` shared by the monomials of one
     computation; term families whose argument shape is not in its ``shapes``
     are not built, since a cochain vanishing off those shapes gets nothing
-    from them.  Without one, a fresh table without shapes is used.  Every
-    family is one ``graded.slot_terms`` call per packet or packet pair,
-    which puts each value into the sorted rest of ``mono`` with its sign;
-    the two identity families are the negatives of the terms of
+    from them.  Every family is one ``graded.slot_terms`` call per packet or
+    packet pair, which puts each value into the sorted rest of ``mono`` with
+    its sign; the two identity families are the negatives of the terms of
     ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
     """
-    if table is None:
-        table = PacketTable(ctx)
     degs = [pdeg(w) for w in mono]
     detach, pairs = table.live(tuple(len(w) for w in mono))
     quo, identity = ctx.quotient, ctx.identity
@@ -240,8 +237,7 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable | None = None):
     return terms
 
 
-def d_ch_value(feval, mono: Mono, ctx: ChContext,
-               table: PacketTable | None = None) -> Vec:
+def d_ch_value(feval, mono: Mono, ctx: ChContext, table: PacketTable) -> Vec:
     """Value of the coboundary of the cochain ``feval`` on one monomial;
     ``table`` as in ``d_ch_terms``.  The value is in the arithmetic of
     ``feval``'s values: ints on a cochain read as ints where its values are
@@ -278,9 +274,9 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     return Cochain(values, f.level + 1)
 
 
-def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable | None = None) -> dict:
+def d_ch_row(mono: Mono, ctx: ChContext, table: PacketTable) -> dict:
     """Symbolic expansion: {(argument mono, out letter, in letter): coeff};
-    ``table`` as in ``d_ch_terms``, made without shapes."""
+    ``table`` as in ``d_ch_terms``."""
     row: dict = {}
     for coeff, tmap, arg in d_ch_terms(mono, ctx, table):
         for b, img in tmap.items():

@@ -94,12 +94,13 @@ class GerstBasis:
         letters): symmetry on x <= y, as symmetry(b, a) = +-symmetry(a, b);
         and, once the pair loop has passed (so the wedge is graded
         commutative and the bracket graded antisymmetric on all elements),
-        associativity on x <= z, as (a, b, c) -> (c, b, a) only changes its
-        sign, Leibniz on y <= z, likewise under (a, b, c) -> (a, c, b), and
+        associativity on x < z, as (a, b, c) -> (c, b, a) only changes its
+        sign and a triple (p, q, p) fails only when (p, p, q) or (q, p, p)
+        does, Leibniz on y <= z, likewise under (a, b, c) -> (a, c, b), and
         Jacobi on x <= y <= z, as the Jacobiator is graded antisymmetric.
-        A skipped member fails only with the checked one, which comes
-        earlier in loop order, so the first error raised is the one that
-        checking every ordered pair and triple raises.
+        A skipped triple fails only with a checked one that comes earlier in
+        loop order, so the first error raised is the one that checking every
+        ordered pair and triple raises.
 
         The residuals run on letter idents, with degrees read from ident ->
         degree dicts and the constants from the two ops, so integral
@@ -127,7 +128,7 @@ class GerstBasis:
             ad_a = partial(bracket, a)
             for y, b in enumerate(idents):
                 for z, c in enumerate(idents):
-                    if x <= z and associativity(wedge, a, b, c):
+                    if x < z and associativity(wedge, a, b, c):
                         raise ValueError("wedge not associative")
                     if y <= z and derivation(ad_a, sdeg[a], wedge, unshifted, b, c):
                         raise ValueError("Leibniz axiom fails")

@@ -6,16 +6,16 @@ signs on these degrees.  One integer-coded kernel, ``_shuffle``, computes
 every signed two-word shuffle: ``bat`` decodes it to letters, and the
 quotient tables use it directly.  The quotient of the n-fold tensor space by
 the span of all proper shuffle images is presented, per letter multiset, by
-a fixed reduction table: the letters are coded 0..k-1 in sorted order, one
-split u|v of each word with (len u, u) <= (len v, v) gives a shuffle row
-(the split v|u only repeats it up to sign), ``exactlin.echelonize`` brings
-the integer rows to reduced row echelon form with words ordered
-lexicographically, and eliminated (pivot) words are rewritten into the
-remaining representative words.  The representative words are also known
-in closed form, the Lyndon words plus the squares of odd Lyndon words for
-the reversed letter order, so a multiset's list is generated
-(``_super_lyndon``) and a table is built only where ``reduce_word`` reads
-one.  A reduction row keeps its coefficients as
+a fixed reduction table, with the letters coded 0..k-1 in sorted order and
+the words ordered lexicographically.  The representative words are the
+Lyndon words plus the squares of odd Lyndon words for the reversed letter
+order (``_is_rep``), so a multiset's list is generated (``_super_lyndon``)
+and a table is built only where ``reduce_word`` reads one.  Each other word
+w is the lowest word of one shuffle row, that of w's longest proper prefix
+that is a representative with the rest of w; ``exactlin.echelonize``
+back-substitutes these triangular integer rows to reduced row echelon form,
+and each eliminated (pivot) word is rewritten into the representative
+words.  A reduction row keeps its coefficients as
 ``int``s unless one is not an integer (``tensorco.int_coeffs``), so
 ``reduce_word`` and ``reduce`` stay in int arithmetic on integral tables;
 ``ShuffleQuotient.tables`` is a read-only view that gives the same rows with
@@ -25,7 +25,6 @@ the tensor ones of ``tensorco`` read through that reduction.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -139,26 +138,27 @@ def _coded_words(multiset: tuple) -> tuple:
             _distinct_permutations([code[x] for x in multiset]))
 
 
+def _lyndon(w: tuple) -> bool:
+    """Whether a coded word is Lyndon for the reversed letter order: greater,
+    in the forward order, than each of its proper rotations."""
+    return all(w > w[i:] + w[:i] for i in range(1, len(w)))
+
+
+def _is_rep(w: tuple, odd) -> bool:
+    """Whether a coded word is a representative: Lyndon for the reversed
+    letter order, or the square u.u of such a word u of odd degree (Radford
+    1979; Reutenauer, *Free Lie Algebras*, ch. 6)."""
+    h = len(w) // 2
+    return _lyndon(w) or (len(w) % 2 == 0 and w[:h] == w[h:]
+                          and sum(odd[c] for c in w[:h]) % 2 == 1 and _lyndon(w[:h]))
+
+
 def _super_lyndon(multiset: tuple) -> list:
-    """The representative words of a sorted letter multiset, generated.
-
-    They are the Lyndon words and the squares u.u of odd Lyndon words u,
-    both for the reversed letter order (Radford 1979; Reutenauer, *Free Lie
-    Algebras*, ch. 6).  A word is Lyndon for the reversed order when it is
-    greater, in the forward order, than each of its proper rotations.  The
-    words come in the lexicographic order of the distinct permutations, the
-    order of the reduction table's list.
-    """
+    """The representative words of a sorted letter multiset (``_is_rep``),
+    generated in the lexicographic order of the distinct permutations, the
+    order of the reduction table's list."""
     alphabet, odd, coded = _coded_words(multiset)
-    n = len(multiset)
-    h = n // 2
-
-    def lyndon(w):
-        return all(w > w[i:] + w[:i] for i in range(1, len(w)))
-
-    return [tuple(alphabet[c] for c in w) for w in coded
-            if lyndon(w) or (n % 2 == 0 and w[:h] == w[h:]
-                             and sum(odd[c] for c in w[:h]) % 2 and lyndon(w[:h]))]
+    return [tuple(alphabet[c] for c in w) for w in coded if _is_rep(w, odd)]
 
 
 def graded_multisets(letters: list, length: int, grades) -> list:
@@ -245,13 +245,13 @@ class ShuffleQuotient:
     Tables are built lazily per multiset, by ``reduce_word`` only, and
     cached; the construction is deterministic (lexicographic word order,
     lowest-word pivots), so the representative basis does not depend on call
-    order.  ``reps`` is the one store of representative lists: it holds the
-    list of every built table and the generated list of every multiset
-    ``representatives`` has met, with or without a table.  A table built
-    after its list was generated must give the same list, or it raises
-    ``ArithmeticError``.  ``reduce_word`` and ``representatives`` return
-    stored rows and lists: only read them.  ``tables`` is a read-only view of
-    the built tables with Fraction rows.
+    order.  ``reps`` is the one store of representative lists, and only
+    ``representatives`` writes it: it holds the generated list of every
+    multiset met, with or without a table.  A table reads its list there
+    and eliminates every other word; if the pivots of its rows are not
+    exactly those words, it raises ``ArithmeticError``.  ``reduce_word`` and
+    ``representatives`` return stored rows and lists: only read them.
+    ``tables`` is a read-only view of the built tables with Fraction rows.
     """
 
     def __init__(self):
@@ -264,24 +264,24 @@ class ShuffleQuotient:
         if table is not None:
             return table
         alphabet, odd, coded = _coded_words(multiset)
-        index = {w: i for i, w in enumerate(coded)}
-        # One row per proper split u|v with (len u, u) <= (len v, v): the
-        # split v|u of the word v+u gives the row bat(v, u) = +-bat(u, v).
-        rows = [{index[x]: c for x, c in _shuffle(w[:p], w[p:], odd).items()}
-                for w in coded for p in range(1, len(w))
-                if (p, w[:p]) <= (len(w) - p, w[p:])]
-        rows, pivots = echelonize(rows, len(coded))
         words = [tuple(alphabet[c] for c in w) for w in coded]
+        reps = set(self.representatives(multiset))
+        index = {w: i for i, w in enumerate(coded)}
+        # One row per other word w = u.v, u its longest proper prefix that is
+        # a representative: the shuffle of u and v, whose lowest word is w.
+        eliminated = [i for i, w in enumerate(words) if w not in reps]
+        rows = []
+        for w in (coded[i] for i in eliminated):
+            p = next(p for p in range(len(w) - 1, 0, -1) if _is_rep(w[:p], odd))
+            rows.append({index[x]: c for x, c in _shuffle(w[:p], w[p:], odd).items()})
+        rows, pivots = echelonize(rows, len(coded))
+        if pivots != eliminated:
+            raise ArithmeticError(f"the shuffle relations of {multiset} do not "
+                                  "eliminate exactly its non-representatives")
         table = {w: {w: 1} for w in words}
         for row, col in zip(rows, pivots):
             table[words[col]] = {words[u]: -v for u, v in int_coeffs(row).items()
                                  if u != col}
-        pivset = set(pivots)
-        reps = [w for i, w in enumerate(words) if i not in pivset]
-        # A list generated before the table must be the table's list.
-        if self.reps.setdefault(multiset, reps) != reps:
-            raise ArithmeticError(f"generated representatives of {multiset} "
-                                  "differ from the reduction table's")
         self._tables[multiset] = table
         return table
 
@@ -317,36 +317,6 @@ class ShuffleQuotient:
     def is_representative(self, word: Word) -> bool:
         red = self.reduce_word(word)
         return red == {word: 1}
-
-    def dump_json(self, multisets) -> str:
-        """JSON description {multiset, dim, representatives} per multiset."""
-        out = []
-        for ms in multisets:
-            reps = self.representatives(ms)
-            out.append(
-                {
-                    "multiset": [str(a.ident) for a in sorted(ms)],
-                    "dim": len(reps),
-                    "representatives": [[str(a.ident) for a in w] for w in reps],
-                }
-            )
-        return json.dumps(out)
-
-
-def build_quotient(alphabet, length: int) -> ShuffleQuotient:
-    """Quotient tables for every letter multiset of size <= length.
-
-    The engine builds tables lazily and generates representative lists
-    without them; this eager builder stays because the golden table digests
-    of ``tests/test_shuffleco.py`` (d = 2, k <= 2 and d = 3, k <= 1) are
-    defined over all of its tables, and its lists are the oracle for the
-    generated ones.
-    """
-    q = ShuffleQuotient()
-    for n in range(1, length + 1):
-        for ms in combinations_with_replacement(sorted(alphabet), n):
-            q._table(ms)
-    return q
 
 
 def delta(word: Word, quotient: ShuffleQuotient) -> dict:

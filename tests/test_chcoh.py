@@ -19,7 +19,7 @@ from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
 from gerstenhaber.graded import Letter, word_grade
 from gerstenhaber.polyvec import hom_letter, letter_polyvec
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import ShuffleQuotient, build_quotient
+from gerstenhaber.shuffleco import ShuffleQuotient
 from gerstenhaber.suites import suite_chcoh
 from gerstenhaber.symco import LieData, d_chevalley_classical
 from gerstenhaber.tensorco import add_scaled, add_term, int_view
@@ -185,7 +185,7 @@ def roundtrip_small():
     dg = {}
     for shape in reachable_shapes(level_shapes(2, 4)):
         for mono in monomials_for_shape(ctx, shape):
-            v = d_ch_value(g.eval, mono, ctx)
+            v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
             if v:
                 dg[mono] = v
     f = Cochain(dg, 3)
@@ -197,7 +197,7 @@ def test_coboundary_roundtrip_small():
     assert pre is not None
     for shape in reachable_shapes(level_shapes(2, 4)):
         for mono in monomials_for_shape(ctx, shape):
-            assert d_ch_value(pre.eval, mono, ctx) == f.eval(mono)
+            assert d_ch_value(pre.eval, mono, ctx, PacketTable(ctx)) == f.eval(mono)
     zero = is_coboundary(Cochain({}, 3), ctx, trunc)
     assert zero is not None and zero.is_zero()
 
@@ -377,7 +377,8 @@ def test_headline_decision_builds_only_deciding_tables():
     ``reduce_word`` reads one: the nine one-letter multisets of the vector
     field letters (degree 0) and the three pairs of the constant (degree -1)
     with an x_i d_i (weight 0); every other representative list is
-    generated.  The lazily built tables equal eagerly built ones."""
+    generated.  The lazily built tables, and the lists of their multisets,
+    equal those of a quotient that builds every table up to length 3."""
     ctx = real_polyvec_context(3, 1)
     f3 = f3_111(3, ctx)
     trunc = Truncation(3, 1, 4, 4)
@@ -391,9 +392,13 @@ def test_headline_decision_builds_only_deciding_tables():
     assert built == sorted([(a,) for a in fields] +
                            [tuple(sorted((c, a))) for c in const for a in euler])
     assert len(ctx.quotient.reps) > len(built)
-    eager = build_quotient(ctx.source.letters, 3)
+    eager = ShuffleQuotient()
+    for n in (1, 2, 3):
+        for ms in combinations_with_replacement(ctx.source.letters, n):
+            eager.reduce_word(ms)
     assert len(eager.tables) == 285
-    assert ctx.quotient.dump_json(built) == eager.dump_json(built)
+    assert ([ctx.quotient.representatives(ms) for ms in built] ==
+            [eager.representatives(ms) for ms in built])
     assert all(ctx.quotient.tables[ms] == eager.tables[ms] for ms in built)
 
 
@@ -435,7 +440,7 @@ def test_d_ch_pruning_matches_full_evaluation():
             full = {}
             for shape in reachable_shapes(level_shapes(2, 4)):
                 for mono in monomials_for_shape(ctx, shape):
-                    v = d_ch_value(g.eval, mono, ctx)
+                    v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
                     if v:
                         full[mono] = v
             assert full
@@ -450,7 +455,7 @@ def test_d_ch_terms_shape_filter_is_exact():
         for shape in level_shapes(3, 4) + level_shapes(4, 4):
             monos = monomials_for_shape(ctx, shape)
             for mono in [monos[rng.randrange(len(monos))] for _ in range(4) if monos]:
-                full = d_ch_terms(mono, ctx)
+                full = d_ch_terms(mono, ctx, PacketTable(ctx))
                 for keep in level_shapes(len(sum(mono, ())) - 1, 4):
                     want = [t for t in full
                             if tuple(sorted(len(w) for w in t[2])) == keep]
@@ -566,7 +571,7 @@ def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
             want: dict = {}
             for m, c in lm_on_packets(W, ctx.source, ctx.quotient).items():
                 add_scaled(want, f.eval(m), -c)
-            assert d_ch_value(f.eval, W, ctx) == want, W
+            assert d_ch_value(f.eval, W, ctx, PacketTable(ctx)) == want, W
             compared += 1
             nonzero += bool(want)
     assert compared >= 300 and nonzero >= 50

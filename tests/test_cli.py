@@ -273,10 +273,13 @@ def test_differential_golden_digest(capsys):
      "7b43993fc1d8372615d97e9ad4de97dccf5963df016faf14d247dd0b0176919a"),
     (["--d", "2", "--kmax", "2", "--level", "3"],
      "565f6190f2ffafac86949331647884b47110e5139a4a35ef9b3f63490528b7ef"),
+    (["--d", "1", "--level", "9"],
+     "43243742669700b644d67d8a8dcf64b6b232ce9af7f4547a66db22b48112e63b"),
 ])
 def test_differential_golden_digest_rows(argv, want, capsys):
     """The exported level-2 and level-3 coboundary matrices at d=3, k<=1 and
-    at d=2, k<=2 (bivector brackets), pinned byte for byte."""
+    at d=2, k<=2 (bivector brackets), and the level-9 one at d=1, whose
+    packets have up to 10 letters, pinned byte for byte."""
     code, out, _ = run(capsys, "differential", *argv)
     assert code == 0
     assert sha256(out) == want

@@ -2,7 +2,8 @@ import hashlib
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product)
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 
 from gerstenhaber import shuffleco
 from gerstenhaber.chcoh import TaylorFamily, reconstruct_morphism
+from gerstenhaber.exactlin import echelonize
 from gerstenhaber.genv import h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.graded import (Letter, koszul_sign, pack_grade, shifted,
                                  word_deg, word_grade)
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
-                                    bat_elem, build_quotient, d_harrison, delta,
-                                    delta_elem, graded_multisets, mu,
-                                    validate_harrison_cochain)
+                                    bat_elem, d_harrison, delta, delta_elem,
+                                    graded_multisets, mu, validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
 from gerstenhaber.tensorco import FiniteAlgebra, add_term, extend, m2
 
@@ -45,6 +46,46 @@ def test_bat3_matches_nested():
         tri = bat3(a, b, c)
         assert tri == bat_elem(bat(a, b), {c: Fraction(1)})
         assert tri == bat_elem({a: Fraction(1)}, bat(b, c))
+
+
+def multisets_upto(alphabet, length: int) -> list:
+    """Every multiset of 1..length letters of ``alphabet``, as sorted tuples,
+    in ``combinations_with_replacement`` order length by length."""
+    return [ms for n in range(1, length + 1)
+            for ms in combinations_with_replacement(sorted(alphabet), n)]
+
+
+def eager_quotient(alphabet, length: int) -> ShuffleQuotient:
+    """A quotient with the reduction table of every multiset of
+    ``multisets_upto(alphabet, length)`` built."""
+    quo = ShuffleQuotient()
+    for ms in multisets_upto(alphabet, length):
+        quo.reduce_word(ms)
+    return quo
+
+
+def split_row_table(multiset: tuple) -> tuple:
+    """Oracle (table, representatives) of a sorted letter multiset, built
+    without the representative rule: one shuffle row per proper split u|v of
+    every word with (len u, u) <= (len v, v) (the split v|u only repeats it
+    up to sign), brought to reduced echelon form with the words in
+    lexicographic order; the non-pivot words are the representatives and
+    each pivot word reduces to minus the rest of its row."""
+    alphabet = sorted(set(multiset))
+    code = {x: i for i, x in enumerate(alphabet)}
+    odd = [x.degree % 2 for x in alphabet]
+    coded = sorted(set(permutations([code[x] for x in multiset])))
+    index = {w: i for i, w in enumerate(coded)}
+    rows = [{index[x]: c for x, c in shuffleco._shuffle(w[:p], w[p:], odd).items()}
+            for w in coded for p in range(1, len(w))
+            if (p, w[:p]) <= (len(w) - p, w[p:])]
+    rows, pivots = echelonize(rows, len(coded))
+    words = [tuple(alphabet[c] for c in w) for w in coded]
+    table = {w: {w: Fraction(1)} for w in words}
+    for row, col in zip(rows, pivots):
+        table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
+    pivset = set(pivots)
+    return table, [w for i, w in enumerate(words) if i not in pivset]
 
 
 def test_quotient_dimensions_small():
@@ -95,7 +136,7 @@ def necklace_dim(m: int, n: int) -> int:
 def test_dimension_matches_necklace_count():
     for m, n in ((2, 2), (2, 3), (3, 2)):
         letters = [Letter(("v", i), 0) for i in range(m)]
-        quo = build_quotient(letters, n)
+        quo = eager_quotient(letters, n)
         assert len(quo.rep_words(letters, n)) == necklace_dim(m, n)
 
 
@@ -240,12 +281,12 @@ def test_harrison_example_and_errors():
         d_harrison({w_bad: {one: Fraction(1)}}, 3, alg, quo)
 
 
-def test_quotient_json_dump():
-    import json
-
+def test_quotient_representative_lists():
+    """The lists of two small multisets, by hand and by the split-row
+    oracle: B.A (Lyndon for the reversed order) and the odd square E.E."""
     quo = ShuffleQuotient()
-    payload = json.loads(quo.dump_json([[A, B], [E, E]]))
-    assert payload[0]["dim"] == 1 and payload[1]["dim"] == 1
+    assert quo.representatives([A, B]) == [(B, A)] == split_row_table((A, B))[1]
+    assert quo.representatives([E, E]) == [(E, E)] == split_row_table((E, E))[1]
 
 
 def tables_digest(quo) -> str:
@@ -261,7 +302,7 @@ def test_quotient_tables_golden_digest():
     at d = 2, k <= 2 (letter degrees -1, 0, 1) up to length 4, pinned as
     sorted content: the key order inside a table row is not part of the
     contract."""
-    quo = build_quotient(polyvec_basis(2, 2).letters, 4)
+    quo = eager_quotient(polyvec_basis(2, 2).letters, 4)
     assert len(quo.tables) == 494
     assert tables_digest(quo) == \
         "67f2f28bf64cc90e2e9dc4edf5c5c4085791f69d9f66c2ed111b48d1343572f5"
@@ -270,7 +311,7 @@ def test_quotient_tables_golden_digest():
 def test_quotient_tables_golden_digest_d3():
     """The same pin for the letters of polyvec_basis(3, 1) up to length 3:
     the tables the d = 3, k <= 1 cocycle and coboundary decisions read."""
-    quo = build_quotient(polyvec_basis(3, 1).letters, 3)
+    quo = eager_quotient(polyvec_basis(3, 1).letters, 3)
     assert len(quo.tables) == 285
     assert tables_digest(quo) == \
         "3227f066003466214c0118bd4bbb0cece11ec4fe86324494fc9544cc31ec1894"
@@ -373,7 +414,7 @@ def test_tables_view_reads_the_reduction_rows_as_fractions(monkeypatch):
     ``reduce_word`` rows with Fraction values; ``len``, iteration and ``in``
     see exactly the built multisets and convert no row."""
     letters = polyvec_basis(2, 1).letters
-    quo = build_quotient(letters, 3)
+    quo = eager_quotient(letters, 3)
     built = sorted(quo.reps)
     assert isinstance(quo.tables, Mapping)
     for ms in built:
@@ -439,16 +480,20 @@ def test_representatives_return_the_stored_list(monkeypatch):
     (3, 3, 3, 10659),
 ])
 def test_generated_representatives_equal_the_table_lists(d, kmax, length, count):
-    """The list ``representatives`` generates (super-Lyndon words for the
-    reversed letter order) equals, word for word and in order, the list of
-    the multiset's reduction table, on every multiset of the polyvector
-    letters up to ``length``; generating builds no table."""
-    letters = polyvec_basis(d, kmax).letters
-    eager = build_quotient(letters, length)
-    assert len(eager.reps) == len(eager.tables) == count
-    generated = ShuffleQuotient()
-    for ms, reps in eager.reps.items():
+    """On every multiset of the polyvector letters up to ``length``, the
+    list ``representatives`` generates (super-Lyndon words for the reversed
+    letter order) equals, word for word and in order, the split-row
+    oracle's, and generating builds no table; the engine's reduction table,
+    built before the list, equals the oracle's table."""
+    multisets = multisets_upto(polyvec_basis(d, kmax).letters, length)
+    assert len(multisets) == count
+    generated, engine = ShuffleQuotient(), ShuffleQuotient()
+    for ms in multisets:
+        table, reps = split_row_table(ms)
         assert generated.representatives(ms) == reps
+        engine.reduce_word(ms)
+        assert engine.tables[ms] == table
+        assert engine.reps[ms] == reps
     assert len(generated.reps) == count and not generated.tables
 
 
@@ -465,17 +510,21 @@ def random_multisets(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(random_multisets())
 def test_generated_representatives_equal_the_table_list_on_random_alphabets(ms):
+    """The generated list and the engine's table (built first) equal the
+    split-row oracle's."""
+    table, reps = split_row_table(ms)
     table_first = ShuffleQuotient()
     table_first.reduce_word(ms)
+    assert table_first.tables[ms] == table
     generated = ShuffleQuotient()
-    assert generated.representatives(ms) == table_first.representatives(ms)
+    assert generated.representatives(ms) == reps == table_first.representatives(ms)
     assert not generated.tables
 
 
 def test_a_generated_list_that_disagrees_with_the_table_raises(monkeypatch):
-    """When a table is built for a multiset whose list was generated first,
-    its echelon representatives are compared with that list: a list missing
-    one word makes ``reduce_word`` raise and keeps the table out."""
+    """A table eliminates every word not in the multiset's stored list and
+    checks that exactly those words are pivots: a list missing one word
+    makes ``reduce_word`` raise and keeps the table out."""
     letters = polyvec_basis(2, 1).letters
     ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
     generate = shuffleco._super_lyndon
@@ -486,3 +535,25 @@ def test_a_generated_list_that_disagrees_with_the_table_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         quo.reduce_word(ms)
     assert ms not in quo.tables
+
+
+@pytest.mark.parametrize("parities", [p for k in (1, 2, 3)
+                                      for p in product((0, 1), repeat=k)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_each_eliminated_word_is_the_lowest_word_of_its_row(parities):
+    """Over 1..3 coded letters of every parity pattern, every word of up to
+    6 letters that is not a representative is the lowest word, with a
+    nonzero coefficient, of the shuffle of its longest proper prefix that is
+    a representative with the rest: so a table's rows, one per eliminated
+    word, form a triangular system."""
+    odd = list(parities)
+    eliminated = 0
+    for n in range(2, 7):
+        for w in product(range(len(odd)), repeat=n):
+            if shuffleco._is_rep(w, odd):
+                continue
+            p = max(p for p in range(1, n) if shuffleco._is_rep(w[:p], odd))
+            row = shuffleco._shuffle(w[:p], w[p:], odd)
+            assert row and min(row) == w, (odd, w, p)
+            eliminated += 1
+    assert eliminated

@@ -295,7 +295,7 @@ def test_failures_on_a_repeated_argument_get_the_oracle_verdicts(basis, message,
 
 def test_validate_checks_each_residual_once_per_orbit(monkeypatch):
     """On an 8-letter sandbox: symmetry on the 36 pairs x <= y for each op,
-    associativity on x <= z and Leibniz on y <= z (8 * 36 triples each),
+    associativity on x < z (8 * 28 triples), Leibniz on y <= z (8 * 36),
     Jacobi on the 120 triples x <= y <= z."""
     basis = next(b for b in sandboxes(11, 8) if len(b.letters) == 8)
     calls = Counter()
@@ -303,7 +303,7 @@ def test_validate_checks_each_residual_once_per_orbit(monkeypatch):
         monkeypatch.setattr(genv, name, lambda *a, _f=getattr(genv, name), _n=name, **k:
                             calls.update([_n]) or _f(*a, **k))
     assert basis.validate() is basis
-    assert calls == {"symmetry": 72, "associativity": 288, "derivation": 288,
+    assert calls == {"symmetry": 72, "associativity": 224, "derivation": 288,
                      "jacobi": 120}
 
 
