@@ -636,7 +636,7 @@ def recursion_single(mono: Mono, taylor, source_quotient: ShuffleQuotient,
                 if pr not in pidx:
                     pidx[pr] = len(pidx)
                     pairs.append(pr)
-                ents[(pidx[pr], ci)] = ents.get((pidx[pr], ci), Fraction(0)) + c
+                ents[(pidx[pr], ci)] = ents.get((pidx[pr], ci), 0) + c
         mat = SparseMat(len(pairs), len(cands), ents)
         x = solve_in_column_span(mat, {pidx[p]: c for p, c in R.items()})
         if x is None:

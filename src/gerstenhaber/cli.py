@@ -272,17 +272,17 @@ def _cmd_differential_classical(args) -> int:
         def dof(C):
             return d_chevalley_classical(C, n, lie)
         vletters = [Letter(("R",), 0)]
+    nv = len(vletters)
     vidx = {v: i for i, v in enumerate(vletters)}
-    mat = SparseMat(len(cod) * len(vletters), len(dom) * len(vletters))
+    entries: dict = {}
     for ci, w in enumerate(dom):
         for vi, v in enumerate(vletters):
-            C = lambda word: ({v: Fraction(1)} if word == w else {})
-            dC = dof(C)
+            dC = dof(lambda word: ({v: Fraction(1)} if word == w else {}))
             for ri, wr in enumerate(cod):
                 for vo, c in dC(wr).items():
-                    if c:
-                        r = ri * len(vletters) + vidx[vo]
-                        mat[r, ci * len(vletters) + vi] = mat[r, ci * len(vletters) + vi] + c
+                    rc = (ri * nv + vidx[vo], ci * nv + vi)
+                    entries[rc] = entries.get(rc, 0) + c
+    mat = SparseMat(len(cod) * nv, len(dom) * nv, entries)
     if args.format == "matrixmarket":
         _emit(mat.to_matrixmarket(), args.out)
     else:

@@ -1,9 +1,10 @@
 """Exact rational sparse linear algebra.
 
-Everything is done over Q with ``fractions.Fraction`` (always lowest terms,
-positive denominator), so rank / kernel / span decisions are exact.  The one
-eliminator, ``echelonize``, works fraction-free on integer multiples of the
-rows and returns ``Fraction`` rows.  Pivoting is deterministic: columns are
+Everything is done over Q, so rank / kernel / span decisions are exact.
+Values follow the package's number rule: an ``int`` unless it is not an
+integer, then a ``fractions.Fraction``.  The one eliminator, ``echelonize``,
+works fraction-free on integer multiples of the rows, so integral inputs are
+eliminated in int arithmetic.  Pivoting is deterministic: columns are
 processed left to right and the pivot row is the one with the lowest index
 among the rows not yet used.
 """
@@ -13,30 +14,31 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class SparseMat:
-    """Sparse matrix over Q, stored as {(row, col): Fraction} without zeros;
-    ``entries`` is an optional dict {(row, col): value} to start from."""
+    """Sparse matrix over Q, stored as {(row, col): value} without zeros;
+    ``entries`` is an optional dict {(row, col): value} to start from.  An
+    entry is kept as given (an int or a Fraction), so products and solves of
+    integral matrices run in ints.  The writers read ``.numerator`` and
+    ``.denominator``, which ints have too."""
 
     def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
         for (r, c), v in (entries or {}).items():
             self[r, c] = v
 
-    def __getitem__(self, rc) -> Fraction:
-        return self.entries.get(rc, Fraction(0))
+    def __getitem__(self, rc) -> int | Fraction:
+        return self.entries.get(rc, 0)
 
     def __setitem__(self, rc, v):
         r, c = rc
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry {rc} outside {self.nrows}x{self.ncols}")
-        if not isinstance(v, Fraction):
-            v = Fraction(v)
-        if v == 0:
+        if not v:
             self.entries.pop(rc, None)
         else:
             self.entries[rc] = v
@@ -55,8 +57,8 @@ class SparseMat:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def rows(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
+    def rows(self) -> list[dict]:
+        out: list[dict] = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
@@ -69,7 +71,7 @@ class SparseMat:
         brows = other.rows()
         out = SparseMat(self.nrows, other.ncols)
         for i, row in enumerate(self.rows()):
-            acc: dict[int, Fraction] = {}
+            acc: dict = {}
             for k, v in row.items():
                 for j, w in brows[k].items():
                     acc[j] = acc.get(j, 0) + v * w
@@ -78,12 +80,12 @@ class SparseMat:
                     out.entries[i, j] = s
         return out
 
-    def mul_vec(self, x: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def mul_vec(self, x: dict) -> dict:
+        out: dict = {}
         for (r, c), v in self.entries.items():
             xc = x.get(c)
             if xc:
-                s = out.get(r, Fraction(0)) + v * xc
+                s = out.get(r, 0) + v * xc
                 if s:
                     out[r] = s
                 else:
@@ -111,19 +113,20 @@ class SparseMat:
         )
 
 
-def echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
+def echelonize(rowdicts: list[dict], ncols: int):
     """Reduced row echelon form with unit pivots and full back-elimination.
 
     Returns (reduced rows, pivot column list); row i < len(pivots) is the
     row of pivot i, and every later row is empty.  Columns are processed left
     to right and the pivot row is the lowest-index nonzero row not yet used.
 
-    The elimination is fraction-free: each row is scaled to integers, a step
-    is row = p*row - f*piv followed by division by the gcd of the row, and
-    only the final pivot rows are divided by their pivots.  Every integer
-    row is a nonzero multiple of the row the same steps over Q would hold,
-    so pivots, swaps and the reduced rows are those of the rational
-    elimination.
+    The elimination is fraction-free (as in Bareiss): each row is scaled to
+    integers, a step is row = p*row - f*piv followed by division by the gcd
+    of the row, and only the final pivot rows are divided by their pivots p,
+    each entry v to ``v // p`` where p divides it and to ``Fraction(v, p)``
+    where it does not.  Every integer row is a nonzero multiple of the row
+    the same steps over Q would hold, so pivots, swaps and the reduced rows
+    are those of the rational elimination.
     """
     rows = []
     for rowdict in rowdicts:
@@ -170,8 +173,10 @@ def echelonize(rowdicts: list[dict[int, Fraction]], ncols: int):
         prow += 1
         if prow == nrows:
             break
-    out = [{c: Fraction(v, row[col]) for c, v in row.items()}
-           for row, col in zip(rows, pivots)]
+    out = []
+    for row, col in zip(rows, pivots):
+        p = row[col]
+        out.append({c: Fraction(v, p) if v % p else v // p for c, v in row.items()})
     return out + rows[prow:], pivots
 
 
@@ -180,7 +185,7 @@ def rank(m: SparseMat) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: SparseMat) -> list[dict[int, Fraction]]:
+def kernel_basis(m: SparseMat) -> list[dict]:
     """Basis of the right null space, one sparse column vector per free column."""
     rows, pivots = echelonize(m.rows(), m.ncols)
     pivset = set(pivots)
@@ -188,7 +193,7 @@ def kernel_basis(m: SparseMat) -> list[dict[int, Fraction]]:
     for free in range(m.ncols):
         if free in pivset:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for r, col in enumerate(pivots):
             v = rows[r].get(free)
             if v:
@@ -197,31 +202,25 @@ def kernel_basis(m: SparseMat) -> list[dict[int, Fraction]]:
     return basis
 
 
-def solve_in_column_span(
-    m: SparseMat, b: dict[int, Fraction] | Iterable[Fraction]
-) -> Optional[dict[int, Fraction]]:
+def solve_in_column_span(m: SparseMat, b: dict) -> Optional[dict]:
     """Some exact x with m.x = b, or None when b is outside the column span.
 
-    Free variables are set to 0, so the answer is deterministic.  A sequence
-    b must have exactly ``m.nrows`` entries; a dict is keyed by row.
+    ``b`` is a sparse dict keyed by row; a key outside the rows raises
+    ``ValueError``.  Free variables are set to 0, so the answer is
+    deterministic, and its values are ints unless not integers.
     """
-    if not isinstance(b, dict):
-        b = list(b)
-        if len(b) != m.nrows:
-            raise ValueError("right-hand side has wrong length")
-        b = {i: Fraction(v) for i, v in enumerate(b) if v}
     for r in b:
         if not 0 <= r < m.nrows:
-            raise ValueError("right-hand side has wrong length")
+            raise ValueError(f"right-hand side row {r} outside 0..{m.nrows - 1}")
     rows = m.rows()
     aug = m.ncols
     for r, v in b.items():
         if v:
-            rows[r][aug] = Fraction(v)
+            rows[r][aug] = v
     rows, pivots = echelonize(rows, m.ncols + 1)
     if pivots and pivots[-1] == aug:
         return None
-    x: dict[int, Fraction] = {}
+    x: dict = {}
     for r, col in enumerate(pivots):
         v = rows[r].get(aug)
         if v:

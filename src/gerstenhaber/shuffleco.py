@@ -15,12 +15,12 @@ w is the lowest word of one shuffle row, that of w's longest proper prefix
 that is a representative with the rest of w; ``exactlin.echelonize``
 back-substitutes these triangular integer rows to reduced row echelon form,
 and each eliminated (pivot) word is rewritten into the representative
-words.  A reduction row keeps its coefficients as
-``int``s unless one is not an integer (``tensorco.int_coeffs``), so
-``reduce_word`` and ``reduce`` stay in int arithmetic on integral tables;
-``ShuffleQuotient.tables`` is a read-only view that gives the same rows with
-``Fraction`` values.  The coderivation lifts and the Harrison coboundary are
-the tensor ones of ``tensorco`` read through that reduction.
+words.  A reduction row keeps its coefficients as ``echelonize`` returns
+them, ``int``s unless one is not an integer, so ``reduce_word`` and
+``reduce`` stay in int arithmetic on integral tables;
+``ShuffleQuotient.tables`` is a read-only view that gives the same rows
+with ``Fraction`` values.  The coderivation lifts and the Harrison
+coboundary are the tensor ones of ``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations, combinations_with_replacement
 from .exactlin import echelonize
 from .graded import grade_digits, koszul_sign, word_deg
 from .tensorco import (add_scaled, add_term, coderivation_lift_tensor,
-                       d_hochschild, extend, int_coeffs, m2)
+                       d_hochschild, extend, m2)
 
 Word = tuple   # tuple[Letter, ...]
 Elem = dict    # dict[Word, int | Fraction]
@@ -280,8 +280,7 @@ class ShuffleQuotient:
                                   "eliminate exactly its non-representatives")
         table = {w: {w: 1} for w in words}
         for row, col in zip(rows, pivots):
-            table[words[col]] = {words[u]: -v for u, v in int_coeffs(row).items()
-                                 if u != col}
+            table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
         self._tables[multiset] = table
         return table
 
@@ -315,8 +314,9 @@ class ShuffleQuotient:
         return out
 
     def is_representative(self, word: Word) -> bool:
-        red = self.reduce_word(word)
-        return red == {word: 1}
+        """Whether ``word`` is on its multiset's representative list; builds
+        no table."""
+        return word in self.representatives(word)
 
 
 def delta(word: Word, quotient: ShuffleQuotient) -> dict:

@@ -11,14 +11,13 @@ reads those shifted degrees directly.  An element is a sparse dict
 word -> coefficient.
 
 Coefficients are exact rationals, and int and Fraction terms add up to the
-same exact value.  From the shuffle-quotient tables and the ``GerstBasis``
-constants through the ``genv`` operators and ``chcoh`` row assembly, a
-coefficient is an ``int`` unless it is not an integer; ``int_coeffs`` is the
-one place that makes that choice.  A cochain is read the same way: ``d_ch``
-reads its values as ints where they are integers and stores the result as
-``Fraction``.  The values a caller stores, exports or hashes stay
-``Fraction``: ``Cochain.values``, ``SparseMat`` entries,
-``exactlin`` results, the ``ShuffleQuotient.tables`` view,
+same exact value.  The package's number rule: a coefficient is an ``int``
+unless it is not an integer.  It holds from the shuffle-quotient tables and
+the ``GerstBasis`` constants through the ``genv`` operators, ``chcoh`` row
+assembly and ``exactlin`` matrices and solves; ``int_coeffs`` applies it to
+values read as Fractions (``d_ch`` reads a cochain so), ``echelonize`` to
+its division by the pivots.  The values a caller stores or hashes stay
+``Fraction``: ``Cochain.values``, the ``ShuffleQuotient.tables`` view,
 ``GerstBasis.wedge_table``/``bracket_table`` and the ``FiniteAlgebra``
 products.
 """

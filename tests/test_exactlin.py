@@ -35,18 +35,14 @@ def test_solve_identity():
 
 def test_solve_column():
     m = mat([[1], [2]])
-    assert solve_in_column_span(m, [2, 4]) == {0: Fraction(2)}
-    assert solve_in_column_span(m, [1, 0]) is None
+    assert solve_in_column_span(m, {0: 2, 1: 4}) == {0: Fraction(2)}
+    assert solve_in_column_span(m, {0: 1}) is None
 
 
-def test_solve_rejects_short_sequence():
-    with pytest.raises(ValueError, match="wrong length"):
-        solve_in_column_span(mat([[1], [1]]), [1])
-
-
-def test_solve_rejects_long_sequence():
-    with pytest.raises(ValueError, match="wrong length"):
-        solve_in_column_span(mat([[1], [1]]), [1, 1, 0])
+def test_solve_rejects_out_of_range_row():
+    for row in (2, -1):
+        with pytest.raises(ValueError, match="outside"):
+            solve_in_column_span(mat([[1], [1]]), {0: 1, row: 1})
 
 
 def test_kernel_cases():
@@ -152,6 +148,17 @@ def test_mul_cancellation_and_dimension_check():
         a.mul(a)
 
 
+def test_exports_of_int_entries_match_fraction_entries():
+    """Int entries are stored as ints and exported as the same Fractions."""
+    vals = {(0, 0): 2, (0, 2): -3, (1, 1): 1, (2, 0): 0}
+    ints = SparseMat(3, 3, vals)
+    fracs = SparseMat(3, 3, {rc: Fraction(v) for rc, v in vals.items()})
+    assert all(type(v) is int for v in ints.entries.values())
+    assert sorted(ints.entries) == [(0, 0), (0, 2), (1, 1)]
+    assert ints.to_matrixmarket() == fracs.to_matrixmarket()
+    assert ints.to_json() == fracs.to_json()
+
+
 def test_exports_roundtrip():
     m = mat([[Fraction(1, 2), 0], [0, -3]])
     mm = m.to_matrixmarket()
@@ -212,26 +219,27 @@ rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 
 @st.composite
-def rational_matrices(draw):
+def sparse_matrices(draw, values=rationals):
     """A SparseMat with 0-6 rows and 0-6 columns, about half its cells
-    nonzero, some rows empty and some rows repeated or scaled copies."""
+    drawn from ``values``, some rows empty and some rows repeated or scaled
+    copies."""
     nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m = SparseMat(nr, nc)
     for i in range(nr):
         kind = draw(st.sampled_from(("random", "random", "empty", "copy")))
         if kind == "copy" and i:
-            src, scale = draw(st.integers(0, i - 1)), draw(rationals)
+            src, scale = draw(st.integers(0, i - 1)), draw(values)
             for j in range(nc):
                 m[i, j] = scale * m[src, j]
         elif kind != "empty":
             for j in range(nc):
                 if draw(st.booleans()):
-                    m[i, j] = draw(rationals)
+                    m[i, j] = draw(values)
     return m
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(rational_matrices())
+@given(sparse_matrices())
 def test_echelonize_matches_fraction_oracle(m):
     """The fraction-free eliminator returns the rational elimination's
     reduced rows, row for row, and its pivots."""
@@ -244,13 +252,57 @@ def test_echelonize_matches_fraction_oracle(m):
     assert echelonize([dict(r) for r in rows], aug) == echelonize_fraction(rows, aug)
 
 
+def fractions_of(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_matrices(st.integers(-4, 4)))
+def test_echelonize_integer_rows(m):
+    """On integer rows the eliminator returns the rational elimination of
+    the same rows read as Fractions, with every integral value an int."""
+    aug = m.ncols + 1   # with an integer right-hand side column
+    rows = m.rows()
+    for i, row in enumerate(rows):
+        if i % 2:
+            row[m.ncols] = i - 2
+    for rowdicts, ncols in ((m.rows(), m.ncols), (rows, aug)):
+        got = echelonize([dict(r) for r in rowdicts], ncols)
+        assert got == echelonize_fraction(fractions_of(rowdicts), ncols)
+        for row in got[0]:
+            for v in row.values():
+                assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(rational_matrices(), st.data())
+@given(sparse_matrices(), st.data())
 def test_rank_nullity_and_solve_roundtrip(m, data):
     assert rank(m) + len(kernel_basis(m)) == m.ncols
     x = {j: data.draw(rationals) for j in range(m.ncols)}
     b = m.mul_vec(x)
-    for rhs in (dict(b), [b.get(i, 0) for i in range(m.nrows)]):
-        sol = solve_in_column_span(m, rhs)
-        assert sol is not None
-        assert m.mul_vec(sol) == b
+    sol = solve_in_column_span(m, dict(b))
+    assert sol is not None
+    assert m.mul_vec(sol) == b
+
+
+def test_coboundary_matrices_and_product_are_int(monkeypatch):
+    """At d = 2, k <= 1 the assembled matrices and their products hold only
+    ints, and exactlin builds no Fraction on the way, table elimination
+    included."""
+    from gerstenhaber.chcoh import (assemble_matrix, level_shapes,
+                                    reachable_shapes, real_polyvec_context)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built in exactlin")
+
+    monkeypatch.setattr("gerstenhaber.exactlin.Fraction", no_fraction)
+    ctx = real_polyvec_context(2, 1)
+    for n in (1, 2):
+        src = level_shapes(n, 3)
+        m1, rows1, _ = assemble_matrix(ctx, src)
+        m2, _, cols2 = assemble_matrix(ctx, reachable_shapes(src))
+        assert cols2 == rows1 and m1.entries and m2.entries
+        prod = m2.mul(m1)
+        assert prod.is_zero()
+        for m in (m1, m2):
+            assert all(type(v) is int for v in m.entries.values())

@@ -110,6 +110,16 @@ def test_reduction_properties():
             assert quo.reduce(bat(w[:p], w[p:])) == {}
 
 
+def test_is_representative_reads_the_list_and_builds_no_table():
+    """is_representative answers from the generated list, and agrees with
+    the reduction row {w: 1} of a table built afterwards."""
+    quo, oracle = ShuffleQuotient(), ShuffleQuotient()
+    for n in range(1, 5):
+        for w in product([A, B, E], repeat=n):
+            assert quo.is_representative(w) == (oracle.reduce_word(w) == {w: 1})
+    assert len(quo.tables) == 0 and len(oracle.tables) > 0
+
+
 def necklace_dim(m: int, n: int) -> int:
     """Free Lie algebra dimension by the necklace count, independent route."""
 
