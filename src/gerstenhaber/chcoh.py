@@ -37,7 +37,7 @@ from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign, slot_terms
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
                      packet_sort_key, pdeg)
-from .shuffleco import ShuffleQuotient, graded_multisets
+from .shuffleco import GradedLetters, ShuffleQuotient, graded_multisets
 from .tensorco import ONE, add_scaled, add_term, extend, int_coeffs, int_view
 
 Vec = dict  # dict[Letter, int | Fraction] over the target basis: a Cochain
@@ -65,6 +65,38 @@ class Truncation:
         return {"d": self.d, "kmax": self.kmax, "Nmax": self.Nmax, "nmax": self.nmax}
 
 
+def window_kmax(trunc: Truncation, level: int, degree: int) -> int:
+    """A letter tensor degree bound under which deciding a cochain of
+    ``level`` N whose support has degree ``degree`` t (``is_cocycle``, then
+    ``is_coboundary``) reads the same monomials and values as under
+    ``trunc.kmax``: min(kmax, t + 2N + 1) when nmax > N, else
+    min(kmax, t + 2N).  For the headline f3 (N = 3, t = -3) and nmax >= 3
+    this is min(kmax, nmax, 4).
+
+    A monomial of M letters in n packets and degree s has letter degrees
+    k - 1 >= -1 (k the tensor degree) that sum to s + n, since each packet
+    lowers the degree by one.  So one letter's k - 1 is s + n minus the other
+    M - 1 letter degrees, each at least -1: every letter has k <= s + n + M.
+    The decision reads monomials of four kinds, each of degree s = t + N - M,
+    so each letter of them has k <= t + N + n:
+      - f's support: level N, n <= N packets;
+      - the rows of d(f): level N + 1, n <= min(nmax, N + 1) packets;
+      - the rows of the coboundary blocks: level N, n <= min(nmax, N);
+      - their columns: level N - 1, n <= min(nmax, N - 1).
+    Hence every letter of every such monomial lies in the window, and a
+    context cut at its bound lists the same monomials, in the same order
+    (the shuffle quotient of a multiset depends on its letters alone), and
+    holds f with the same values.  A term of ``d_ch_terms`` on a row of
+    level L, degree s and n packets reads f, or a column, on an argument of
+    level L - 1, degree s + 1 and at most n packets, so that argument's
+    letters obey the row's bound; every wedge or bracket of the term puts
+    its product letter into that argument.  So no product that the cut
+    basis drops (``polyvec_basis`` returns {} above its kmax) reaches f's
+    support or a block column, and every block matrix is the same.
+    """
+    return min(trunc.kmax, degree + 2 * level + (trunc.nmax > level))
+
+
 def real_target() -> GerstBasis:
     """The base field as a Gerstenhaber algebra: degree 0, product, zero bracket."""
     one = Letter(("R",), -1)
@@ -86,6 +118,11 @@ class ChContext:
     ``identity``, and per source letter a of f1 ``mul_left[a]`` (b to
     f1(a) b) and ``mul_right[a]`` (b to b f1(a)), wedges in the target.
     Their coefficients are ints unless not integers.
+
+    A context keeps, per source letter list, what its walks reuse: the
+    monomial lists of ``monomials_for_shape`` and the set-up of the
+    grade-restricted walk (``graded_letters``), built on the first graded
+    call, never before.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
@@ -95,7 +132,7 @@ class ChContext:
         self.mul_left: dict = {}
         self.mul_right: dict = {}
         for a, val in f1.items():
-            val = int_coeffs({b: Fraction(c) for b, c in val.items() if c})
+            val = int_coeffs({b: c for b, c in val.items() if c})
             if not val:
                 continue
             if a.grade != -1 or any(b.grade != -1 for b in val):
@@ -110,6 +147,14 @@ class ChContext:
                                  for b in target.letters}
         self.quotient = ShuffleQuotient()
         self._monomials: dict[tuple, list] = {}  # see monomials_for_shape
+        self._graded: GradedLetters | None = None
+
+    def graded_letters(self) -> GradedLetters:
+        """The ``graded_multisets`` set-up of the source letters, built on
+        first use and kept."""
+        if self._graded is None:
+            self._graded = GradedLetters(self.source.letters)
+        return self._graded
 
     def rep_words(self, length: int) -> list:
         """All representative words of the given length, in canonical order."""
@@ -144,20 +189,45 @@ def _arg_shape(lens, drop, length) -> tuple:
     return tuple(sorted([p for i, p in enumerate(lens) if i not in drop] + [length]))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        val = self[key] = self.fn(key)
+        return val
+
+
 class PacketTable:
     """Packet-level operations of one coboundary computation, each computed
     on first use: the reduced ``h_bracket`` of a packet pair, the reduced
-    ``h_mu`` of a packet and, per tuple of packet lengths, the term families
-    of ``d_ch_terms`` that ``shapes`` keeps.
+    ``h_mu`` of a packet, each packet's degree (``degree``) and
+    ``packet_sort_key`` (``sort_key``) and, per tuple of packet lengths, the
+    term families of ``d_ch_terms`` that ``shapes`` keeps.
+
+    With ``support``, the monomials a cochain is nonzero on, ``shapes`` is
+    the set of their shapes and ``packets`` the set of their packets, which
+    ``d_ch_terms`` reads to skip the terms whose argument cannot be in the
+    support; without it ``packets`` is None and nothing is skipped.
 
     A decision builds one table per call and drops it on return; a
-    long-lived context keeps only its monomial lists and quotient tables.
-    The values are shared: read them, do not change them.
+    long-lived context keeps only its monomial lists, its walk set-up and
+    its quotient tables.  The values are shared: read them, do not change
+    them.
     """
 
-    def __init__(self, ctx: ChContext, shapes=None):
+    def __init__(self, ctx: ChContext, shapes=None, support=None):
         self.ctx = ctx
+        self.packets = None
+        if support is not None:
+            shapes = {tuple(sorted(len(w) for w in m)) for m in support}
+            self.packets = {w for m in support for w in m}
         self.shapes = shapes
+        self.degree = _Memo(pdeg)
+        self.sort_key = _Memo(packet_sort_key).__getitem__
         self._brackets: dict = {}
         self._mus: dict = {}
         self._live: dict = {}
@@ -205,10 +275,26 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
     packet pair, which puts each value into the sorted rest of ``mono`` with
     its sign; the two identity families are the negatives of the terms of
     ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
+
+    A family's argument keeps every packet of ``mono`` the family does not
+    touch (all but one packet, or all but a pair).  So on a table with
+    ``packets`` (the packets of a cochain's support) a family is built only
+    when every untouched packet is in that set, and a monomial with more
+    than two packets outside it gets no term, before any degree, key or
+    packet operation.  The terms kept are those of the full list whose
+    argument can be in the support, in the same order.
     """
-    degs = [pdeg(w) for w in mono]
+    packets = table.packets
+    outside = [] if packets is None else \
+        [j for j, w in enumerate(mono) if w not in packets]
+    if len(outside) > 2:
+        return []
     detach, pairs = table.live(tuple(len(w) for w in mono))
-    quo, identity = ctx.quotient, ctx.identity
+    if outside:
+        detach = [j for j in detach if outside == [j]]
+        pairs = [p for p in pairs if all(j in p for j in outside)]
+    degs = [table.degree[w] for w in mono]
+    quo, identity, sort_key = ctx.quotient, ctx.identity, table.sort_key
     terms = []
     for j in detach:
         packet = mono[j]
@@ -224,16 +310,16 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
             if tmap:
                 terms += [(-c if flip else c, tmap, key) for key, c in
                           slot_terms(mono, degs, (j,), quo.reduce_word(word), -1,
-                                     packet_sort_key)]
+                                     sort_key)]
         val = table.mu(packet)
         if val:
             terms += [(-c, identity, key) for key, c in
-                      slot_terms(mono, degs, (j,), val, 1, packet_sort_key)]
+                      slot_terms(mono, degs, (j,), val, 1, sort_key)]
     for j, k in pairs:
         val = table.bracket(mono[j], mono[k])
         if val:
             terms += [(-c, identity, key) for key, c in
-                      slot_terms(mono, degs, (j, k), val, 1, packet_sort_key)]
+                      slot_terms(mono, degs, (j, k), val, 1, sort_key)]
     return terms
 
 
@@ -252,14 +338,15 @@ def d_ch_value(feval, mono: Mono, ctx: ChContext, table: PacketTable) -> Vec:
 def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     """The coboundary of a cochain as a stored cochain, one level up.
 
-    Evaluates on every monomial of ``_coboundary_monomials``; raises
-    TruncationError when a shape reachable from f's own support would fall
-    outside the window.  f's values are read once, through
-    ``tensorco.int_coeffs``, so the terms add up as ints where f's values
-    are integers; the result stores ``Fraction`` values, as every
-    ``Cochain`` does.
+    Evaluates on every monomial of ``_coboundary_monomials``, with a
+    ``PacketTable`` built on f's support, so only the terms whose argument
+    can be in that support are built; raises TruncationError when a shape
+    reachable from f's own support would fall outside the window.  f's
+    values are read once, through ``tensorco.int_coeffs``, so the terms add
+    up as ints where f's values are integers; the result stores
+    ``Fraction`` values, as every ``Cochain`` does.
     """
-    table = PacketTable(ctx, f.shapes())
+    table = PacketTable(ctx, support=f.values)
     fvals = {m: int_coeffs(v) for m, v in f.values.items()}
     empty: Vec = {}
 
@@ -452,7 +539,7 @@ def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
                         or w == prev and not pdeg(w) % 2:
                     split(left, s + 1, acc + (w,))
 
-    for ms in graded_multisets(ctx.source.letters, sum(lens),
+    for ms in graded_multisets(ctx.graded_letters(), sum(lens),
                                {t + len(lens) for t in grades}):
         split(ms, 0, ())
     # packets in one place have one length: their idents in a row order them
@@ -465,7 +552,7 @@ def _coboundary_monomials(f, ctx: ChContext, trunc: Truncation,
     """Monomials one level above f on which d(f) can be nonzero, by shape.
 
     Raises TruncationError when a shape reachable from f's own support falls
-    outside the window.  Shapes on which ``table`` (built on f's shapes)
+    outside the window.  Shapes on which ``table`` (built on f's support)
     keeps no term family are skipped.  Every coboundary term evaluates f one
     grade up: one degree up in the same torus weight, since wedge and
     bracket add weights and the letter morphism is supported in grade -1.

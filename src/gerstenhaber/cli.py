@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .chcoh import (Truncation, TruncationError, assemble_matrix, f3_111,
                     is_cocycle, is_coboundary, level_shapes,
-                    real_polyvec_context)
+                    real_polyvec_context, window_kmax)
 from .polyvec import basis as pv_basis
 from .suites import SUITES, run_suites
 
@@ -159,8 +159,9 @@ def cmd_cocycle(args) -> int:
     kmax = _kmax(args, 1, "the 3-cochain lives on vector fields")
     if kmax is None:
         return 2
-    ctx = real_polyvec_context(args.d, kmax)
     trunc = Truncation(args.d, kmax, args.Nmax, args.nmax)
+    # the letters the decision can read: the report keeps the requested kmax
+    ctx = real_polyvec_context(args.d, window_kmax(trunc, 3, -3))
     f3 = f3_111(args.d, ctx)
     from .ginfty import mono_key
     from .polyvec import hom_letter

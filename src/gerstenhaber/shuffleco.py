@@ -25,9 +25,11 @@ coboundary are the tensor ones of ``tensorco`` read through that reduction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import add
 
 from .exactlin import echelonize
 from .graded import grade_digits, koszul_sign, word_deg
@@ -161,59 +163,97 @@ def _super_lyndon(multiset: tuple) -> list:
     return [tuple(alphabet[c] for c in w) for w in coded if _is_rep(w, odd)]
 
 
-def graded_multisets(letters: list, length: int, grades) -> list:
-    """The multisets of ``length`` letters from the sorted list ``letters``
-    whose grade lies in ``grades``, in ``combinations_with_replacement``
-    order.
+class GradedLetters:
+    """The set-up of ``graded_multisets`` on one list of letters, built once
+    and read by every walk over that list.
 
-    One recursion over the alphabet takes nondecreasing letter indices.  A
+    ``grades`` are the letter grades and ``at`` maps a grade to the
+    increasing positions of its letters.  ``coords`` are the letters' grade
+    coordinates (the degree and the weight coordinates, ``grade_digits``
+    padded to ``width``).  Per coordinate, ``cuts`` holds (values, below,
+    above): the values the letters take there, increasing, and for each p
+    one past the last position of a letter whose value is among values[:p]
+    (``below[p]``) or among values[p:] (``above[p]``), 0 when there is none.
+    So the least value over letters[j:] exceeds values[p - 1] exactly when
+    j >= below[p], and the largest is below values[p] exactly when
+    j >= above[p].
+    """
+
+    def __init__(self, letters):
+        self.letters = list(letters)
+        self.grades = [a.grade for a in self.letters]
+        self.at: dict = {}
+        for j, g in enumerate(self.grades):
+            self.at.setdefault(g, []).append(j)
+        digits = {g: grade_digits(g) for g in self.at}
+        self.width = max(map(len, digits.values()), default=0)
+        pad = {g: t + (0,) * (self.width - len(t)) for g, t in digits.items()}
+        self.coords = [pad[g] for g in self.grades]
+        # the grades in the order of their last letters, and one past each
+        ends = sorted(self.at, key=lambda g: self.at[g][-1])
+        stops = [self.at[g][-1] + 1 for g in ends]
+        self.cuts = []
+        for col in zip(*map(pad.get, ends)):
+            last = dict(zip(col, stops))  # value -> one past its last letter
+            values = sorted(last)
+            self.cuts.append((values,
+                              [0, *accumulate(map(last.get, values), max)],
+                              [*accumulate(map(last.get, values[::-1]), max)][::-1]
+                              + [0]))
+
+
+def graded_multisets(walk: GradedLetters, length: int, grades) -> list:
+    """The multisets of ``length`` letters from ``walk.letters`` whose grade
+    lies in ``grades``, in ``combinations_with_replacement`` order.
+
+    One recursion over the list takes nondecreasing letter positions; only
+    the range of each grade coordinate over ``grades`` is built per call.  A
     branch that must still take r letters from letters[j:] is cut when, in
-    one coordinate of the grade (the degree or a weight coordinate), the sum
-    so far plus r times the least or the largest value of that coordinate
-    over letters[j:] cannot reach the range of that coordinate over
-    ``grades``.  The values over letters[j + 1:] lie inside those over
-    letters[j:], so a cut at j also cuts every later letter.  The last
-    letter is not walked: it is looked up by the grade it must have.
+    one coordinate, the sum so far plus r times the least or the largest
+    value of that coordinate over letters[j:] cannot reach that range.  A
+    cut at j also cuts every later letter, so each node reads the first cut
+    position of each coordinate from ``walk.cuts`` and walks every letter
+    before the first of them.  The last letter is not walked: it is looked
+    up by the grade it must have.
     """
     grades = set(grades)
     if not length:
         return [()] if 0 in grades else []
+    letters = walk.letters
     if not grades or not letters:
         return []
-    lgrades = [a.grade for a in letters]
-    at: dict = {}  # letter grade -> indices of the letters of that grade
-    for j, g in enumerate(lgrades):
-        at.setdefault(g, []).append(j)
-    digits = [grade_digits(g) for g in lgrades + list(grades)]
-    width = max(map(len, digits))
-    digits = [t + (0,) * (width - len(t)) for t in digits]
-    coords, targets = digits[:len(letters)], digits[len(letters):]
-    tlo = [min(t[c] for t in targets) for c in range(width)]
-    thi = [max(t[c] for t in targets) for c in range(width)]
-    # box[j]: (least, largest) of each coordinate over letters[j:]
-    box = [None] * len(letters)
-    lo, hi = list(coords[-1]), list(coords[-1])
-    for j in range(len(letters) - 1, -1, -1):
-        lo = [min(x, y) for x, y in zip(lo, coords[j])]
-        hi = [max(x, y) for x, y in zip(hi, coords[j])]
-        box[j] = list(zip(lo, hi, tlo, thi))
+    width, at, lgrades, coords = walk.width, walk.at, walk.grades, walk.coords
+    # a target coordinate past ``width`` is 0 on every letter: no cut reads it
+    targets = [grade_digits(t)[:width] for t in grades]
+    targets = [t + (0,) * (width - len(t)) for t in targets]
+    bounds = [(*walk.cuts[c], min(t[c] for t in targets),
+               max(t[c] for t in targets)) for c in range(width)]
+    n = len(letters)
     out = []
 
     def rec(i, r, acc, grade, cur):
         if r == 1:
-            out.extend(acc + (letters[j],) for j in
-                       sorted(j for t in grades for j in at.get(t - grade, ())
-                              if j >= i))
+            hits = []
+            for t in grades:
+                js = at.get(t - grade, ())
+                hits += js[bisect_left(js, i):]
+            if len(grades) > 1:
+                hits.sort()
+            out.extend(acc + (letters[j],) for j in hits)
             return
-        for j in range(i, len(letters)):
-            if any(x + r * l > th or x + r * h < tl
-                   for x, (l, h, tl, th) in zip(cur, box[j])):
-                break
+        # the first j where x + r * (least over letters[j:]) > thi, or
+        # x + r * (largest over letters[j:]) < tlo: the least exceeds
+        # (thi - x) // r, or the largest is below -((x - tlo) // r)
+        stop = n
+        for x, (values, below, above, tlo, thi) in zip(cur, bounds):
+            stop = min(stop, below[bisect_right(values, (thi - x) // r)],
+                       above[bisect_left(values, -((x - tlo) // r))])
+        for j in range(i, stop):
             # the looked-up last letter (r == 2 here) needs no coordinates
             rec(j, r - 1, acc + (letters[j],), grade + lgrades[j],
-                [x + y for x, y in zip(cur, coords[j])] if r > 2 else None)
+                tuple(map(add, cur, coords[j])) if r > 2 else None)
 
-    rec(0, length, (), 0, [0] * width)
+    rec(0, length, (), 0, (0,) * width)
     return out
 
 
@@ -245,12 +285,13 @@ class ShuffleQuotient:
     Tables are built lazily per multiset, by ``reduce_word`` only, and
     cached; the construction is deterministic (lexicographic word order,
     lowest-word pivots), so the representative basis does not depend on call
-    order.  ``reps`` is the one store of representative lists, and only
-    ``representatives`` writes it: it holds the generated list of every
-    multiset met, with or without a table.  A table reads its list there
-    and eliminates every other word; if the pivots of its rows are not
-    exactly those words, it raises ``ArithmeticError``.  ``reduce_word`` and
-    ``representatives`` return stored rows and lists: only read them.
+    order.  ``reps`` is the one store of representative lists: it holds the
+    generated list of every multiset met, with or without a table.  A table
+    reads its list there, or stores the one it filters from its own words
+    when there is none, and eliminates every other word; if the pivots of
+    its rows are not exactly those words, it raises ``ArithmeticError``.
+    ``reduce_word`` and ``representatives`` return stored rows and lists:
+    only read them.
     ``tables`` is a read-only view of the built tables with Fraction rows.
     """
 
@@ -265,7 +306,12 @@ class ShuffleQuotient:
             return table
         alphabet, odd, coded = _coded_words(multiset)
         words = [tuple(alphabet[c] for c in w) for w in coded]
-        reps = set(self.representatives(multiset))
+        reps = self.reps.get(multiset)
+        if reps is None:
+            # the list ``_super_lyndon`` would generate, from these words
+            reps = self.reps[multiset] = [u for u, w in zip(words, coded)
+                                          if _is_rep(w, odd)]
+        reps = set(reps)
         index = {w: i for i, w in enumerate(coded)}
         # One row per other word w = u.v, u its longest proper prefix that is
         # a representative: the shuffle of u and v, whose lowest word is w.

@@ -6,12 +6,13 @@ import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
                                 Truncation, TruncationError,
-                                _coboundary_monomials,
+                                _block_matrix, _coboundary_monomials,
                                 assemble_matrix, d_ch, d_ch_row, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
-                                reconstruct_morphism, recursion_single)
+                                reconstruct_morphism, recursion_single,
+                                window_kmax)
 from gerstenhaber.genv import (GerstBasis, h_bracket, h_mu, polyvec_basis,
                                sandbox_gerstenhaber, zero_gerstenhaber)
 from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
@@ -417,16 +418,14 @@ def pruning_contexts(rng):
     return [real_polyvec_context(2, 1), unit_context(sandbox_gerstenhaber(rng))]
 
 
-def test_d_ch_pruning_matches_full_evaluation():
-    """Enumerating d(g) by g's degrees and shapes drops only zero values:
-    the result equals d_ch_value on every level-3 monomial, in order.  On
-    the sandbox every monomial of the shapes gets a value: it has few of
+def pruning_cochains():
+    """(context, level-2 cochain) pairs, seeded: on each of
+    ``pruning_contexts``, cochains on the shape (2,), on (1, 1) and on every
+    level-2 shape.  On the polyvector context a third of the monomials is
+    nonzero (sparse); on the sandbox every one is (dense): it has few of
     them, and a sparse draw can have a zero coboundary."""
-    from gerstenhaber.chcoh import d_ch
-
     rng = SplitMix64(77)
     for ctx in pruning_contexts(rng):
-        trunc = Truncation(2, 1, 4, 4)
         every = ctx.target is ctx.source
         for shapes in ([(2,)], [(1, 1)], level_shapes(2, 4)):
             vals = {}
@@ -436,15 +435,83 @@ def test_d_ch_pruning_matches_full_evaluation():
                         vals[mono] = {b: Fraction(rng.randint(1, 3))
                                       for b in ctx.target.letters
                                       if rng.randrange(2) == 0}
-            g = Cochain(vals, 2)
-            full = {}
-            for shape in reachable_shapes(level_shapes(2, 4)):
-                for mono in monomials_for_shape(ctx, shape):
-                    v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
-                    if v:
-                        full[mono] = v
-            assert full
-            assert list(d_ch(g, ctx, trunc).values.items()) == list(full.items())
+            yield ctx, Cochain(vals, 2)
+
+
+def test_d_ch_pruning_matches_full_evaluation():
+    """Enumerating d(g) by g's degrees, shapes and packets drops only zero
+    values: the result equals d_ch_value on every level-3 monomial, in
+    order, for each of ``pruning_cochains``."""
+    from gerstenhaber.chcoh import d_ch
+
+    trunc = Truncation(2, 1, 4, 4)
+    for ctx, g in pruning_cochains():
+        full = {}
+        for shape in reachable_shapes(level_shapes(2, 4)):
+            for mono in monomials_for_shape(ctx, shape):
+                v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
+                if v:
+                    full[mono] = v
+        assert full
+        assert list(d_ch(g, ctx, trunc).values.items()) == list(full.items())
+
+
+def support_filter_cases():
+    """(context, cochain, rows): f3 at d = 3, 4, 5 with the level-4 rows
+    its coboundary is evaluated on, and each of ``pruning_cochains`` with
+    every monomial of the shapes one coboundary step up."""
+    for d in (3, 4, 5):
+        ctx = real_polyvec_context(d)
+        f = f3_111(d, ctx)
+        grades = {s - 1 for s in f.grade_support}
+        yield ctx, f, [m for shape in level_shapes(4, 4)
+                       for m in monomials_for_shape(ctx, shape, grades)]
+    for ctx, g in pruning_cochains():
+        yield ctx, g, [m for shape in reachable_shapes(level_shapes(2, 4))
+                       for m in monomials_for_shape(ctx, shape)]
+
+
+def test_support_filter_keeps_every_term_that_reaches_the_support():
+    """On a table built from a cochain's support, d_ch_terms returns an
+    ordered subsequence of the unfiltered list that keeps every term whose
+    argument lies in the support: on f3 at d = 3 ... 5, on the sparse and
+    dense cochains of ``pruning_cochains`` and so on a unit-context
+    sandbox.  Some terms and some whole monomials are skipped."""
+    dropped = skipped = 0
+    for ctx, f, rows in support_filter_cases():
+        table, unfiltered = PacketTable(ctx, support=f.values), PacketTable(ctx)
+        for W in rows:
+            kept = d_ch_terms(W, ctx, table)
+            full = d_ch_terms(W, ctx, unfiltered)
+            rest = iter(full)
+            assert all(any(t == u for u in rest) for t in kept), W
+            assert [t for t in kept if t[2] in f.values] == \
+                [t for t in full if t[2] in f.values], W
+            dropped += len(full) - len(kept)
+            skipped += bool(full) and not kept
+    assert dropped and skipped
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_window_kmax_reads_the_same_monomials_and_blocks(d):
+    """At the headline's window kmax (``window_kmax``: min(d, 4) here) and
+    at the full kmax d, the contexts give the same f3 values, the same
+    monomial lists at levels 2, 3 and 4 in the grades the decision reads,
+    and the same block matrices from the level-4 rows to the level-3
+    monomials and from the level-3 rows to the level-2 columns."""
+    window = window_kmax(Truncation(d, d, 4, 4), 3, -3)
+    assert window == min(d, 4)
+    seen = []
+    for kmax in (d, window):
+        ctx = real_polyvec_context(d, kmax)
+        monos = {level: [m for shape in level_shapes(level, 4)
+                         for m in monomials_for_shape(ctx, shape, {-level})]
+                 for level in (2, 3, 4)}
+        table = PacketTable(ctx)
+        blocks = [_block_matrix(ctx, monos[level], monos[level - 1], table).entries
+                  for level in (4, 3)]
+        seen.append((f3_111(d, ctx).values, monos, blocks))
+    assert seen[0] == seen[1]
 
 
 def test_d_ch_terms_shape_filter_is_exact():

@@ -380,11 +380,13 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "69121226abc762bcd6e2a80f1c0ebee73c72274d1d7bb5dd01839f1f2773eb07"),
     (["--d", "7"],
      "98178dba237bd927a6a61fc1e60e5f94bdd91959b6bceedbbb8f501b030ea863"),
+    (["--d", "8"],
+     "601a770948e7de94c522ef4215340ffa103067547c21e581a02194bec38b9439"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
     """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4, at
-    d=5, k<=1 and k<=5, at d=6, k<=2 and k<=6 and at d=7, k<=7 as JSON,
-    pinned byte for byte."""
+    d=5, k<=1 and k<=5, at d=6, k<=2 and k<=6, at d=7, k<=7 and at d=8,
+    k<=8 as JSON, pinned byte for byte."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want

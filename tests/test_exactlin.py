@@ -287,16 +287,18 @@ def test_rank_nullity_and_solve_roundtrip(m, data):
 
 def test_coboundary_matrices_and_product_are_int(monkeypatch):
     """At d = 2, k <= 1 the assembled matrices and their products hold only
-    ints, and exactlin builds no Fraction on the way, table elimination
-    included."""
+    ints, exactlin builds no Fraction on the way, table elimination
+    included, and chcoh builds none while it builds the context."""
     from gerstenhaber.chcoh import (assemble_matrix, level_shapes,
                                     reachable_shapes, real_polyvec_context)
 
     def no_fraction(*args):
-        raise AssertionError(f"Fraction{args} built in exactlin")
+        raise AssertionError(f"Fraction{args} built")
 
     monkeypatch.setattr("gerstenhaber.exactlin.Fraction", no_fraction)
-    ctx = real_polyvec_context(2, 1)
+    with monkeypatch.context() as m:
+        m.setattr("gerstenhaber.chcoh.Fraction", no_fraction)
+        ctx = real_polyvec_context(2, 1)
     for n in (1, 2):
         src = level_shapes(n, 3)
         m1, rows1, _ = assemble_matrix(ctx, src)

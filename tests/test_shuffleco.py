@@ -16,9 +16,10 @@ from gerstenhaber.genv import h_mu, polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.graded import (Letter, koszul_sign, pack_grade, shifted,
                                  word_deg, word_grade)
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import (Elem, ShuffleQuotient, Word, bat, bat3,
-                                    bat_elem, d_harrison, delta, delta_elem,
-                                    graded_multisets, mu, validate_harrison_cochain)
+from gerstenhaber.shuffleco import (Elem, GradedLetters, ShuffleQuotient, Word,
+                                    bat, bat3, bat_elem, d_harrison, delta,
+                                    delta_elem, graded_multisets, mu,
+                                    validate_harrison_cochain)
 from gerstenhaber.suites import suite_shuffle
 from gerstenhaber.tensorco import FiniteAlgebra, add_term, extend, m2
 
@@ -397,6 +398,7 @@ def test_graded_multisets_match_filtered_combinations():
     cases = 0
     for letters in graded_multiset_alphabets():
         letters = sorted(letters)
+        walk = GradedLetters(letters)
         for n in (0, 1, 2, 3):
             full = list(combinations_with_replacement(letters, n))
             at: dict = {}  # grade -> positions in ``full``
@@ -414,7 +416,7 @@ def test_graded_multisets_match_filtered_combinations():
                      {pack_grade(n * lo, (-n - 1, n + 1)), grades[0]}, set()]
             for gs in sets:
                 want = [full[i] for i in sorted(i for g in gs for i in at.get(g, ()))]
-                assert graded_multisets(letters, n, gs) == want
+                assert graded_multisets(walk, n, gs) == want
                 cases += 1
     assert cases > 700
 
@@ -505,6 +507,34 @@ def test_generated_representatives_equal_the_table_lists(d, kmax, length, count)
         assert engine.tables[ms] == table
         assert engine.reps[ms] == reps
     assert len(generated.reps) == count and not generated.tables
+
+
+def test_a_table_built_first_lists_its_words_once(monkeypatch):
+    """A table built before its multiset's list stores the list it filters
+    from its own words: building every table of d = 2, k <= 2 up to length
+    4 on a fresh quotient lists each multiset's distinct permutations once
+    (494 top-level ``_distinct_permutations`` calls), and every stored list
+    equals the split-row oracle's."""
+    permute = shuffleco._distinct_permutations
+    calls = [0]
+    depth = [0]
+
+    def counted(pool):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return permute(pool)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(shuffleco, "_distinct_permutations", counted)
+    multisets = multisets_upto(polyvec_basis(2, 2).letters, 4)
+    quo = ShuffleQuotient()
+    for ms in multisets:
+        quo.reduce_word(ms)
+    assert calls[0] == len(multisets) == 494
+    monkeypatch.undo()
+    assert all(quo.reps[ms] == split_row_table(ms)[1] for ms in multisets)
 
 
 @st.composite
