@@ -30,12 +30,12 @@ by grade, and with these morphisms alone it squares to zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
 from .graded import Letter, koszul_sign, slot_terms
-from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade,
+from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade, mono_key,
                      packet_sort_key, pdeg)
 from .shuffleco import GradedLetters, ShuffleQuotient, graded_multisets
 from .tensorco import ONE, add_scaled, add_term, extend, int_coeffs, int_view
@@ -399,6 +399,14 @@ class Cochain:
         return not self.values
 
 
+def linear_fields(d: int, ctx: ChContext) -> dict:
+    """The source letters x_a d_b of the linear vector fields on R^d, by
+    (a, b), 1-based; the context must hold tensor degree 1."""
+    by_ident = ctx.source.by_ident
+    return {(a, b): by_ident[(1, (b,), tuple(int(i == a) for i in range(1, d + 1)))]
+            for a in range(1, d + 1) for b in range(1, d + 1)}
+
+
 def f3_111(d: int, ctx: ChContext) -> Cochain:
     """The scalar 3-cochain on triples of single vector-field packets, stored.
 
@@ -408,33 +416,20 @@ def f3_111(d: int, ctx: ChContext) -> Cochain:
 
     (the two cyclic index contractions of the three Jacobians), and 0 whenever
     any packet is longer than one letter or any letter is not a vector field.
-    The formula is evaluated once on the shape (1, 1, 1) monomials of grade
-    -3 (degree -3 and weight 0), the only ones it can be nonzero on: each
-    contraction pairs every x_a with a d_a.
+    It is alternating in the three odd packets, 1 on each index cycle
+    (x_i d_j).(x_j d_k).(x_k d_i) and 0 on a triple on no cycle.  So it
+    stores each cycle, started at its least index i <= j, k <= d, as its
+    canonical monomial with the ``mono_key`` sign; the diagonal one is zero.
     """
+    vf = linear_fields(d, ctx)
     one = ctx.target.letters[0]
-
-    def coords(letter: Letter):
-        k, dirs, exps = letter.ident
-        if k != 1:
-            return None
-        a = exps.index(1) + 1
-        return (a, dirs[0])
-
-    def fn(mono: Mono) -> Vec:
-        cs = [coords(w[0]) for w in mono]
-        if any(c is None for c in cs):
-            return {}
-        (a1, b1), (a2, b2), (a3, b3) = cs
-        val = Fraction(0)
-        if b1 == a2 and b2 == a3 and b3 == a1:
-            val += 1
-        if b1 == a3 and b3 == a2 and b2 == a1:
-            val -= 1
-        return {one: val} if val else {}
-
-    monos = monomials_for_shape(ctx, (1, 1, 1), {-3})
-    return Cochain({mono: fn(mono) for mono in monos}, 3)
+    values = {}
+    for i in range(1, d + 1):
+        for j, k in product(range(i, d + 1), repeat=2):
+            mono, sign = mono_key([(vf[i, j],), (vf[j, k],), (vf[k, i],)])
+            if mono is not None:
+                values[mono] = {one: sign}
+    return Cochain(values, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .chcoh import (Truncation, TruncationError, assemble_matrix, f3_111,
-                    is_cocycle, is_coboundary, level_shapes,
+                    is_cocycle, is_coboundary, level_shapes, linear_fields,
                     real_polyvec_context, window_kmax)
+from .ginfty import mono_key
 from .polyvec import basis as pv_basis
 from .suites import SUITES, run_suites
+from .symco import classical_matrix
 
 def make_parser() -> argparse.ArgumentParser:
     """One subparser per command, with only the flags that command reads;
@@ -163,17 +164,9 @@ def cmd_cocycle(args) -> int:
     # the letters the decision can read: the report keeps the requested kmax
     ctx = real_polyvec_context(args.d, window_kmax(trunc, 3, -3))
     f3 = f3_111(args.d, ctx)
-    from .ginfty import mono_key
-    from .polyvec import hom_letter
-
-    def vf(a, b):
-        exps = [0] * args.d
-        exps[a - 1] = 1
-        return hom_letter(args.d, (tuple(exps), (b,)))
-
-    probe, sign = mono_key([(vf(1, 2),), (vf(2, 3),), (vf(3, 1),)])
-    one = ctx.target.letters[0]
-    value = sign * f3.eval(probe).get(one, Fraction(0))
+    vf = linear_fields(args.d, ctx)
+    probe, sign = mono_key([(vf[1, 2],), (vf[2, 3],), (vf[3, 1],)])
+    value = sign * f3.eval(probe).get(ctx.target.letters[0], 0)
     cocycle = is_cocycle(f3, ctx, trunc)
     pre = is_coboundary(f3, ctx, trunc)
     report = {
@@ -213,77 +206,11 @@ def cmd_differential(args) -> int:
     kmax = _kmax(args, 0, "tensor degree bound")
     if kmax is None:
         return 2
-    if args.operator != "dch":
-        return _cmd_differential_classical(args)
-    ctx = real_polyvec_context(args.d, kmax)
-    shapes = level_shapes(args.level, args.nmax)
-    mat, rows, cols = assemble_matrix(ctx, shapes)
-    if args.format == "matrixmarket":
-        _emit(mat.to_matrixmarket(), args.out)
+    if args.operator == "dch":
+        mat, _, _ = assemble_matrix(real_polyvec_context(args.d, kmax),
+                                    level_shapes(args.level, args.nmax))
     else:
-        _emit(mat.to_json() + "\n", args.out)
-    return 0
-
-
-def _cmd_differential_classical(args) -> int:
-    """Hochschild / Chevalley / Harrison coboundary matrices for the dual
-    numbers respectively the two dimensional solvable Lie algebra."""
-    from .exactlin import SparseMat
-    from .graded import Letter, shifted
-    from .shuffleco import ShuffleQuotient
-    from .symco import LieData, d_chevalley_classical
-    from .tensorco import d_hochschild
-    from itertools import product as iproduct
-
-    n = args.level
-    if args.operator in ("dH", "dHa"):
-        one, x = Letter(("a", 0), 0), Letter(("a", 1), 0)
-        prod = {
-            (one.ident, one.ident): {one.ident: Fraction(1)},
-            (one.ident, x.ident): {x.ident: Fraction(1)},
-            (x.ident, one.ident): {x.ident: Fraction(1)},
-        }
-        from .tensorco import FiniteAlgebra
-        alg = FiniteAlgebra([one, x], prod, commutative=True)
-        letters = [shifted(a) for a in alg.letters]
-        if args.operator == "dH":
-            dom = list(iproduct(letters, repeat=n))
-            cod = list(iproduct(letters, repeat=n + 1))
-            def dof(C):
-                return d_hochschild(C, n + 1, alg)
-        else:
-            from .shuffleco import d_harrison
-            quo = ShuffleQuotient()
-            dom = quo.rep_words(letters, n)
-            cod = quo.rep_words(letters, n + 1)
-            def dof(C):
-                table = {w: C(w) for w in dom if C(w)}
-                return d_harrison(table, n + 1, alg, quo)
-        vletters = alg.letters
-    else:
-        ls = [Letter(("l", 1), 0), Letter(("l", 2), 0)]
-        br = {(("l", 1), ("l", 2)): {("l", 1): Fraction(1)},
-              (("l", 2), ("l", 1)): {("l", 1): Fraction(-1)}}
-        lie = LieData(ls, br)
-        from itertools import combinations
-        dom = list(combinations(range(2), n)) if n <= 2 else []
-        cod = list(combinations(range(2), n + 1)) if n + 1 <= 2 else []
-        dom = [tuple(ls[i] for i in c) for c in dom]
-        cod = [tuple(ls[i] for i in c) for c in cod]
-        def dof(C):
-            return d_chevalley_classical(C, n, lie)
-        vletters = [Letter(("R",), 0)]
-    nv = len(vletters)
-    vidx = {v: i for i, v in enumerate(vletters)}
-    entries: dict = {}
-    for ci, w in enumerate(dom):
-        for vi, v in enumerate(vletters):
-            dC = dof(lambda word: ({v: Fraction(1)} if word == w else {}))
-            for ri, wr in enumerate(cod):
-                for vo, c in dC(wr).items():
-                    rc = (ri * nv + vidx[vo], ci * nv + vi)
-                    entries[rc] = entries.get(rc, 0) + c
-    mat = SparseMat(len(cod) * nv, len(dom) * nv, entries)
+        mat = classical_matrix(args.operator, args.level)
     if args.format == "matrixmarket":
         _emit(mat.to_matrixmarket(), args.out)
     else:

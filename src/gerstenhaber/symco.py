@@ -9,12 +9,16 @@ Letters of a ``LieData`` carry unshifted degrees, as in the graded Lie axioms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from operator import attrgetter
 
-from .graded import Letter, bipartitions, koszul_sort, unshuffle_sign
-from .tensorco import (add_scaled, coderivation_lift_sym, derivation, extend,
-                       fraction_table, int_coeffs, int_view, jacobi,
-                       on_letters, square_zero, symmetry)
+from .exactlin import SparseMat
+from .graded import Letter, bipartitions, koszul_sort, shifted, unshuffle_sign
+from .shuffleco import ShuffleQuotient, d_harrison
+from .tensorco import (FiniteAlgebra, add_scaled, coderivation_lift_sym,
+                       d_hochschild, derivation, extend, fraction_table,
+                       int_coeffs, int_view, jacobi, on_letters, square_zero,
+                       symmetry)
 
 Vec = dict   # dict[Letter, Fraction]
 
@@ -172,3 +176,52 @@ def d_chevalley_classical(C, n: int, g: LieData):
         return out
 
     return dC
+
+
+def classical_matrix(operator: str, n: int) -> SparseMat:
+    """Matrix of a classical coboundary from level n to level n + 1: ``dH``
+    (Hochschild) or ``dHa`` (Harrison, on shuffle-quotient representatives)
+    of the dual numbers R[x]/(x^2) in themselves, or ``dC`` (Chevalley) of
+    the Lie algebra [l1, l2] = l1 in R, on alternating cochains.  Column
+    ci * nv + i is the cochain sending domain word ci to value letter i
+    (nv value letters), row ri * nv + o letter o on codomain word ri."""
+    if operator == "dC":
+        ls = [Letter(("l", 1), 0), Letter(("l", 2), 0)]
+        lie = LieData(ls, {(("l", 1), ("l", 2)): {("l", 1): 1},
+                           (("l", 2), ("l", 1)): {("l", 1): -1}})
+        dom, cod = (list(combinations(ls, m)) for m in (n, n + 1))
+        values = [Letter(("R",), 0)]
+
+        def coboundary(w, v):
+            def C(word):
+                key, sign = sym_key(word)
+                return {v: sign} if key == w else {}
+            return d_chevalley_classical(C, n, lie)
+    else:
+        one, x = Letter(("a", 0), 0), Letter(("a", 1), 0)
+        values = [one, x]
+        alg = FiniteAlgebra(values, {(one.ident, one.ident): {one.ident: 1},
+                                     (one.ident, x.ident): {x.ident: 1},
+                                     (x.ident, one.ident): {x.ident: 1}},
+                            commutative=True)
+        letters = [shifted(a) for a in values]
+        if operator == "dH":
+            dom, cod = (list(product(letters, repeat=m)) for m in (n, n + 1))
+
+            def coboundary(w, v):
+                return d_hochschild(lambda word: {v: 1} if word == w else {},
+                                    n + 1, alg)
+        else:
+            quo = ShuffleQuotient()
+            dom, cod = (quo.rep_words(letters, m) for m in (n, n + 1))
+
+            def coboundary(w, v):
+                return d_harrison({w: {v: 1}}, n + 1, alg, quo)
+    rows = {key: i for i, key in enumerate(product(cod, values))}
+    entries = {}
+    for ci, (w, v) in enumerate(product(dom, values)):
+        dw = coboundary(w, v)
+        for wr in cod:
+            for vo, c in dw(wr).items():
+                entries[rows[wr, vo], ci] = c
+    return SparseMat(len(rows), len(dom) * len(values), entries)

@@ -122,13 +122,17 @@ def test_criterion_3_exact_matrix_squares():
     ctx = real_polyvec_context(2, 2)
     ok = True
     sizes = []
+    # level n's reachable shapes are level n + 1's shapes for n = 1, 2, so
+    # each matrix is built once: level n's m2 is level n + 1's m1
+    src = level_shapes(1, 3)
+    m1, rows1, _ = assemble_matrix(ctx, src)
     for n in (1, 2, 3):
-        src = level_shapes(n, 3)
         mid = reachable_shapes(src)
-        m1, rows1, _ = assemble_matrix(ctx, src)
-        m2, _, cols2 = assemble_matrix(ctx, mid)
+        assert n == 3 or mid == level_shapes(n + 1, 3)
+        m2, rows2, cols2 = assemble_matrix(ctx, mid)
         ok = ok and cols2 == rows1 and m2.mul(m1).is_zero()
         sizes.append(f"{m2.nrows}x{m2.ncols}*{m1.nrows}x{m1.ncols}")
+        src, m1, rows1 = mid, m2, rows2
     dt = time.time() - t0
     report(3, ok and dt < 120,
            f"consecutive coboundary matrices multiply to zero at d=2, k<=2 "

@@ -85,6 +85,39 @@ def test_f3_against_index_oracle():
         assert f3_oracle_value(3, letters) == got
 
 
+def f3_walk_oracle(d, ctx) -> Cochain:
+    """f3 by walking every shape (1, 1, 1) monomial of grade -3 (degree -3,
+    weight 0, the only ones the formula can be nonzero on) and evaluating
+    the two contractions on the coordinates of its letters."""
+    one = ctx.target.letters[0]
+
+    def coords(letter):
+        k, dirs, exps = letter.ident
+        return (exps.index(1) + 1, dirs[0]) if k == 1 else None
+
+    def fn(mono):
+        cs = [coords(w[0]) for w in mono]
+        if None in cs:
+            return {}
+        (a1, b1), (a2, b2), (a3, b3) = cs
+        val = int(b1 == a2 and b2 == a3 and b3 == a1) \
+            - int(b1 == a3 and b3 == a2 and b2 == a1)
+        return {one: val}
+
+    return Cochain({m: fn(m) for m in monomials_for_shape(ctx, (1, 1, 1), {-3})}, 3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_f3_cycles_match_walk_oracle(d):
+    """f3 built from its index cycles stores the same values as the formula
+    evaluated on every grade -3 monomial of shape (1, 1, 1), at full kmax
+    and at kmax 1."""
+    for kmax in (d, 1):
+        ctx = real_polyvec_context(d, kmax)
+        f3 = f3_111(d, ctx)
+        assert f3.values and f3.values == f3_walk_oracle(d, ctx).values
+
+
 def test_f3_vanishes_off_vector_fields():
     ctx = real_polyvec_context(3)
     f3 = f3_111(3, ctx)

@@ -326,7 +326,7 @@ CLASSICAL_DIGESTS = [
     ("dHa", 1, "c8a724022d456e40d484bd1ac9febc7066ffe86dc29f72c1ab0cc9d5a84aa1d5"),
     ("dHa", 2, "e5cb48d70de951c776685d405bde4f6e4ddfb697da079298a1d62537f568caaa"),
     ("dHa", 3, "226b6a9229472f7d8f8dc66c02cc81b55e956a530ddb511c08c8fe582c83ad18"),
-    ("dC", 1, "5ccd21a0522383ce12d654fc8992bbe8fad442840a288c14be5ab207a509301b"),
+    ("dC", 1, "d5feac9516839a10bf938311c434830a94f1ff786c8b85bfae5be06f6a8c75ef"),
     ("dC", 2, "a3cf29c064c1594aff9e745f50c95441b6e84988d4195f7cb9e389bdfbb99b8f"),
     ("dC", 3, "246247fbe762d12df32f4d4833054edfab1fc0695c1bd6cb695eb6e3f72d5492"),
 ]
@@ -342,6 +342,14 @@ def test_differential_classical_operators(op, level, want, tmp_path, capsys):
                      "--level", str(level), "--out", str(out))
     assert code == 0
     assert sha256(out.read_text()) == want
+
+
+def test_differential_dC_level1_is_the_textbook_coboundary(capsys):
+    """On the Lie algebra [l1, l2] = l1 with trivial coefficients,
+    dC(delta_l1)(l1, l2) = -delta_l1([l1, l2]) = -1 and dC(delta_l2) = 0."""
+    code, out, _ = run(capsys, "differential", "--operator", "dC", "--level", "1")
+    assert code == 0
+    assert json.loads(out) == {"nrows": 1, "ncols": 2, "entries": [[0, 0, "-1/1"]]}
 
 
 def test_verify_json_format(capsys):
