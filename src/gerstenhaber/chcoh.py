@@ -781,7 +781,7 @@ def reconstruct_morphism(taylor: TaylorFamily, source_quotient: ShuffleQuotient,
         for blocks in partitions(list(range(n))):
             flat = [i for block in blocks for i in block]
             sign = koszul_sign(degs, flat)
-            acc = [([], Fraction(sign))]
+            acc = [([], sign)]
             for block in blocks:
                 fac = single(tuple(mono[i] for i in block))
                 nxt = []

@@ -15,7 +15,6 @@ that is legitimate because the cocrochet kills shuffle images.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from .genv import GerstBasis, h_bracket, h_mu
@@ -25,8 +24,8 @@ from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term, coderivation_lift_sym
 
 Mono = tuple      # tuple[Word, ...] canonical
-MonoElem = dict   # dict[Mono, Fraction]
-PairElem = dict   # dict[(Mono, Mono), Fraction]
+MonoElem = dict   # dict[Mono, int | Fraction], int unless not an integer
+PairElem = dict   # dict[(Mono, Mono), int | Fraction], as MonoElem
 
 
 def pdeg(packet: Word) -> int:
@@ -57,13 +56,13 @@ def mono_key(packets) -> tuple:
     return koszul_sort(packets, [pdeg(w) for w in packets], packet_sort_key)
 
 
-def add_mono(acc: MonoElem, packets, coeff: Fraction):
+def add_mono(acc: MonoElem, packets, coeff):
     mono, sign = mono_key(packets)
     if mono is not None:
         add_term(acc, mono, sign * coeff)
 
 
-def add_pair(acc: PairElem, left_packets, right_packets, coeff: Fraction):
+def add_pair(acc: PairElem, left_packets, right_packets, coeff):
     left, sl = mono_key(left_packets)
     if left is None:
         return

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -226,7 +225,7 @@ def bipartitions(items: Sequence, degrees: Sequence[int]) -> dict:
         left = [i for i in range(n) if mask & (1 << i)]
         right = [i for i in range(n) if not mask & (1 << i)]
         key = (tuple(items[i] for i in left), tuple(items[i] for i in right))
-        s = out.get(key, 0) + Fraction(unshuffle_sign(degrees, left))
+        s = out.get(key, 0) + unshuffle_sign(degrees, left)
         if s:
             out[key] = s
         else:

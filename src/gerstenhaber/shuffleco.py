@@ -17,19 +17,18 @@ back-substitutes these triangular integer rows to reduced row echelon form,
 and each eliminated (pivot) word is rewritten into the representative
 words.  A reduction row keeps its coefficients as ``echelonize`` returns
 them, ``int``s unless one is not an integer, so ``reduce_word`` and
-``reduce`` stay in int arithmetic on integral tables;
-``ShuffleQuotient.tables`` is a read-only view that gives the same rows
-with ``Fraction`` values.  The coderivation lifts and the Harrison
-coboundary are the tensor ones of ``tensorco`` read through that reduction.
+``reduce`` stay in int arithmetic on integral tables, and
+``ShuffleQuotient.tables`` is a read-only view of the store itself.  The
+coderivation lifts and the Harrison coboundary are the tensor ones of
+``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
-from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add
+from types import MappingProxyType
 
 from .exactlin import echelonize
 from .graded import grade_digits, koszul_sign, word_deg
@@ -83,7 +82,7 @@ def bat(a: Word, b: Word) -> Elem:
     letters = list(code)
     odd = [x.degree % 2 for x in letters]
     raw = _shuffle(tuple(code[x] for x in a), tuple(code[x] for x in b), odd)
-    return {tuple(letters[c] for c in w): Fraction(v) for w, v in raw.items()}
+    return {tuple(letters[c] for c in w): v for w, v in raw.items()}
 
 
 def bat_elem(x: Elem, y: Elem) -> Elem:
@@ -110,7 +109,7 @@ def bat3(a: Word, b: Word, c: Word) -> Elem:
             for i, k in enumerate(pos_c):
                 perm[k] = p + q + i
             sign = koszul_sign(degs, perm)
-            add_term(out, tuple(letters[i] for i in perm), Fraction(sign))
+            add_term(out, tuple(letters[i] for i in perm), sign)
     return out
 
 
@@ -257,28 +256,6 @@ def graded_multisets(walk: GradedLetters, length: int, grades) -> list:
     return out
 
 
-class _FractionTables(Mapping):
-    """Read-only view multiset -> {word: {representative: Fraction}} of a
-    table store.  A table is converted when it is read; ``len``, iteration
-    and ``in`` read only the store's keys."""
-
-    def __init__(self, store: dict):
-        self._store = store
-
-    def __getitem__(self, multiset) -> dict:
-        return {w: {u: Fraction(c) for u, c in row.items()}
-                for w, row in self._store[multiset].items()}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self):
-        return iter(self._store)
-
-    def __contains__(self, multiset) -> bool:
-        return multiset in self._store
-
-
 class ShuffleQuotient:
     """Reduction to representatives modulo shuffle images, per letter multiset.
 
@@ -290,14 +267,15 @@ class ShuffleQuotient:
     reads its list there, or stores the one it filters from its own words
     when there is none, and eliminates every other word; if the pivots of
     its rows are not exactly those words, it raises ``ArithmeticError``.
-    ``reduce_word`` and ``representatives`` return stored rows and lists:
-    only read them.
-    ``tables`` is a read-only view of the built tables with Fraction rows.
+    ``tables`` is a read-only view (``MappingProxyType``) of the built
+    tables, multiset -> {word: the row ``reduce_word`` returns}.
+    ``reduce_word``, ``representatives`` and the view hand out stored rows
+    and lists: only read them.
     """
 
     def __init__(self):
         self._tables: dict[tuple, dict] = {}
-        self.tables = _FractionTables(self._tables)
+        self.tables = MappingProxyType(self._tables)
         self.reps: dict[tuple, list] = {}
 
     def _table(self, multiset: tuple) -> dict:
@@ -381,7 +359,7 @@ def delta(word: Word, quotient: ShuffleQuotient) -> dict:
         for u, cu in rl.items():
             for v, cv in rr.items():
                 add_term(out, (u, v), cu * cv)
-                add_term(out, (v, u), -Fraction(sign) * cu * cv)
+                add_term(out, (v, u), -sign * cu * cv)
     return out
 
 

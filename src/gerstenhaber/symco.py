@@ -8,7 +8,6 @@ Letters of a ``LieData`` carry unshifted degrees, as in the graded Lie axioms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from operator import attrgetter
 
@@ -20,7 +19,7 @@ from .tensorco import (FiniteAlgebra, add_scaled, coderivation_lift_sym,
                        int_coeffs, int_view, jacobi, on_letters, square_zero,
                        symmetry)
 
-Vec = dict   # dict[Letter, Fraction]
+Vec = dict   # dict[Letter, int | Fraction], int unless not an integer
 
 
 def sdeg(letter: Letter) -> int:
@@ -42,9 +41,10 @@ def sym_key(letters) -> tuple:
 class LieData:
     """Graded Lie algebra (optionally differential) by structure constants.
 
-    ``bracket[(i, j)]`` maps letter ident pairs to dicts ident -> Fraction and
-    uses the unshifted grading: degree 0 bracket, antisymmetry
-    [X,Y] = -(-1)^(xy) [Y,X], graded Jacobi.  ``diff`` is an optional degree 1
+    ``bracket[(i, j)]`` maps letter ident pairs to dicts ident -> coefficient,
+    stored with Fraction values (``fraction_table``), and uses the unshifted
+    grading: degree 0 bracket, antisymmetry [X,Y] = -(-1)^(xy) [Y,X], graded
+    Jacobi.  ``diff`` is an optional degree 1
     differential table satisfying the Leibniz rule and squaring to zero.  All
     axioms are checked on basis elements at construction.
     """
@@ -141,14 +141,14 @@ def d_chevalley(F, deg_f: int, g: LieData, h: LieData, phi):
                 continue
             for u, cu in phi(letters[i]).items():
                 s = -1 if sdeg(u) % 2 else 1
-                add_scaled(out, h.bracket({u: cu}, fval), Fraction(sign * s))
+                add_scaled(out, h.bracket({u: cu}, fval), sign * s)
         fsign = -1 if deg_f % 2 else 1
         for i in range(n1):
             for j in range(i + 1, n1):
                 rest = [letters[k] for k in range(n1) if k != i and k != j]
                 sign = unshuffle_sign(degs, [i, j])
                 for letter, c in ell2(g, letters[i], letters[j]).items():
-                    add_scaled(out, F([letter] + rest), -Fraction(fsign * sign) * c)
+                    add_scaled(out, F([letter] + rest), -fsign * sign * c)
         return out
 
     return dF
@@ -172,7 +172,7 @@ def d_chevalley_classical(C, n: int, g: LieData):
                 rest = [letters[k] for k in range(n1) if k != i and k != j]
                 sign = -1 if (i + j) % 2 else 1
                 for letter, c in g.bracket_letters(letters[i], letters[j]).items():
-                    add_scaled(out, C([letter] + rest), Fraction(sign) * c)
+                    add_scaled(out, C([letter] + rest), sign * c)
         return out
 
     return dC

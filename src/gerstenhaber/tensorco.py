@@ -12,14 +12,17 @@ word -> coefficient.
 
 Coefficients are exact rationals, and int and Fraction terms add up to the
 same exact value.  The package's number rule: a coefficient is an ``int``
-unless it is not an integer.  It holds from the shuffle-quotient tables and
-the ``GerstBasis`` constants through the ``genv`` operators, ``chcoh`` row
-assembly and ``exactlin`` matrices and solves; ``int_coeffs`` applies it to
-values read as Fractions (``d_ch`` reads a cochain so), ``echelonize`` to
-its division by the pivots.  The values a caller stores or hashes stay
-``Fraction``: ``Cochain.values``, the ``ShuffleQuotient.tables`` view,
-``GerstBasis.wedge_table``/``bracket_table`` and the ``FiniteAlgebra``
-products.
+unless it is not an integer.  It holds from the shuffle products, the
+coproducts and cocrochets, the classical coboundaries, the shuffle-quotient
+tables and the ``GerstBasis`` constants through the ``genv`` operators,
+``chcoh`` row assembly and ``exactlin`` matrices and solves.  A ``Fraction``
+is made only where a value is stored or divided: ``exactlin.echelonize``'s
+division by a pivot that does not divide an entry, ``fraction_table`` (the
+``FiniteAlgebra`` product, the ``LieData`` bracket and differential tables,
+``GerstBasis.wedge_table``/``bracket_table``), ``chcoh.Cochain`` (its
+``values``) and the ``polyvec.Polyvec`` test oracle.  ``int_coeffs`` reads
+stored values back as ints where they are integers (``d_ch`` reads a
+cochain so).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ Vec = dict    # dict[Letter, int | Fraction], an element of the algebra
 ONE = 1
 
 
-def add_term(acc: dict, key, coeff: Fraction):
+def add_term(acc: dict, key, coeff: int | Fraction):
     if not coeff:
         return
     s = acc.get(key, 0) + coeff
@@ -207,10 +210,11 @@ class FiniteAlgebra:
     """Graded associative algebra given by structure constants on a basis.
 
     ``product[(i, j)]`` maps the pair of letter idents to a dict
-    ident -> Fraction.  Associativity (and graded commutativity when the flag
-    is set) is checked on all basis triples at construction, on idents over an
-    ``int_view`` of the table; a bad table is a caller bug, not something the
-    coboundary operators detect later.
+    ident -> coefficient, stored with Fraction values (``fraction_table``).
+    Associativity (and graded commutativity when the flag is set) is checked
+    on all basis triples at construction, on idents over an ``int_view`` of
+    the table; a bad table is a caller bug, not something the coboundary
+    operators detect later.
     """
 
     def __init__(self, letters, product, commutative=False):
@@ -249,7 +253,7 @@ def deconcat(word: Word) -> dict:
     """
     out = {}
     for k in range(1, len(word)):
-        add_term(out, (word[:k], word[k:]), Fraction(1))
+        add_term(out, (word[:k], word[k:]), 1)
     return out
 
 
@@ -265,7 +269,7 @@ def coderivation_lift_tensor(taylor: dict, q: int):
     """Unique coderivation of the deconcatenation coproduct with given parts.
 
     ``taylor[r]`` maps an r-letter word to an element of A[1] (dict
-    Letter -> Fraction); ``q`` is the common degree of the parts.  The lift is
+    Letter -> coefficient); ``q`` is the common degree of the parts.  The lift is
 
         Q(a_1 (x) ... (x) a_n) =
             sum_(r,j) (-1)^(q * (a_1+...+a_j)) a_[1,j] (x) Q_r(a_[j+1,j+r]) (x) a_[j+r+1,n]
@@ -349,13 +353,11 @@ def d_hochschild(C, n: int, alg: FiniteAlgebra, value_parity: int = 0):
         out: Vec = {}
         sign = -1 if (word_deg(word[:-1]) + 1) % 2 else 1
         last = alg.by_ident[word[-1].ident]
-        add_scaled(out, extend(alg.mul_letters, C(word[:-1]), {last: ONE}),
-                   Fraction(sign))
+        add_scaled(out, extend(alg.mul_letters, C(word[:-1]), {last: ONE}), sign)
         e = (word[0].degree + 1) * (1 + value_parity)
         sign = -1 if e % 2 else 1
         first = alg.by_ident[word[0].ident]
-        add_scaled(out, extend(alg.mul_letters, {first: ONE}, C(word[1:])),
-                   Fraction(sign))
+        add_scaled(out, extend(alg.mul_letters, {first: ONE}, C(word[1:])), sign)
         for j in range(n - 1):
             sign = -1 if (word_deg(word[: j + 1]) + 1) % 2 else 1
             prod = alg.mul_letters(
@@ -363,7 +365,7 @@ def d_hochschild(C, n: int, alg: FiniteAlgebra, value_parity: int = 0):
             )
             for letter, c in prod.items():
                 neww = word[:j] + (shifted(letter),) + word[j + 2 :]
-                add_scaled(out, C(neww), -Fraction(sign) * c)
+                add_scaled(out, C(neww), -sign * c)
         return out
 
     return dC

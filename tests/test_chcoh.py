@@ -77,11 +77,10 @@ def test_f3_against_index_oracle():
         mono, sign = mono_key([(a,) for a in letters])
         if mono is None:
             # squares of odd packets vanish; the oracle value must agree
-            assert f3_oracle_value(3, letters) == 0 or True
+            assert f3_oracle_value(3, letters) == 0
             continue
         got = sign * f3.eval(mono).get(one, Fraction(0))
         # oracle evaluated in the same argument order
-        assert got * sign * sign == got
         assert f3_oracle_value(3, letters) == got
 
 

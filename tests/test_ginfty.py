@@ -4,15 +4,15 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.genv import polyvec_basis
+from gerstenhaber.genv import polyvec_basis, sandbox_gerstenhaber
 from gerstenhaber.ginfty import (add_pair, big_delta, ell_on_packets, kappa,
                                  m_on_packets, mono_deg, mono_key,
                                  packet_sort_key, pdeg)
-from gerstenhaber.graded import Letter, koszul_sign
+from gerstenhaber.graded import Letter, bipartitions, koszul_sign
 from gerstenhaber.prng import SplitMix64
-from gerstenhaber.shuffleco import ShuffleQuotient, bat
+from gerstenhaber.shuffleco import ShuffleQuotient, bat, bat3, delta
 from gerstenhaber.suites import suite_ginfty
-from gerstenhaber.tensorco import add_term
+from gerstenhaber.tensorco import add_term, deconcat
 
 
 def rep(quo, word):
@@ -211,6 +211,34 @@ def test_m_sign_alternation():
             if key is not None:
                 add_term(want, key, Fraction(s * s2) * v)
     assert out == {k: v for k, v in want.items() if v}
+
+
+def test_coalgebra_coefficients_are_ints():
+    """The shuffle products, the Lie cocrochet, the bipartition and
+    deconcatenation coproducts, the packet cocrochet and the packet coproduct
+    give ``int`` coefficients on polyvector and sandbox letters: signs and
+    shuffle coefficients are never turned into Fractions."""
+    rng = SplitMix64(29)
+    quo = ShuffleQuotient()
+    alphabets = [polyvec_basis(2, 1).letters, sandbox_gerstenhaber(rng).letters]
+    seen: dict = {}
+    for t in range(100):
+        letters = alphabets[t % 2]
+        a, b, c = (tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
+                   for _ in range(3))
+        packets = [rep(quo, w) for w in (a, b, c)]
+        mono, _ = mono_key([w for w in packets if w is not None])
+        word = a + b + c
+        values = {"bat": bat(a, b), "bat3": bat3(a, b, c),
+                  "delta": delta(a + b, quo), "deconcat": deconcat(word),
+                  "bipartitions": bipartitions(word, [x.degree for x in word])}
+        if mono:
+            values["kappa"] = kappa(mono, quo)
+            values["big_delta"] = big_delta(mono)
+        for name, val in values.items():
+            seen.setdefault(name, set()).update(map(type, val.values()))
+    assert seen == dict.fromkeys(["bat", "bat3", "delta", "deconcat",
+                                  "bipartitions", "kappa", "big_delta"], {int})
 
 
 def test_identity_suite():
