@@ -35,7 +35,9 @@ class GerstBasis:
     return the same constants Letter-keyed, with the zero ones dropped and
     each as the op gives it (an int on integral ops), and
     ``wedge_table``/``bracket_table`` materialise them over all letter pairs
-    with Fraction values.
+    with Fraction values.  ``wedge``, ``bracket`` and ``mu2`` keep each
+    letter-pair result, by ident pair, from its first read for the basis's
+    lifetime and return the kept dict: callers must not change it.
     ``validate()`` checks the axioms on basis pairs and triples with the
     ``tensorco`` residuals run on the two ops: the wedge graded commutative
     and associative in the unshifted grading, the bracket graded
@@ -51,15 +53,27 @@ class GerstBasis:
         self.wedge_op = wedge
         self.bracket_op = bracket
         self.name = name
+        # letter-pair constants by ident pair, kept once read
+        self._wedges: dict = {}
+        self._brackets: dict = {}
+        self._mu2s: dict = {}
 
     def _on_letters(self, val: dict) -> Vec:
         return {self.by_ident[i]: c for i, c in val.items() if c}
 
     def wedge(self, a: Letter, b: Letter) -> Vec:
-        return self._on_letters(self.wedge_op(a.ident, b.ident))
+        key = a.ident, b.ident
+        val = self._wedges.get(key)
+        if val is None:
+            val = self._wedges[key] = self._on_letters(self.wedge_op(*key))
+        return val
 
     def bracket(self, a: Letter, b: Letter) -> Vec:
-        return self._on_letters(self.bracket_op(a.ident, b.ident))
+        key = a.ident, b.ident
+        val = self._brackets.get(key)
+        if val is None:
+            val = self._brackets[key] = self._on_letters(self.bracket_op(*key))
+        return val
 
     def _table(self, op) -> dict:
         idents = [a.ident for a in self.letters]
@@ -78,8 +92,12 @@ class GerstBasis:
 
     def mu2(self, a: Letter, b: Letter) -> Vec:
         """Shifted product: (-1)^(deg a) wedge, of shifted degree +1."""
-        sign = -1 if a.degree % 2 else 1
-        return {c: sign * v for c, v in self.wedge(a, b).items()}
+        key = a.ident, b.ident
+        val = self._mu2s.get(key)
+        if val is None:
+            sign = -1 if a.degree % 2 else 1
+            val = self._mu2s[key] = {c: sign * v for c, v in self.wedge(a, b).items()}
+        return val
 
     def unshifted(self, letter: Letter) -> int:
         return letter.degree + 1
@@ -257,6 +275,16 @@ def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
     return GerstBasis(letters, int_view({}), int_view({}))
 
 
+def _run_shuffles(letters: tuple, odd: list, u0: int, u1: int, v0: int, v1: int):
+    """Signed shuffles of the runs letters[u0:u1] and letters[v0:v1], as
+    (letter word, +-1) pairs; ``_shuffle`` runs on the positions as codes
+    only when both runs are nonempty."""
+    if u0 == u1 or v0 == v1:
+        return ((letters[u0:u1] + letters[v0:v1], 1),)
+    return [(tuple([letters[c] for c in w]), s)
+            for w, s in _shuffle(tuple(range(u0, u1)), tuple(range(v0, v1)), odd).items()]
+
+
 def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:
     """Bracket extension on plain tensor words, before quotient reduction.
 
@@ -268,23 +296,15 @@ def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:
 
     and the coefficient is the Koszul shuffle sign alone: the signs of the
     two outer shuffles times (-1)^(O(b[:j]) O(a[i:]) + odd(b_j) O(a[i+1:])),
-    with O the number of odd letters.  An outer shuffle with one empty side
-    is the other side alone, with sign +1, and is not run through
-    ``_shuffle``.
+    with O the number of odd letters.  ``_run_shuffles`` gives both outer
+    shuffles; one with an empty side is the other side alone, with sign +1,
+    and is not run through ``_shuffle``.  Terms are added in loop order.
     """
     p = len(a)
     letters = a + b
     odd = [x.degree % 2 for x in letters]
-
-    def shuffles(u: range, v: range):
-        """Signed shuffles of two runs of positions in a + b, as letter words
-        (positions as codes: every coefficient is +-1)."""
-        if not (u and v):
-            return [(letters[u.start:u.stop] + letters[v.start:v.stop], 1)]
-        return [(tuple(letters[c] for c in w), s)
-                for w, s in _shuffle(tuple(u), tuple(v), odd).items()]
-
     out: Elem = {}
+    get = out.get
     for i, x in enumerate(a):
         after = sum(odd[i + 1:p])
         for j, y in enumerate(b):
@@ -292,13 +312,17 @@ def h_bracket_raw(a: Word, b: Word, basis: GerstBasis) -> Elem:
             if not br:
                 continue
             flip = (sum(odd[p:p + j]) * (odd[i] + after) + odd[p + j] * after) % 2
-            tails = shuffles(range(i + 1, p), range(p + j + 1, len(letters)))
-            for head, sh in shuffles(range(i), range(p, p + j)):
+            tails = _run_shuffles(letters, odd, i + 1, p, p + j + 1, len(letters))
+            for head, sh in _run_shuffles(letters, odd, 0, i, p, p + j):
                 for tail, st in tails:
                     sign = -sh * st if flip else sh * st
                     for letter, c in br.items():
-                        add_term(out, head + (letter,) + tail,
-                                 c if sign > 0 else -c)
+                        word = head + (letter,) + tail
+                        s = get(word, 0) + (c if sign > 0 else -c)
+                        if s:
+                            out[word] = s
+                        else:
+                            del out[word]
     return out
 
 

@@ -18,9 +18,12 @@ and each eliminated (pivot) word is rewritten into the representative
 words.  A reduction row keeps its coefficients as ``echelonize`` returns
 them, ``int``s unless one is not an integer, so ``reduce_word`` and
 ``reduce`` stay in int arithmetic on integral tables, and
-``ShuffleQuotient.tables`` is a read-only view of the store itself.  The
-coderivation lifts and the Harrison coboundary are the tensor ones of
-``tensorco`` read through that reduction.
+``ShuffleQuotient.tables`` is a read-only view of the store itself.  A
+built table's words are also filed in one word -> row index holding the
+same row objects, so ``reduce_word`` is one dict lookup; the rows are
+read-only wherever they are reached.  The coderivation lifts and the
+Harrison coboundary are the tensor ones of ``tensorco`` read through that
+reduction.
 """
 
 from __future__ import annotations
@@ -268,7 +271,10 @@ class ShuffleQuotient:
     when there is none, and eliminates every other word; if the pivots of
     its rows are not exactly those words, it raises ``ArithmeticError``.
     ``tables`` is a read-only view (``MappingProxyType``) of the built
-    tables, multiset -> {word: the row ``reduce_word`` returns}.
+    tables, multiset -> {word: the row ``reduce_word`` returns}.  Building a
+    table also files each of its words in ``_rows``, one word -> row index
+    over every built table that holds the table's own row objects; a word
+    whose table is built is reduced by one lookup there.
     ``reduce_word``, ``representatives`` and the view hand out stored rows
     and lists: only read them.
     """
@@ -276,12 +282,12 @@ class ShuffleQuotient:
     def __init__(self):
         self._tables: dict[tuple, dict] = {}
         self.tables = MappingProxyType(self._tables)
+        self._rows: dict[Word, dict] = {}
         self.reps: dict[tuple, list] = {}
 
     def _table(self, multiset: tuple) -> dict:
-        table = self._tables.get(multiset)
-        if table is not None:
-            return table
+        """Build and store the table of a multiset none of whose words is
+        in the index, and file its words there."""
         alphabet, odd, coded = _coded_words(multiset)
         words = [tuple(alphabet[c] for c in w) for w in coded]
         reps = self.reps.get(multiset)
@@ -306,6 +312,7 @@ class ShuffleQuotient:
         for row, col in zip(rows, pivots):
             table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
         self._tables[multiset] = table
+        self._rows.update(table)
         return table
 
     def representatives(self, letters) -> list:
@@ -328,8 +335,12 @@ class ShuffleQuotient:
         return words
 
     def reduce_word(self, word: Word) -> dict:
-        table = self._table(tuple(sorted(word)))
-        return table[word]
+        """The stored row of ``word``: one lookup in the word index, or, for
+        a word of an unbuilt multiset, its table built first."""
+        try:
+            return self._rows[word]
+        except KeyError:
+            return self._table(tuple(sorted(word)))[word]
 
     def reduce(self, elem: Elem) -> Elem:
         out: Elem = {}

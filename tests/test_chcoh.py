@@ -203,6 +203,14 @@ def test_d_ell_is_classical_chevalley_on_vector_fields():
         assert not {k: v for k, v in got.items() if v}
 
 
+def cochain_digest(c):
+    """sha256 of a cochain's values, monomial order included."""
+    text = repr([(tuple(tuple(a.ident for a in w) for w in mono),
+                  sorted((str(a.ident), str(v)) for a, v in val.items()))
+                 for mono, val in c.values.items()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def roundtrip_small():
     """A seeded level-3 coboundary f = d(g) at d=2 and its preimage."""
     rng = SplitMix64(73)
@@ -240,12 +248,33 @@ def test_coboundary_roundtrip_small_golden_preimage():
     blocks of f's degree support gives the one that solving every block
     gives."""
     _, _, _, pre = roundtrip_small()
-    text = repr([(tuple(tuple(a.ident for a in w) for w in mono),
-                  sorted((str(a.ident), str(c)) for a, c in val.items()))
-                 for mono, val in pre.values.items()])
     assert len(pre.values) == 14
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert cochain_digest(pre) == \
         "0e2034727db9ea9ad4ba176077ec0030abdb40bfc2c0ddafbf039615c9eed66f"
+
+
+def test_coboundary_roundtrip_d3_golden():
+    """The d = 3, k <= 1 round trip: f = d_ch(g) for a seeded level-2 g and
+    the preimage ``is_coboundary`` finds, each pinned with its monomial
+    order; d_ch of the preimage is f again."""
+    rng = SplitMix64(41)
+    ctx = real_polyvec_context(3, 1)
+    one = ctx.target.letters[0]
+    trunc = Truncation(3, 1, 4, 4)
+    vals = {}
+    for shape in level_shapes(2, 4):
+        for mono in monomials_for_shape(ctx, shape):
+            if rng.randrange(3) == 0:
+                vals[mono] = {one: Fraction(rng.choice([-2, -1, 1, 2]))}
+    f = d_ch(Cochain(vals, 2), ctx, trunc)
+    pre = is_coboundary(f, ctx, trunc)
+    assert pre is not None
+    assert d_ch(pre, ctx, trunc).values == f.values
+    assert (len(vals), len(f.values), len(pre.values)) == (28, 146, 29)
+    assert cochain_digest(f) == \
+        "3684066e09bafb08e3999928a6ead4a5cdcb1f0726bbc71f586823ebea4a72c7"
+    assert cochain_digest(pre) == \
+        "9c8b7abb8df7a368ef45ba6c04a4d92220397c2123de5e1548b876cef29dd883"
 
 
 @pytest.mark.parametrize("d,kmax", [(2, 2), (3, 1)])

@@ -193,3 +193,51 @@ def test_halved_bracket_keeps_exact_fractions():
         halves += sum(type(c) is Fraction and c.denominator == 2
                       for c in got.values())
     assert halves > 10
+
+
+def assert_constants_as_computed(basis):
+    """Each letter-pair constant read through ``wedge``, ``bracket`` and
+    ``mu2`` is the kept one and equals the op's value computed afresh."""
+    for a in basis.letters:
+        sign = -1 if a.degree % 2 else 1
+        for b in basis.letters:
+            wedge = basis._on_letters(basis.wedge_op(a.ident, b.ident))
+            bracket = basis._on_letters(basis.bracket_op(a.ident, b.ident))
+            assert basis.wedge(a, b) == wedge and basis.wedge(a, b) is basis.wedge(a, b)
+            assert basis.bracket(a, b) == bracket
+            assert basis.bracket(a, b) is basis.bracket(a, b)
+            assert basis.mu2(a, b) == {c: sign * v for c, v in wedge.items()}
+            assert basis.mu2(a, b) is basis.mu2(a, b)
+
+
+def test_kept_letter_constants_survive_decisions_and_suites():
+    """The kept constants of two polyvector bases and a drawn sandbox equal
+    freshly computed ones before and after a d = 3 cocycle decision on
+    polyvec_basis(3, 1), the suites that take a basis (genv, shuffle,
+    ginfty, two trials each) run on every one of them, and d_ch applied
+    twice on the sandbox: no caller changes a kept dict."""
+    from gerstenhaber.chcoh import (Cochain, constants_context, d_ch,
+                                    level_shapes, monomials_for_shape)
+    from gerstenhaber.suites import suite_ginfty, suite_shuffle
+
+    pv2, pv31 = polyvec_basis(2), polyvec_basis(3, 1)
+    rng = SplitMix64(19)
+    sandbox = sandbox_gerstenhaber(rng)
+    bases = (pv2, pv31, sandbox)
+    for basis in bases:
+        assert_constants_as_computed(basis)
+    ctx = constants_context(pv31)
+    trunc = Truncation(3, 1, 4, 4)
+    f3 = f3_111(3, ctx)
+    assert is_cocycle(f3, ctx, trunc) and is_coboundary(f3, ctx, trunc) is None
+    for basis in bases:
+        for suite in (suite_genv, suite_shuffle, suite_ginfty):
+            assert all(ok for _, ok, _ in suite(7, 2, basis))
+    ctx = constants_context(sandbox)
+    one = ctx.target.letters[0]
+    trunc = Truncation(2, 1, 4, 4)
+    vals = {mono: {one: rng.randint(-2, 2)} for shape in level_shapes(2, 3)
+            for mono in monomials_for_shape(ctx, shape)}
+    assert d_ch(d_ch(Cochain(vals, 2), ctx, trunc), ctx, trunc).is_zero()
+    for basis in bases:
+        assert_constants_as_computed(basis)

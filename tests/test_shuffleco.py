@@ -443,6 +443,26 @@ def test_tables_view_is_the_read_only_store():
             assert row is quo.reduce_word(w)
 
 
+def test_word_index_holds_the_table_rows():
+    """The word -> row index behind ``reduce_word`` holds every word of every
+    built table, once, with the table's own row object; a word of an unbuilt
+    multiset builds exactly that multiset's table and indexes its words."""
+    letters = polyvec_basis(2, 2).letters
+    quo = eager_quotient(letters, 4)
+    assert len(quo.tables) == 494
+    for table in quo.tables.values():
+        for w, row in table.items():
+            assert quo.reduce_word(w) is row
+    assert len(quo._rows) == sum(map(len, quo.tables.values()))
+    lazy = ShuffleQuotient()
+    ms = (letters[0], letters[1], letters[1], letters[2])
+    word = (ms[1], ms[2], ms[3], ms[0])
+    row = lazy.reduce_word(word)
+    assert list(lazy.tables) == [ms]
+    assert row is lazy.tables[ms][word] and row == quo.reduce_word(word)
+    assert len(lazy._rows) == len(lazy.tables[ms]) == 12
+
+
 def test_representatives_return_the_stored_list(monkeypatch):
     """``representatives`` returns the list stored for the multiset: the same
     object for every order of its letters, generated without a table (no
