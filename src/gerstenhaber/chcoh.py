@@ -65,36 +65,56 @@ class Truncation:
         return {"d": self.d, "kmax": self.kmax, "Nmax": self.Nmax, "nmax": self.nmax}
 
 
-def window_kmax(trunc: Truncation, level: int, degree: int) -> int:
-    """A letter tensor degree bound under which deciding a cochain of
-    ``level`` N whose support has degree ``degree`` t (``is_cocycle``, then
-    ``is_coboundary``) reads the same monomials and values as under
-    ``trunc.kmax``: min(kmax, t + 2N + 1) when nmax > N, else
-    min(kmax, t + 2N).  For the headline f3 (N = 3, t = -3) and nmax >= 3
-    this is min(kmax, nmax, 4).
+def window(trunc: Truncation, level: int, degree: int) -> int:
+    """The coordinate window w = t + 2N + (nmax > N) of deciding a cochain
+    of ``level`` N whose support has degree ``degree`` t and torus weight 0
+    (``is_cocycle``, then ``is_coboundary``): every monomial the decision
+    reads touches at most w coordinates, and for a cochain natural under
+    relabelling coordinates the decision on R^D is the decision on R^d' with
+    d' = min(D, w).  For the headline f3 (N = 3, t = -3) this is 4 when
+    nmax >= 4 and 3 otherwise.
 
-    A monomial of M letters in n packets and degree s has letter degrees
-    k - 1 >= -1 (k the tensor degree) that sum to s + n, since each packet
-    lowers the degree by one.  So one letter's k - 1 is s + n minus the other
-    M - 1 letter degrees, each at least -1: every letter has k <= s + n + M.
-    The decision reads monomials of four kinds, each of degree s = t + N - M,
-    so each letter of them has k <= t + N + n:
+    Tensor degrees.  A monomial of M letters in n packets and degree s has
+    letter degrees k - 1 >= -1 (k the tensor degree) that sum to s + n,
+    since each packet lowers the degree by one, so its tensor degrees sum
+    to s + n + M.  The decision reads monomials of four kinds, each of
+    degree s = t + N - M, so the sum is t + N + n <= w for each:
       - f's support: level N, n <= N packets;
       - the rows of d(f): level N + 1, n <= min(nmax, N + 1) packets;
       - the rows of the coboundary blocks: level N, n <= min(nmax, N);
       - their columns: level N - 1, n <= min(nmax, N - 1).
-    Hence every letter of every such monomial lies in the window, and a
-    context cut at its bound lists the same monomials, in the same order
-    (the shuffle quotient of a multiset depends on its letters alone), and
-    holds f with the same values.  A term of ``d_ch_terms`` on a row of
-    level L, degree s and n packets reads f, or a column, on an argument of
-    level L - 1, degree s + 1 and at most n packets, so that argument's
-    letters obey the row's bound; every wedge or bracket of the term puts
-    its product letter into that argument.  So no product that the cut
-    basis drops (``polyvec_basis`` returns {} above its kmax) reaches f's
-    support or a block column, and every block matrix is the same.
+
+    Coordinates.  A letter x^alpha d_I touches the coordinates of alpha and
+    of I, and has torus weight alpha - 1_I.  Every monomial the decision
+    reads has weight 0 (f's weight; a coboundary term keeps the weight), so
+    each coordinate in some letter's alpha is in some letter's I: it touches
+    at most sum |I| = sum k <= w coordinates.  In particular every letter has
+    k <= w, so a context on R^d' needs no tensor degree cut beyond the clamp
+    k <= d'.
+
+    Restriction.  R_S keeps the values of a cochain on the monomials that
+    touch only coordinates in S.  A wedge or Schouten bracket touches only
+    coordinates its factors touch (a bracket can drop one:
+    [x_a d_b, x_b d_c] = x_a d_c), and so does every argument of a term of
+    ``d_ch_terms``, the letter morphism included.  So the value of d(g) on
+    a monomial W reads g only on monomials inside the coordinates S that W
+    touches: R_S d(g) = R_S d(R_S g).  R_S does not commute with d itself:
+    d(R_S g) can be nonzero on monomials that touch coordinates outside S.
+
+    Relabelling.  An injective relabelling of coordinates preserves tensor
+    degrees, wedge, bracket and the constants projection, so it commutes
+    with d on the truncated complexes.  A cochain such as f3 is natural:
+    R_S f^(D), relabelled onto 1..|S|, is f^(|S|).
+
+    Hence the decision at D is the one at d'.  A row W of d(f^(D)) touches a
+    set S of at most d' coordinates, and d(f^(D))(W) = d(R_S f^(D))(W) is,
+    relabelled, a value of d(f^(d')): one vanishes iff the other does.  And
+    f^(D) = d(g) gives, restricted to S = {1, 2, 3} and by naturality,
+    f^(3) = R_S d(R_S g): the coboundary on R^3 of R_S g.  So when f^(3) is
+    not a coboundary, neither is f^(D) for any D >= 3, and a preimage found
+    at d' < D cannot happen.
     """
-    return min(trunc.kmax, degree + 2 * level + (trunc.nmax > level))
+    return degree + 2 * level + (trunc.nmax > level)
 
 
 def real_target() -> GerstBasis:

@@ -2,7 +2,8 @@
 
 Four commands: ``verify`` runs the seeded identity suites, ``dims`` prints
 basis dimensions, ``cocycle`` runs the scalar 3-cochain pipeline (value,
-cocycle check, coboundary decision), ``differential`` exports a coboundary
+cocycle check, coboundary decision) in its coordinate window on R^min(d, 4),
+so its cost does not depend on d, ``differential`` exports a coboundary
 matrix.  Exit codes: 0 all checks pass, 1 a mathematical check failed,
 2 usage or configuration error, an ``--out`` that cannot be written included.
 """
@@ -15,7 +16,7 @@ import sys
 
 from .chcoh import (Truncation, TruncationError, assemble_matrix, f3_111,
                     is_cocycle, is_coboundary, level_shapes, linear_fields,
-                    real_polyvec_context, window_kmax)
+                    real_polyvec_context, window)
 from .ginfty import mono_key
 from .polyvec import basis as pv_basis
 from .suites import SUITES, run_suites
@@ -161,14 +162,16 @@ def cmd_cocycle(args) -> int:
     if kmax is None:
         return 2
     trunc = Truncation(args.d, kmax, args.Nmax, args.nmax)
-    # the letters the decision can read: the report keeps the requested kmax
-    ctx = real_polyvec_context(args.d, window_kmax(trunc, 3, -3))
-    f3 = f3_111(args.d, ctx)
-    vf = linear_fields(args.d, ctx)
+    # decide in the coordinate window: the report keeps the requested d and kmax
+    d = min(args.d, window(trunc, 3, -3))
+    ctx = real_polyvec_context(d, min(kmax, d))
+    f3 = f3_111(d, ctx)
+    vf = linear_fields(d, ctx)
     probe, sign = mono_key([(vf[1, 2],), (vf[2, 3],), (vf[3, 1],)])
     value = sign * f3.eval(probe).get(ctx.target.letters[0], 0)
     cocycle = is_cocycle(f3, ctx, trunc)
     pre = is_coboundary(f3, ctx, trunc)
+    assert pre is None or d == args.d, "unreachable: see chcoh.window"
     report = {
         "value": str(value),
         "cocycle": bool(cocycle),

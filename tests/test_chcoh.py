@@ -6,13 +6,12 @@ import pytest
 
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
                                 Truncation, TruncationError,
-                                _block_matrix, _coboundary_monomials,
+                                _coboundary_monomials,
                                 assemble_matrix, d_ch, d_ch_row, d_ch_terms, d_ch_value,
                                 f3_111, is_coboundary, is_cocycle, level_shapes,
                                 monomials_for_shape, reachable_shapes,
                                 real_polyvec_context, real_target,
-                                reconstruct_morphism, recursion_single,
-                                window_kmax)
+                                reconstruct_morphism, recursion_single)
 from gerstenhaber.genv import (GerstBasis, h_bracket, h_mu, polyvec_basis,
                                sandbox_gerstenhaber, zero_gerstenhaber)
 from gerstenhaber.ginfty import (Mono, big_delta, kappa, mono_deg, mono_grade,
@@ -551,28 +550,6 @@ def test_support_filter_keeps_every_term_that_reaches_the_support():
             dropped += len(full) - len(kept)
             skipped += bool(full) and not kept
     assert dropped and skipped
-
-
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
-def test_window_kmax_reads_the_same_monomials_and_blocks(d):
-    """At the headline's window kmax (``window_kmax``: min(d, 4) here) and
-    at the full kmax d, the contexts give the same f3 values, the same
-    monomial lists at levels 2, 3 and 4 in the grades the decision reads,
-    and the same block matrices from the level-4 rows to the level-3
-    monomials and from the level-3 rows to the level-2 columns."""
-    window = window_kmax(Truncation(d, d, 4, 4), 3, -3)
-    assert window == min(d, 4)
-    seen = []
-    for kmax in (d, window):
-        ctx = real_polyvec_context(d, kmax)
-        monos = {level: [m for shape in level_shapes(level, 4)
-                         for m in monomials_for_shape(ctx, shape, {-level})]
-                 for level in (2, 3, 4)}
-        table = PacketTable(ctx)
-        blocks = [_block_matrix(ctx, monos[level], monos[level - 1], table).entries
-                  for level in (4, 3)]
-        seen.append((f3_111(d, ctx).values, monos, blocks))
-    assert seen[0] == seen[1]
 
 
 def test_d_ch_terms_shape_filter_is_exact():

@@ -390,11 +390,14 @@ def test_cocycle_kmax1_golden_digest(capsys):
      "98178dba237bd927a6a61fc1e60e5f94bdd91959b6bceedbbb8f501b030ea863"),
     (["--d", "8"],
      "601a770948e7de94c522ef4215340ffa103067547c21e581a02194bec38b9439"),
+    (["--d", "11"],
+     "29ce076032d49ec6585799713e6d959aa4d8a67612e597b48c9045b9a6886c4c"),
 ])
 def test_cocycle_golden_digest(argv, want, capsys):
     """The headline decision at d=3, k<=3, at d=4, k<=1, k<=2 and k<=4, at
-    d=5, k<=1 and k<=5, at d=6, k<=2 and k<=6, at d=7, k<=7 and at d=8,
-    k<=8 as JSON, pinned byte for byte."""
+    d=5, k<=1 and k<=5, at d=6, k<=2 and k<=6, at d=7, k<=7, at d=8, k<=8
+    and at d=11, k<=11 as JSON, pinned byte for byte.  The d=11 digest was
+    taken when ``cocycle`` still built its basis on all of R^11."""
     code, out, _ = run(capsys, "cocycle", *argv, "--format", "json")
     assert code == 0
     assert sha256(out) == want
