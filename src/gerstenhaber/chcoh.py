@@ -34,7 +34,7 @@ from itertools import combinations, product
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import Letter, koszul_sign, slot_terms
+from .graded import Letter, koszul_sign, slot_terms, word_grade
 from .ginfty import (Mono, add_mono, kappa, mono_deg, mono_grade, mono_key,
                      packet_sort_key, pdeg)
 from .shuffleco import GradedLetters, ShuffleQuotient, graded_multisets
@@ -140,9 +140,10 @@ class ChContext:
     Their coefficients are ints unless not integers.
 
     A context keeps, per source letter list, what its walks reuse: the
-    monomial lists of ``monomials_for_shape`` and the set-up of the
+    monomial lists of ``monomials_for_shape``, the set-up of the
     grade-restricted walk (``graded_letters``), built on the first graded
-    call, never before.
+    call, never before, and ``mono_grades``, the ``mono_grade`` of every
+    monomial a grade-restricted walk listed.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
@@ -168,6 +169,7 @@ class ChContext:
         self.quotient = ShuffleQuotient()
         self._monomials: dict[tuple, list] = {}  # see monomials_for_shape
         self._graded: GradedLetters | None = None
+        self.mono_grades: dict = {}
 
     def graded_letters(self) -> GradedLetters:
         """The ``graded_multisets`` set-up of the source letters, built on
@@ -223,10 +225,12 @@ class _Memo(dict):
 
 class PacketTable:
     """Packet-level operations of one coboundary computation, each computed
-    on first use: the reduced ``h_bracket`` of a packet pair, the reduced
-    ``h_mu`` of a packet, each packet's degree (``degree``) and
-    ``packet_sort_key`` (``sort_key``) and, per tuple of packet lengths, the
-    term families of ``d_ch_terms`` that ``shapes`` keeps.
+    on first use: the reduced ``h_bracket`` of a packet pair, the one-packet
+    term families of a packet (``families``: detach its first letter,
+    detach its last letter, its reduced ``h_mu``), each packet's degree
+    (``degree``) and ``packet_sort_key`` (``sort_key``) and, per tuple of
+    packet lengths, the term families of ``d_ch_terms`` that ``shapes``
+    keeps.
 
     With ``support``, the monomials a cochain is nonzero on, ``shapes`` is
     the set of their shapes and ``packets`` the set of their packets, which
@@ -249,7 +253,7 @@ class PacketTable:
         self.degree = _Memo(pdeg)
         self.sort_key = _Memo(packet_sort_key).__getitem__
         self._brackets: dict = {}
-        self._mus: dict = {}
+        self._families: dict = {}
         self._live: dict = {}
 
     def bracket(self, x, y) -> dict:
@@ -259,11 +263,33 @@ class PacketTable:
                                                    self.ctx.quotient)
         return val
 
-    def mu(self, x) -> dict:
-        val = self._mus.get(x)
-        if val is None:
-            val = self._mus[x] = h_mu(x, self.ctx.source, self.ctx.quotient)
-        return val
+    def families(self, x) -> list:
+        """The one-packet term families of a packet ``x`` of two or more
+        letters, in term order: (negate, target map, values, operator
+        degree) for detaching its first letter, detaching its last letter
+        and its ``h_mu``, each kept only when its target map and values are
+        nonzero."""
+        fams = self._families.get(x)
+        if fams is None:
+            ctx = self.ctx
+            # a detached letter has degree -1.  a_1 is carried left past x_1
+            # .. x_(j-1) (the slot_terms sign) and mu2' adds (-1)^(deg a_1) =
+            # -1.  a_p is carried right past x_(j+1) .. x_n, the slot_terms
+            # sign times (-1)^(total - x_j), and mu2' adds (-1)^(deg f(M)),
+            # deg f(M) = deg M + 1 = total + 2: together (-1)^(x_j)
+            fams = []
+            for tmap, word, negate in (
+                    (ctx.mul_left.get(x[0]), x[1:], True),
+                    (ctx.mul_right.get(x[-1]), x[:-1], self.degree[x] % 2)):
+                if tmap:
+                    val = ctx.quotient.reduce_word(word)
+                    if val:
+                        fams.append((negate, tmap, val, -1))
+            val = h_mu(x, ctx.source, ctx.quotient)
+            if val:
+                fams.append((True, ctx.identity, val, 1))
+            self._families[x] = fams
+        return fams
 
     def live(self, lens: tuple) -> tuple:
         """(packets to detach from or apply mu to, packet pairs to bracket),
@@ -309,32 +335,18 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
         [j for j, w in enumerate(mono) if w not in packets]
     if len(outside) > 2:
         return []
-    detach, pairs = table.live(tuple(len(w) for w in mono))
+    detach, pairs = table.live(tuple(map(len, mono)))
     if outside:
         detach = [j for j in detach if outside == [j]]
         pairs = [p for p in pairs if all(j in p for j in outside)]
     degs = [table.degree[w] for w in mono]
-    quo, identity, sort_key = ctx.quotient, ctx.identity, table.sort_key
+    sort_key = table.sort_key
     terms = []
     for j in detach:
-        packet = mono[j]
-        # a detached letter has degree -1.  a_1 is carried left past x_1 ..
-        # x_(j-1) (the slot_terms sign) and mu2' adds (-1)^(deg a_1) = -1.
-        # a_p is carried right past x_(j+1) .. x_n, the slot_terms sign times
-        # (-1)^(total - x_j), and mu2' adds (-1)^(deg f(M)), deg f(M) =
-        # deg M + 1 = total + 2: together (-1)^(x_j)
-        for letter, word, tmaps, flip in (
-                (packet[0], packet[1:], ctx.mul_left, True),
-                (packet[-1], packet[:-1], ctx.mul_right, degs[j] % 2)):
-            tmap = tmaps.get(letter)
-            if tmap:
-                terms += [(-c if flip else c, tmap, key) for key, c in
-                          slot_terms(mono, degs, (j,), quo.reduce_word(word), -1,
-                                     sort_key)]
-        val = table.mu(packet)
-        if val:
-            terms += [(-c, identity, key) for key, c in
-                      slot_terms(mono, degs, (j,), val, 1, sort_key)]
+        for negate, tmap, val, op_deg in table.families(mono[j]):
+            terms += [(-c if negate else c, tmap, key) for key, c in
+                      slot_terms(mono, degs, (j,), val, op_deg, sort_key)]
+    identity = ctx.identity
     for j, k in pairs:
         val = table.bracket(mono[j], mono[k])
         if val:
@@ -490,7 +502,8 @@ def monomials_for_shape(ctx: ChContext, shape, grades=None) -> list:
     the ``packet_sort_key`` order of their packets.
 
     With ``grades``, only the monomials whose ``mono_grade`` lies in it, in
-    the same order, and only their packets are tabulated.  The list is kept
+    the same order, and only their packets are tabulated; the walk records
+    each one's grade in ``ctx.mono_grades``.  The list is kept
     on the context per (shape, grade set): read it, do not change it.
     Each walk is faster on some workload (slots for ``assemble_matrix``,
     multiset splits for graded calls), so both stay.
@@ -534,7 +547,8 @@ def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
     multisets of whole monomials.  Each is split into packets, sub-multisets
     for those of two or more letters, shortest first, and the letters left
     over as single-letter ones; equal-length packets are nondecreasing, a
-    repeated odd packet squares to zero, and the list is sorted once."""
+    repeated odd packet squares to zero, and the list is sorted once.  Each
+    monomial's grade, its multiset's, goes into ``ctx.mono_grades``."""
     big = [p for p in lens if p > 1]
     out = []
 
@@ -556,7 +570,9 @@ def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
 
     for ms in graded_multisets(ctx.graded_letters(), sum(lens),
                                {t + len(lens) for t in grades}):
+        start = len(out)
         split(ms, 0, ())
+        ctx.mono_grades.update(dict.fromkeys(out[start:], word_grade(ms) - len(lens)))
     # packets in one place have one length: their idents in a row order them
     out.sort(key=lambda mono: [a.ident for w in mono for a in w])
     return out
@@ -638,18 +654,18 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     if missing:
         raise TruncationError(f"cochain shapes outside truncation: {missing}")
 
-    grades = f.grade_support
+    grades, grade_of = f.grade_support, ctx.mono_grades
     cols: list = []  # every column monomial, in enumeration order
     for shape in src_shapes:
         cols += monomials_for_shape(ctx, shape, {s + 1 for s in grades})
     cols_by_grade: dict[int, list] = {}  # grade -> indices into cols
     for i, mono in enumerate(cols):
-        cols_by_grade.setdefault(mono_grade(mono), []).append(i)
+        cols_by_grade.setdefault(grade_of[mono], []).append(i)
 
     rows_by_grade: dict[int, list] = {}
     for shape in row_shapes:
         for mono in monomials_for_shape(ctx, shape, grades):
-            rows_by_grade.setdefault(mono_grade(mono), []).append(mono)
+            rows_by_grade.setdefault(grade_of[mono], []).append(mono)
 
     tletters = ctx.target.letters
     tindex = {a: i for i, a in enumerate(tletters)}

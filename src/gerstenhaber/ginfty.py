@@ -18,8 +18,7 @@ from __future__ import annotations
 from functools import partial
 
 from .genv import GerstBasis, h_bracket, h_mu
-from .graded import (bipartitions, koszul_sort, unshuffle_sign, word_deg,
-                     word_grade)
+from .graded import bipartitions, koszul_sort, unshuffle_sign, word_deg
 from .shuffleco import ShuffleQuotient, Word, delta
 from .tensorco import add_term, coderivation_lift_sym
 
@@ -37,14 +36,10 @@ def mono_deg(mono: Mono) -> int:
     return sum(pdeg(w) for w in mono)
 
 
-def pgrade(packet: Word) -> int:
-    """Packet grade: letter grades summed, minus one for the extra shift
-    (the shift lowers the degree and keeps the weight)."""
-    return word_grade(packet) - 1
-
-
 def mono_grade(mono: Mono) -> int:
-    return sum(pgrade(w) for w in mono)
+    """Monomial grade: letter grades summed, minus one per packet for its
+    extra shift (the shift lowers the degree and keeps the weight)."""
+    return sum([a.grade for w in mono for a in w]) - len(mono)
 
 
 def packet_sort_key(packet: Word):

@@ -7,6 +7,10 @@ graded-symmetric product (packet monomials, symmetric Lie words, polyvector
 directions) is put in order by ``koszul_sort``, and every coderivation term
 on a sorted one is built by ``slot_terms``, which inserts the operator's
 value into the sorted rest without sorting again.
+
+A ``Letter`` is an ``int`` whose value is the hash of its ``(ident,
+degree)``, so letters and the words and monomials made of them hash in C;
+equality and order stay by those fields.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 
 
 @dataclass(frozen=True, order=True)
-class Letter:
+class Letter(int):
     """A basis symbol with an integer degree.
 
     ``degree`` is the Koszul degree in the space the letter is used in; which
@@ -26,21 +30,37 @@ class Letter:
     word and factor orderings.  ``grade`` is the degree together with a
     torus weight, packed by ``pack_grade``; it defaults to the degree (weight
     0) and takes no part in comparison or hashing.
+
+    A letter is an ``int`` whose value is the hash of ``(ident, degree)``,
+    fixed at construction, so letters and the words and monomials built of
+    them hash in C.  Only the hash comes from the int: equality and order
+    are by ``(ident, degree)``, and a letter never equals a plain int.
     """
 
     ident: object
     degree: int
     grade: int = field(default=None, compare=False)
 
+    def __new__(cls, ident, degree, grade=None):
+        # letters key most dicts and sets of the package: the value is the
+        # field hash, so every dict and set order follows the fields alone
+        return super().__new__(cls, hash((ident, degree)))
+
     def __post_init__(self):
-        # letters key most dicts and sets of the package: hash once; the
-        # value is the dataclass hash, so every dict and set order is kept
-        object.__setattr__(self, "_hash", hash((self.ident, self.degree)))
         if self.grade is None:
             object.__setattr__(self, "grade", self.degree)
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and \
+            self.ident == other.ident and self.degree == other.degree
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __getnewargs__(self):
+        return self.ident, self.degree, self.grade
 
     def __repr__(self):
         return f"L({self.ident},{self.degree})"
@@ -188,20 +208,27 @@ def slot_terms(items: Sequence, degs: Sequence[int], picks: Sequence[int],
     """
     if not values:
         return []
-    rest = tuple(x for i, x in enumerate(items) if i not in picks)
-    keys = rest if key is None else [key(x) for x in rest]
+    j = picks[0]
+    if len(picks) == 1:
+        rest = (*items[:j], *items[j + 1:])
+        rdegs = [*degs[:j], *degs[j + 1:]]
+        wodd = (op_deg + degs[j]) & 1
+    else:
+        k = picks[1]
+        rest = (*items[:j], *items[j + 1:k], *items[k + 1:])
+        rdegs = [*degs[:j], *degs[j + 1:k], *degs[k + 1:]]
+        wodd = (op_deg + degs[j] + degs[k]) & 1
+    keys = rest if key is None else list(map(key, rest))
     # odd[p]: parity of the degrees of rest[:p]
     odd = [0]
-    for i, d in enumerate(degs):
-        if i not in picks:
-            odd.append(odd[-1] ^ (d & 1))
-    j = picks[0]
+    o = 0
+    for d in rdegs:
+        o ^= d & 1
+        odd.append(o)
     sign = op_deg * odd[j]
     if len(picks) == 2:
         # items j+1 .. k-1 are rest[j:k-1]
-        k = picks[1]
         sign += degs[j] + degs[k] * (odd[k - 1] ^ odd[j])
-    wodd = (op_deg + sum(degs[i] for i in picks)) & 1
     out = []
     for w, c in values.items():
         p = bisect_left(keys, w if key is None else key(w))

@@ -329,6 +329,17 @@ def test_monomials_for_shape_keeps_each_list_on_the_context(monkeypatch):
     assert monomials_for_shape(ctx, (1, 2), set()) == []
 
 
+def test_graded_walks_record_each_monomial_grade():
+    """Every monomial a grade-restricted walk lists has its ``mono_grade``
+    in ``ctx.mono_grades``."""
+    ctx = real_polyvec_context(3, 1)
+    for shape in level_shapes(3, 4):
+        allg = sorted({mono_grade(m) for m in monomials_for_shape(ctx, shape)})
+        for grades in ({allg[0]}, set(allg[::2]), set(allg)):
+            got = monomials_for_shape(ctx, shape, grades)
+            assert got and all(ctx.mono_grades[m] == mono_grade(m) for m in got)
+
+
 def monomials_for_shape_oracle(ctx, shape, grades=None) -> list:
     """The former enumerator: every combo of every packet-length group, with
     repeated odd packets and off-grade combos filtered out afterwards."""

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -90,11 +92,13 @@ def test_unshuffle_sign_rejects_repeated_or_out_of_range_positions(left):
 
 
 def test_letter_hash_is_the_field_tuple_hash():
-    """The hash computed at construction is the dataclass hash of the fields,
-    so dict and set orders do not depend on when it is computed."""
+    """The int value fixed at construction is the hash of the fields, and
+    the letter hashes as that int, so dict and set orders do not depend on
+    when it is computed."""
     for ident, degree in [(("R",), -1), (("sb", 2, (1, 2)), 1), ("x", 0)]:
         a, b = Letter(ident, degree), Letter(ident, degree)
-        assert hash(a) == hash((ident, degree)) == hash(b)
+        assert int(a) == hash((ident, degree))
+        assert hash(a) == hash(int(a)) == hash(b)
         assert a == b and a is not b and len({a, b}) == 1
     assert Letter("x", 0) != Letter("x", 1)
 
@@ -104,14 +108,45 @@ def test_letter_is_frozen():
     for field, value in (("ident", "y"), ("degree", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, field, value)
-    assert a == Letter("x", 0) and hash(a) == hash(("x", 0))
+    assert a == Letter("x", 0) and int(a) == hash(("x", 0))
+    assert hash(a) == hash(int(a)) == hash(Letter("x", 0))
+
+
+def test_letter_survives_copy_and_pickle():
+    a = Letter(("v", 1), 1, pack_grade(1, (0, 2)))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a) and b.grade == a.grade
+
+
+def test_letter_never_equals_a_plain_int():
+    for a in (Letter("x", 0), Letter(("R",), -1), Letter(3, 1)):
+        for n in (int(a), 0, 3):
+            assert not a == n and not n == a
+            assert a != n and n != a
+        assert a not in {int(a)} and int(a) not in {a: 1}
+
+
+def test_letter_inequality_is_by_fields():
+    a, b = Letter("x", 0), Letter("x", 0, pack_grade(0, (1, -1)))
+    assert not a != b and a == b
+    assert Letter("x", 0) != Letter("y", 0) and Letter("x", 0) != Letter("x", 1)
+    assert not Letter("x", 0) == Letter("x", 1)
+
+
+def test_letters_sort_by_their_field_tuples():
+    from gerstenhaber.genv import polyvec_basis
+
+    letters = polyvec_basis(3).letters
+    assert sorted(letters) == sorted(letters, key=lambda a: (a.ident, a.degree))
+    assert sorted(letters) != sorted(letters, key=int)
 
 
 def test_grade_defaults_to_degree_and_takes_no_part_in_equality():
     a = Letter("x", 2)
     assert a.grade == 2
     b = Letter("x", 2, pack_grade(2, (1, -1)))
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and int(a) == int(b)
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
     assert shifted(b).grade == pack_grade(1, (1, -1)) and shifted(a).grade == 1
 
 
