@@ -30,7 +30,9 @@ by grade, and with these morphisms alone it squares to zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .exactlin import SparseMat, solve_in_column_span
 from .genv import GerstBasis, h_bracket, h_mu
@@ -48,21 +50,17 @@ class TruncationError(Exception):
     """A required shape or length falls outside the declared truncation."""
 
 
-class Truncation:
+class Truncation(NamedTuple):
     """Finite window: spatial dimension, max letter tensor degree, max level N,
     max packet count n."""
 
-    def __init__(self, d: int, kmax: int, Nmax: int, nmax: int):
-        self.d = d
-        self.kmax = kmax
-        self.Nmax = Nmax
-        self.nmax = nmax
-
-    def __repr__(self):
-        return f"Truncation(d={self.d}, kmax={self.kmax}, Nmax={self.Nmax}, nmax={self.nmax})"
+    d: int
+    kmax: int
+    Nmax: int
+    nmax: int
 
     def as_dict(self):
-        return {"d": self.d, "kmax": self.kmax, "Nmax": self.Nmax, "nmax": self.nmax}
+        return self._asdict()
 
 
 def window(trunc: Truncation, level: int, degree: int) -> int:
@@ -139,11 +137,18 @@ class ChContext:
     f1(a) b) and ``mul_right[a]`` (b to b f1(a)), wedges in the target.
     Their coefficients are ints unless not integers.
 
-    A context keeps, per source letter list, what its walks reuse: the
-    monomial lists of ``monomials_for_shape``, the set-up of the
-    grade-restricted walk (``graded_letters``), built on the first graded
-    call, never before, and ``mono_grades``, the ``mono_grade`` of every
-    monomial a grade-restricted walk listed.
+    A context keeps what depends on it alone, each computed on first use:
+    the monomial lists of ``monomials_for_shape``, the set-up of the
+    grade-restricted walk (``graded_letters``), ``mono_grades`` (the
+    ``mono_grade`` of every monomial a grade-restricted walk listed), and
+    the packet operations of ``d_ch_terms``: each packet's degree
+    (``degree``) and ``packet_sort_key`` (``sort_key``), the reduced
+    ``h_bracket`` of a packet pair (``bracket``) and the one-packet term
+    families of a packet (``families``, see ``packet_families``).  Each
+    packet operation is a ``functools.cache`` on the context, so it lives as
+    long as the context does; ``h_bracket`` and ``h_mu`` are looked up in
+    this module when a value is computed.  The values are shared: read
+    them, do not change them.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
@@ -168,21 +173,46 @@ class ChContext:
                                  for b in target.letters}
         self.quotient = ShuffleQuotient()
         self._monomials: dict[tuple, list] = {}  # see monomials_for_shape
-        self._graded: GradedLetters | None = None
         self.mono_grades: dict = {}
+        self.degree = cache(pdeg)
+        self.sort_key = cache(packet_sort_key)
+        self.bracket = cache(lambda x, y: h_bracket(x, y, self.source, self.quotient))
+        self.families = cache(lambda x: packet_families(self, x))
 
+    @cached_property
     def graded_letters(self) -> GradedLetters:
-        """The ``graded_multisets`` set-up of the source letters, built on
-        first use and kept."""
-        if self._graded is None:
-            self._graded = GradedLetters(self.source.letters)
-        return self._graded
+        """The ``graded_multisets`` set-up of the source letters."""
+        return GradedLetters(self.source.letters)
 
     def rep_words(self, length: int) -> list:
         """All representative words of the given length, in canonical order."""
         words = self.quotient.rep_words(self.source.letters, length)
         words.sort(key=packet_sort_key)
         return words
+
+
+def packet_families(ctx: ChContext, x) -> list:
+    """The one-packet term families of a packet ``x`` of two or more
+    letters, in term order: (negate, target map, values, operator degree)
+    for detaching its first letter, detaching its last letter and its
+    ``h_mu``, each kept only when its target map and values are nonzero.
+    ``ctx.families`` keeps them per packet."""
+    # a detached letter has degree -1.  a_1 is carried left past x_1 ..
+    # x_(j-1) (the slot_terms sign) and mu2' adds (-1)^(deg a_1) = -1.  a_p
+    # is carried right past x_(j+1) .. x_n, the slot_terms sign times
+    # (-1)^(total - x_j), and mu2' adds (-1)^(deg f(M)), deg f(M) = deg M +
+    # 1 = total + 2: together (-1)^(x_j)
+    fams = []
+    for tmap, word, negate in ((ctx.mul_left.get(x[0]), x[1:], True),
+                               (ctx.mul_right.get(x[-1]), x[:-1], ctx.degree(x) % 2)):
+        if tmap:
+            val = ctx.quotient.reduce_word(word)
+            if val:
+                fams.append((negate, tmap, val, -1))
+    val = h_mu(x, ctx.source, ctx.quotient)
+    if val:
+        fams.append((True, ctx.identity, val, 1))
+    return fams
 
 
 def constants_context(source: GerstBasis) -> ChContext:
@@ -211,101 +241,38 @@ def _arg_shape(lens, drop, length) -> tuple:
     return tuple(sorted([p for i, p in enumerate(lens) if i not in drop] + [length]))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        val = self[key] = self.fn(key)
-        return val
-
-
 class PacketTable:
-    """Packet-level operations of one coboundary computation, each computed
-    on first use: the reduced ``h_bracket`` of a packet pair, the one-packet
-    term families of a packet (``families``: detach its first letter,
-    detach its last letter, its reduced ``h_mu``), each packet's degree
-    (``degree``) and ``packet_sort_key`` (``sort_key``) and, per tuple of
-    packet lengths, the term families of ``d_ch_terms`` that ``shapes``
-    keeps.
+    """The cochain side of one coboundary computation: per tuple of packet
+    lengths (``live``), the term families of ``d_ch_terms`` whose argument
+    shape is in ``shapes``, each tuple's computed on first use.
 
     With ``support``, the monomials a cochain is nonzero on, ``shapes`` is
     the set of their shapes and ``packets`` the set of their packets, which
     ``d_ch_terms`` reads to skip the terms whose argument cannot be in the
-    support; without it ``packets`` is None and nothing is skipped.
-
-    A decision builds one table per call and drops it on return; a
-    long-lived context keeps only its monomial lists, its walk set-up and
-    its quotient tables.  The values are shared: read them, do not change
-    them.
+    support; without it ``packets`` is None and nothing is skipped.  The
+    packet operations depend on the context alone and are kept on it.
     """
 
-    def __init__(self, ctx: ChContext, shapes=None, support=None):
-        self.ctx = ctx
+    def __init__(self, shapes=None, support=None):
         self.packets = None
         if support is not None:
             shapes = {tuple(sorted(len(w) for w in m)) for m in support}
             self.packets = {w for m in support for w in m}
-        self.shapes = shapes
-        self.degree = _Memo(pdeg)
-        self.sort_key = _Memo(packet_sort_key).__getitem__
-        self._brackets: dict = {}
-        self._families: dict = {}
-        self._live: dict = {}
 
-    def bracket(self, x, y) -> dict:
-        val = self._brackets.get((x, y))
-        if val is None:
-            val = self._brackets[x, y] = h_bracket(x, y, self.ctx.source,
-                                                   self.ctx.quotient)
-        return val
-
-    def families(self, x) -> list:
-        """The one-packet term families of a packet ``x`` of two or more
-        letters, in term order: (negate, target map, values, operator
-        degree) for detaching its first letter, detaching its last letter
-        and its ``h_mu``, each kept only when its target map and values are
-        nonzero."""
-        fams = self._families.get(x)
-        if fams is None:
-            ctx = self.ctx
-            # a detached letter has degree -1.  a_1 is carried left past x_1
-            # .. x_(j-1) (the slot_terms sign) and mu2' adds (-1)^(deg a_1) =
-            # -1.  a_p is carried right past x_(j+1) .. x_n, the slot_terms
-            # sign times (-1)^(total - x_j), and mu2' adds (-1)^(deg f(M)),
-            # deg f(M) = deg M + 1 = total + 2: together (-1)^(x_j)
-            fams = []
-            for tmap, word, negate in (
-                    (ctx.mul_left.get(x[0]), x[1:], True),
-                    (ctx.mul_right.get(x[-1]), x[:-1], self.degree[x] % 2)):
-                if tmap:
-                    val = ctx.quotient.reduce_word(word)
-                    if val:
-                        fams.append((negate, tmap, val, -1))
-            val = h_mu(x, ctx.source, ctx.quotient)
-            if val:
-                fams.append((True, ctx.identity, val, 1))
-            self._families[x] = fams
-        return fams
-
-    def live(self, lens: tuple) -> tuple:
-        """(packets to detach from or apply mu to, packet pairs to bracket),
-        in term order."""
-        fams = self._live.get(lens)
-        if fams is None:
-            n, shapes = len(lens), self.shapes
+        @cache
+        def live(lens: tuple) -> tuple:
+            """(packets to detach from or apply mu to, packet pairs to
+            bracket), in term order."""
+            n = len(lens)
 
             def keep(drop, length):
                 return shapes is None or _arg_shape(lens, drop, length) in shapes
 
-            fams = self._live[lens] = (
-                [j for j in range(n) if lens[j] >= 2 and keep((j,), lens[j] - 1)],
-                [(j, k) for j in range(n) for k in range(j + 1, n)
-                 if keep((j, k), lens[j] + lens[k] - 1)])
-        return fams
+            return ([j for j in range(n) if lens[j] >= 2 and keep((j,), lens[j] - 1)],
+                    [(j, k) for j in range(n) for k in range(j + 1, n)
+                     if keep((j, k), lens[j] + lens[k] - 1)])
+
+        self.live = live
 
 
 def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
@@ -314,10 +281,11 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
     coefficient times the target map (one of ``ctx``'s maps of target
     letters) applied to the cochain's value on the argument.
 
-    ``table`` is a ``PacketTable`` of ``ctx`` shared by the monomials of one
+    ``table`` is a ``PacketTable`` shared by the monomials of one
     computation; term families whose argument shape is not in its ``shapes``
     are not built, since a cochain vanishing off those shapes gets nothing
-    from them.  Every family is one ``graded.slot_terms`` call per packet or
+    from them.  Packet degrees, sort keys, brackets and one-packet families
+    are read from ``ctx``, which keeps them across computations.  Every family is one ``graded.slot_terms`` call per packet or
     packet pair, which puts each value into the sorted rest of ``mono`` with
     its sign; the two identity families are the negatives of the terms of
     ``ginfty.m_on_packets`` and ``ginfty.ell_on_packets``.
@@ -339,16 +307,16 @@ def d_ch_terms(mono: Mono, ctx: ChContext, table: PacketTable):
     if outside:
         detach = [j for j in detach if outside == [j]]
         pairs = [p for p in pairs if all(j in p for j in outside)]
-    degs = [table.degree[w] for w in mono]
-    sort_key = table.sort_key
+    degs = list(map(ctx.degree, mono))
+    sort_key = ctx.sort_key
     terms = []
     for j in detach:
-        for negate, tmap, val, op_deg in table.families(mono[j]):
+        for negate, tmap, val, op_deg in ctx.families(mono[j]):
             terms += [(-c if negate else c, tmap, key) for key, c in
                       slot_terms(mono, degs, (j,), val, op_deg, sort_key)]
     identity = ctx.identity
     for j, k in pairs:
-        val = table.bracket(mono[j], mono[k])
+        val = ctx.bracket(mono[j], mono[k])
         if val:
             terms += [(-c, identity, key) for key, c in
                       slot_terms(mono, degs, (j, k), val, 1, sort_key)]
@@ -378,7 +346,7 @@ def d_ch(f, ctx: ChContext, trunc: "Truncation") -> "Cochain":
     up as ints where f's values are integers; the result stores
     ``Fraction`` values, as every ``Cochain`` does.
     """
-    table = PacketTable(ctx, support=f.values)
+    table = PacketTable(support=f.values)
     fvals = {m: int_coeffs(v) for m, v in f.values.items()}
     empty: Vec = {}
 
@@ -568,7 +536,7 @@ def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
                         or w == prev and not pdeg(w) % 2:
                     split(left, s + 1, acc + (w,))
 
-    for ms in graded_multisets(ctx.graded_letters(), sum(lens),
+    for ms in graded_multisets(ctx.graded_letters, sum(lens),
                                {t + len(lens) for t in grades}):
         start = len(out)
         split(ms, 0, ())
@@ -670,7 +638,7 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     tletters = ctx.target.letters
     tindex = {a: i for i, a in enumerate(tletters)}
     nt = len(tletters)
-    table = PacketTable(ctx)
+    table = PacketTable()
     by_degree: dict[int, dict] = {}  # row degree -> {column * nt + letter: value}
     for gW, rows in rows_by_grade.items():
         block = cols_by_grade.get(gW + 1, [])
@@ -706,7 +674,7 @@ def assemble_matrix(ctx: ChContext, src_shapes):
     rows = []
     for shape in reachable_shapes(src_shapes):
         rows.extend(monomials_for_shape(ctx, shape))
-    return _block_matrix(ctx, rows, cols, PacketTable(ctx)), rows, cols
+    return _block_matrix(ctx, rows, cols, PacketTable()), rows, cols
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .chcoh import (Truncation, TruncationError, assemble_matrix, f3_111,
                     is_cocycle, is_coboundary, level_shapes, linear_fields,
@@ -22,9 +23,11 @@ from .polyvec import basis as pv_basis
 from .suites import SUITES, run_suites
 from .symco import classical_matrix
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
     """One subparser per command, with only the flags that command reads;
-    any other flag is an argparse usage error (exit 2)."""
+    any other flag is an argparse usage error (exit 2).  Built once per
+    process: parsing keeps no state in the parser."""
     p = argparse.ArgumentParser(prog="gerstenhaber")
     sub = p.add_subparsers(dest="command")
     verify, dims, cocycle, differential = (

@@ -36,8 +36,9 @@ class GerstBasis:
     each as the op gives it (an int on integral ops), and
     ``wedge_table``/``bracket_table`` materialise them over all letter pairs
     with Fraction values.  ``wedge``, ``bracket`` and ``mu2`` keep each
-    letter-pair result, by ident pair, from its first read for the basis's
-    lifetime and return the kept dict: callers must not change it.
+    letter-pair result from its first read in a ``functools.cache`` held by
+    the basis, so it lives as long as the basis does, and return the kept
+    dict: callers must not change it.
     ``validate()`` checks the axioms on basis pairs and triples with the
     ``tensorco`` residuals run on the two ops: the wedge graded commutative
     and associative in the unshifted grading, the bracket graded
@@ -53,27 +54,20 @@ class GerstBasis:
         self.wedge_op = wedge
         self.bracket_op = bracket
         self.name = name
-        # letter-pair constants by ident pair, kept once read
-        self._wedges: dict = {}
-        self._brackets: dict = {}
-        self._mu2s: dict = {}
+        # the letter-pair constants behind wedge, bracket and mu2
+        self._wedge = cache(lambda a, b: self._on_letters(self.wedge_op(a.ident, b.ident)))
+        self._bracket = cache(lambda a, b: self._on_letters(self.bracket_op(a.ident, b.ident)))
+        self._mu2 = cache(lambda a, b: {c: -v if a.degree % 2 else v
+                                        for c, v in self.wedge(a, b).items()})
 
     def _on_letters(self, val: dict) -> Vec:
         return {self.by_ident[i]: c for i, c in val.items() if c}
 
     def wedge(self, a: Letter, b: Letter) -> Vec:
-        key = a.ident, b.ident
-        val = self._wedges.get(key)
-        if val is None:
-            val = self._wedges[key] = self._on_letters(self.wedge_op(*key))
-        return val
+        return self._wedge(a, b)
 
     def bracket(self, a: Letter, b: Letter) -> Vec:
-        key = a.ident, b.ident
-        val = self._brackets.get(key)
-        if val is None:
-            val = self._brackets[key] = self._on_letters(self.bracket_op(*key))
-        return val
+        return self._bracket(a, b)
 
     def _table(self, op) -> dict:
         idents = [a.ident for a in self.letters]
@@ -92,12 +86,7 @@ class GerstBasis:
 
     def mu2(self, a: Letter, b: Letter) -> Vec:
         """Shifted product: (-1)^(deg a) wedge, of shifted degree +1."""
-        key = a.ident, b.ident
-        val = self._mu2s.get(key)
-        if val is None:
-            sign = -1 if a.degree % 2 else 1
-            val = self._mu2s[key] = {c: sign * v for c, v in self.wedge(a, b).items()}
-        return val
+        return self._mu2(a, b)
 
     def unshifted(self, letter: Letter) -> int:
         return letter.degree + 1
@@ -162,9 +151,10 @@ def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
     so the constants are exact structure constants of the full
     finite-dimensional algebra; below it a product of tensor degree above
     kmax is cut to {}.  Each constant comes from ``wedge_monos`` or
-    ``schouten_monos`` on the pair's two basis monomials, computed the first
-    time the pair is read and kept for the basis's lifetime.  Each letter
-    gets its torus weight once, in its grade (``hom_letter``).
+    ``schouten_monos`` on the pair's two basis monomials; the ops keep
+    nothing, and the basis's ``wedge``/``bracket`` keep each constant from
+    its first read.  Each letter gets its torus weight once, in its grade
+    (``hom_letter``).
     """
     if kmax is None:
         kmax = d
@@ -172,7 +162,6 @@ def polyvec_basis(d: int, kmax: int | None = None) -> GerstBasis:
 
     def on_idents(formula, shift):
         # an ident is a hom_ident: (tensor degree, directions, exponents)
-        @cache
         def op(i, j):
             k = i[0] + j[0] + shift
             if k > kmax:

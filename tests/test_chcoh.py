@@ -135,7 +135,7 @@ def test_d_m_cancellation_on_detached_constants():
     w = sorted(quo.reduce_word((const, vf_letter(3, 1, 2))))[0]
     mono, _ = mono_key([w, (vf_letter(3, 2, 3),), (vf_letter(3, 3, 1),)])
     # with f3's shapes the bracket part has no live family on this monomial
-    table = PacketTable(ctx, f3.shapes())
+    table = PacketTable(f3.shapes())
     detach, pairs = table.live(tuple(len(p) for p in mono))
     assert detach == [2] and pairs == []
     assert d_ch_value(f3.eval, mono, ctx, table) == {}
@@ -196,7 +196,7 @@ def test_d_ell_is_classical_chevalley_on_vector_fields():
         if mono is None:
             continue
         # single-letter packets: the product part has no live family
-        table = PacketTable(ctx)
+        table = PacketTable()
         assert table.live((1, 1, 1, 1))[0] == []
         got = d_ch_value(f3.eval, mono, ctx, table)
         assert not {k: v for k, v in got.items() if v}
@@ -225,7 +225,7 @@ def roundtrip_small():
     dg = {}
     for shape in reachable_shapes(level_shapes(2, 4)):
         for mono in monomials_for_shape(ctx, shape):
-            v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
+            v = d_ch_value(g.eval, mono, ctx, PacketTable())
             if v:
                 dg[mono] = v
     f = Cochain(dg, 3)
@@ -237,7 +237,7 @@ def test_coboundary_roundtrip_small():
     assert pre is not None
     for shape in reachable_shapes(level_shapes(2, 4)):
         for mono in monomials_for_shape(ctx, shape):
-            assert d_ch_value(pre.eval, mono, ctx, PacketTable(ctx)) == f.eval(mono)
+            assert d_ch_value(pre.eval, mono, ctx, PacketTable()) == f.eval(mono)
     zero = is_coboundary(Cochain({}, 3), ctx, trunc)
     assert zero is not None and zero.is_zero()
 
@@ -435,7 +435,7 @@ def test_live_shape_selection_matches_referenced_oracle():
             want_rows = [s for s in reachable_shapes(shapes) if len(s) <= nmax]
             for r in range(len(shapes) + 1):
                 for fshapes in map(set, combinations(shapes, r)):
-                    table = PacketTable(ctx, fshapes)
+                    table = PacketTable(fshapes)
                     got = [s for s in level_shapes(N + 1, nmax)
                            if any(table.live(s))]
                     assert got == [s for s in want_rows
@@ -520,7 +520,7 @@ def test_d_ch_pruning_matches_full_evaluation():
         full = {}
         for shape in reachable_shapes(level_shapes(2, 4)):
             for mono in monomials_for_shape(ctx, shape):
-                v = d_ch_value(g.eval, mono, ctx, PacketTable(ctx))
+                v = d_ch_value(g.eval, mono, ctx, PacketTable())
                 if v:
                     full[mono] = v
         assert full
@@ -550,7 +550,7 @@ def test_support_filter_keeps_every_term_that_reaches_the_support():
     sandbox.  Some terms and some whole monomials are skipped."""
     dropped = skipped = 0
     for ctx, f, rows in support_filter_cases():
-        table, unfiltered = PacketTable(ctx, support=f.values), PacketTable(ctx)
+        table, unfiltered = PacketTable(support=f.values), PacketTable()
         for W in rows:
             kept = d_ch_terms(W, ctx, table)
             full = d_ch_terms(W, ctx, unfiltered)
@@ -571,11 +571,11 @@ def test_d_ch_terms_shape_filter_is_exact():
         for shape in level_shapes(3, 4) + level_shapes(4, 4):
             monos = monomials_for_shape(ctx, shape)
             for mono in [monos[rng.randrange(len(monos))] for _ in range(4) if monos]:
-                full = d_ch_terms(mono, ctx, PacketTable(ctx))
+                full = d_ch_terms(mono, ctx, PacketTable())
                 for keep in level_shapes(len(sum(mono, ())) - 1, 4):
                     want = [t for t in full
                             if tuple(sorted(len(w) for w in t[2])) == keep]
-                    assert d_ch_terms(mono, ctx, PacketTable(ctx, {keep})) == want
+                    assert d_ch_terms(mono, ctx, PacketTable({keep})) == want
 
 
 def table_contexts():
@@ -598,10 +598,10 @@ def test_shared_packet_table_matches_fresh_tables():
                  for m in monomials_for_shape(ctx, shape)]
         keeps = level_shapes(1, 4) + level_shapes(2, 4)
         for shapes in [None] + [{keep} for keep in keeps]:
-            table = PacketTable(ctx, shapes)
+            table = PacketTable(shapes)
             for mono in monos:
                 assert d_ch_terms(mono, ctx, table) == \
-                    d_ch_terms(mono, ctx, PacketTable(ctx, shapes)), mono
+                    d_ch_terms(mono, ctx, PacketTable(shapes)), mono
                 compared += 1
     assert compared > 8000
 
@@ -631,8 +631,9 @@ def count_packet_ops(monkeypatch):
 def test_decisions_compute_each_packet_operation_once_per_call(monkeypatch):
     """Within one d_ch, is_cocycle, is_coboundary or assemble_matrix call
     each packet pair is bracketed and each packet's mu is taken at most
-    once; a second identical call computes them all again, so nothing is
-    kept between calls."""
+    once.  The context keeps them: a second identical call on the same
+    context computes none, and the call on a fresh context computes the
+    first call's operations again."""
     from gerstenhaber.chcoh import d_ch
 
     calls = count_packet_ops(monkeypatch)
@@ -645,18 +646,74 @@ def test_decisions_compute_each_packet_operation_once_per_call(monkeypatch):
             for mono in monomials_for_shape(ctx, shape) if rng.randrange(3) == 0}
     g = Cochain(vals, 2)
     f = d_ch(g, ctx, trunc)
-    runs = [lambda: d_ch(g, ctx, trunc),
-            lambda: is_cocycle(f, ctx, trunc),
-            lambda: is_coboundary(f, ctx, trunc),
-            lambda: assemble_matrix(real_polyvec_context(2, 1), level_shapes(2, 3))]
-    for run in runs:
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            run()
-            assert calls and max(calls.values()) == 1
-            counts.append(sorted(calls))
-        assert counts[0] == counts[1]
+    runs = [((3, 1), lambda ctx: d_ch(g, ctx, trunc)),
+            ((3, 1), lambda ctx: is_cocycle(f, ctx, trunc)),
+            ((3, 1), lambda ctx: is_coboundary(f, ctx, trunc)),
+            ((2, 1), lambda ctx: assemble_matrix(ctx, level_shapes(2, 3)))]
+    for dk, run in runs:
+        ctx = real_polyvec_context(*dk)
+        calls.clear()
+        run(ctx)
+        assert calls and max(calls.values()) == 1
+        first = dict(calls)
+        calls.clear()
+        run(ctx)
+        assert not calls
+        run(real_polyvec_context(*dk))
+        assert calls == first
+
+
+def round_trip_repr(g, ctx, trunc) -> str:
+    """repr of the values of d_ch(g), its preimage and d_ch of that, in order."""
+    from gerstenhaber.chcoh import d_ch
+
+    f = d_ch(g, ctx, trunc)
+    pre = is_coboundary(f, ctx, trunc)
+    back = d_ch(pre, ctx, trunc)
+    assert back.values == f.values
+    return repr([list(c.values.items()) for c in (f, pre, back)])
+
+
+def test_warm_context_round_trip_matches_a_fresh_context():
+    """The round trip d_ch, is_coboundary, d_ch on a seeded level-2 cochain
+    at d = 3, k <= 1 gives the same values, order included, on a context
+    that kept the packet operations of an earlier round trip as on a fresh
+    context."""
+    warm = real_polyvec_context(3, 1)
+    trunc = Truncation(3, 1, 4, 4)
+    one = warm.target.letters[0]
+    rng = SplitMix64(82)
+    g = Cochain({mono: {one: Fraction(rng.choice([-2, -1, 1, 2]))}
+                 for shape in level_shapes(2, 4)
+                 for mono in monomials_for_shape(warm, shape)
+                 if rng.randrange(3) == 0}, 2)
+    first = round_trip_repr(g, warm, trunc)
+    assert warm.bracket.cache_info().currsize and warm.families.cache_info().currsize
+    assert round_trip_repr(g, warm, trunc) == first
+    assert round_trip_repr(g, real_polyvec_context(3, 1), trunc) == first
+
+
+def test_dropped_basis_context_and_table_are_freed():
+    """A GerstBasis, ChContext and PacketTable that have kept letter-pair
+    constants, packet operations and live families are freed once dropped:
+    each memo lives on its object, not on a class or a module."""
+    import gc
+    import weakref
+
+    ctx = real_polyvec_context(2, 1)
+    table = PacketTable({(1, 1)})
+    rows = 0
+    for shape in level_shapes(3, 4):
+        for mono in monomials_for_shape(ctx, shape)[::7]:
+            rows += bool(d_ch_terms(mono, ctx, table))
+    a, b = ctx.source.letters[-2:]
+    assert ctx.source.mu2(a, b) is ctx.source.mu2(a, b)
+    assert rows and ctx.bracket.cache_info().currsize
+    assert ctx.families.cache_info().currsize and table.live.cache_info().currsize
+    refs = [weakref.ref(obj) for obj in (ctx.source, ctx, table)]
+    del ctx, table, a, b
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
@@ -687,7 +744,7 @@ def test_d_ch_with_zero_morphism_is_minus_packet_codifferential():
             want: dict = {}
             for m, c in lm_on_packets(W, ctx.source, ctx.quotient).items():
                 add_scaled(want, f.eval(m), -c)
-            assert d_ch_value(f.eval, W, ctx, PacketTable(ctx)) == want, W
+            assert d_ch_value(f.eval, W, ctx, PacketTable()) == want, W
             compared += 1
             nonzero += bool(want)
     assert compared >= 300 and nonzero >= 50
@@ -700,7 +757,7 @@ def test_d_ch_keeps_the_torus_weight(d, kmax):
     of weight 0: d_CH is block diagonal by grade, which the grade-restricted
     decisions rely on."""
     ctx = real_polyvec_context(d, kmax)
-    table = PacketTable(ctx)
+    table = PacketTable()
     rows = 0
     for shape in level_shapes(2, 4) + level_shapes(3, 4):
         for W in monomials_for_shape(ctx, shape):
@@ -1233,7 +1290,7 @@ def test_row_assembly_coefficients_are_ints_on_integral_tables():
     one = ctx.target.letters[0]
     g = Cochain({m: {one: Fraction(1)} for s in level_shapes(2, 4)
                  for m in monomials_for_shape(ctx, s)}, 2)
-    table = PacketTable(ctx, g.shapes())
+    table = PacketTable(g.shapes())
     rows = list(_coboundary_monomials(g, ctx, Truncation(3, 1, 4, 4), table))
     assert len(rows) > 100
     for mono in rows:
