@@ -80,18 +80,6 @@ class SparseMat:
                     out.entries[i, j] = s
         return out
 
-    def mul_vec(self, x: dict) -> dict:
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            xc = x.get(c)
-            if xc:
-                s = out.get(r, 0) + v * xc
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
-
     def to_matrixmarket(self) -> str:
         """Matrix Market coordinate format, rationals written as p/q."""
         lines = [
@@ -183,23 +171,6 @@ def echelonize(rowdicts: list[dict], ncols: int):
 def rank(m: SparseMat) -> int:
     _, pivots = echelonize(m.rows(), m.ncols)
     return len(pivots)
-
-
-def kernel_basis(m: SparseMat) -> list[dict]:
-    """Basis of the right null space, one sparse column vector per free column."""
-    rows, pivots = echelonize(m.rows(), m.ncols)
-    pivset = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivset:
-            continue
-        vec = {free: 1}
-        for r, col in enumerate(pivots):
-            v = rows[r].get(free)
-            if v:
-                vec[col] = -v
-        basis.append(vec)
-    return basis
 
 
 def solve_in_column_span(m: SparseMat, b: dict) -> Optional[dict]:

@@ -19,7 +19,7 @@ from .polyvec import (_merge_dirs, check_mono, hom_ident, hom_letter,
                       schouten_monos, wedge_monos)
 from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
 from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
-                       extend, fraction_table, int_view, jacobi, symmetry)
+                       extend, fraction_table, jacobi, symmetry)
 
 Vec = dict   # dict[Letter, int | Fraction], int unless not an integer
 Elem = dict  # dict[Word, int | Fraction], as Vec
@@ -252,16 +252,6 @@ def sandbox_gerstenhaber(rng) -> GerstBasis:
             setbr(3, 1, {1: 2})
             setbr(3, 2, {2: -2})
     return exterior_of_lie(dim, table, name=f"sandbox(dim={dim})")
-
-
-def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
-    """Abelian, zero-product sandbox: every operator built on it vanishes.
-
-    Nothing in the engine uses it; it stays as the degenerate source for
-    tests that every term of h_bracket, h_mu and d_ch drops out.
-    """
-    letters = [Letter(("z", i), 0) for i in range(dim)]
-    return GerstBasis(letters, int_view({}), int_view({}))
 
 
 def _run_shuffles(letters: tuple, odd: list, u0: int, u1: int, v0: int, v1: int):

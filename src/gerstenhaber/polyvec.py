@@ -1,7 +1,8 @@
-"""Polyvector fields with polynomial coefficients over Q, exact throughout.
+"""Basis monomials of polyvector fields on R^d and their exact products.
 
 A monomial is a pair (exponent vector, strictly increasing direction tuple);
-a polyvector of tensor degree k is a sparse dict of such monomials.  The
+a polyvector of tensor degree k is a sparse dict of such monomials (the
+tests' ``Polyvec`` oracle, in ``tests/oracles.py``, is one).  The
 homogeneous subalgebra keeps coefficient degree equal to tensor degree, which
 closes under wedge and the Schouten bracket and is finite dimensional.
 
@@ -14,81 +15,12 @@ Leibniz rule holds exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .graded import Letter, koszul_sort, pack_grade
-from .tensorco import add_term, extend
+from .tensorco import add_term
 
 Mono = tuple  # (exps: tuple[int, ...], dirs: tuple[int, ...]) with dirs 1-based
-
-
-class Polyvec:
-    """Homogeneous-in-tensor-degree polyvector field on R^d."""
-
-    def __init__(self, d: int, k: int, terms=None):
-        self.d = d
-        self.k = k
-        self.terms: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                self.add(mono, c)
-
-    def add(self, mono: Mono, coeff):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return
-        check_mono(mono, self.d, self.k)
-        s = self.terms.get(mono, 0) + coeff
-        if s:
-            self.terms[mono] = s
-        else:
-            self.terms.pop(mono, None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polyvec)
-            and self.d == other.d
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        assert self.d == other.d and self.k == other.k
-        out = Polyvec(self.d, self.k, self.terms)
-        for mono, c in other.terms.items():
-            out.add(mono, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Polyvec":
-        c = Fraction(c)
-        return Polyvec(self.d, self.k, {m: v * c for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        """Coefficient degree equals tensor degree on every monomial."""
-        return all(sum(exps) == self.k for exps, _ in self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (exps, dirs), c in sorted(self.terms.items()):
-            xs = "*".join(
-                "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
-                for i, e in enumerate(exps)
-                for _ in [0]
-                if e
-            )
-            ds = "d" + "".join(str(i) for i in dirs) if dirs else ""
-            body = " ".join(b for b in (xs, ds) if b)
-            bits.append(f"({c}){body if body else '1'}")
-        return " + ".join(bits)
 
 
 def check_mono(mono: Mono, d: int, k: int):
@@ -97,17 +29,6 @@ def check_mono(mono: Mono, d: int, k: int):
     exps, dirs = mono
     assert len(exps) == d and len(dirs) == k
     assert all(dirs[i] < dirs[i + 1] for i in range(len(dirs) - 1))
-
-
-def unit(d: int, c=1) -> Polyvec:
-    return Polyvec(d, 0, {((0,) * d, ()): Fraction(c)})
-
-
-def mono_vf(d: int, coord: int, direction: int) -> Polyvec:
-    """The linear vector field x_coord d_direction (1-based indices)."""
-    exps = [0] * d
-    exps[coord - 1] = 1
-    return Polyvec(d, 1, {(tuple(exps), (direction,)): Fraction(1)})
 
 
 def basis(d: int, k: int) -> list[Mono]:
@@ -176,37 +97,6 @@ def schouten_monos(ma: Mono, mb: Mono) -> dict:
     return out
 
 
-def wedge(a: Polyvec, b: Polyvec) -> Polyvec:
-    """Bilinear extension of ``wedge_monos``, tensor degree k_a + k_b."""
-    if a.d != b.d:
-        raise ValueError("dimension mismatch")
-    return Polyvec(a.d, a.k + b.k, extend(wedge_monos, a.terms, b.terms))
-
-
-def schouten(a: Polyvec, b: Polyvec) -> Polyvec:
-    """Bilinear extension of ``schouten_monos``, tensor degree k_a + k_b - 1."""
-    if a.d != b.d:
-        raise ValueError("dimension mismatch")
-    return Polyvec(a.d, a.k + b.k - 1, extend(schouten_monos, a.terms, b.terms))
-
-
-def mu2(a: Polyvec, b: Polyvec) -> Polyvec:
-    """Shifted product on G[1]: (-1)^(k_a - 1) a wedge b."""
-    sign = -1 if (a.k - 1) % 2 else 1
-    return wedge(a, b).scale(sign)
-
-
-def f1(a: Polyvec) -> Fraction:
-    """Projection onto the constants: the value for k = 0, else 0.
-
-    This is a morphism of Gerstenhaber algebras onto the base field with the
-    trivial bracket.
-    """
-    if a.k != 0:
-        return Fraction(0)
-    return a.terms.get(((0,) * a.d, ()), Fraction(0))
-
-
 def hom_letter(d: int, mono: Mono) -> Letter:
     """Letter for a homogeneous basis monomial, graded in the shifted space.
 
@@ -223,8 +113,3 @@ def hom_ident(mono: Mono) -> tuple:
     """The ident of ``hom_letter``: (tensor degree, directions, exponents)."""
     exps, dirs = mono
     return (len(dirs), dirs, exps)
-
-
-def letter_polyvec(d: int, letter: Letter) -> Polyvec:
-    k, dirs, exps = letter.ident
-    return Polyvec(d, k, {(exps, dirs): Fraction(1)})

@@ -6,29 +6,39 @@ signs on these degrees.  One integer-coded kernel, ``_shuffle``, computes
 every signed two-word shuffle: ``bat`` decodes it to letters, and the
 quotient tables use it directly.  The quotient of the n-fold tensor space by
 the span of all proper shuffle images is presented, per letter multiset, by
-a fixed reduction table, with the letters coded 0..k-1 in sorted order and
-the words ordered lexicographically.  The representative words are the
-Lyndon words plus the squares of odd Lyndon words for the reversed letter
-order (``_is_rep``), so a multiset's list is generated (``_super_lyndon``)
-and a table is built only where ``reduce_word`` reads one.  Each other word
-w is the lowest word of one shuffle row, that of w's longest proper prefix
-that is a representative with the rest of w; ``exactlin.echelonize``
-back-substitutes these triangular integer rows to reduced row echelon form,
-and each eliminated (pivot) word is rewritten into the representative
-words.  A reduction row keeps its coefficients as ``echelonize`` returns
-them, ``int``s unless one is not an integer, so ``reduce_word`` and
-``reduce`` stay in int arithmetic on integral tables, and
-``ShuffleQuotient.tables`` is a read-only view of the store itself.  A
-built table's words are also filed in one word -> row index holding the
-same row objects, so ``reduce_word`` is one dict lookup; the rows are
-read-only wherever they are reached.  The coderivation lifts and the
-Harrison coboundary are the tensor ones of ``tensorco`` read through that
-reduction.
+a fixed reduction table over its words in lexicographic order.  A table
+depends only on the multiset's pattern: its letters coded 0..k-1 in sorted
+order (the multiplicity pattern) and each code's parity.  So it is built in
+two layers:
+
+* the coded layer, ``_coded_lists`` and ``_coded_rows``: pure functions of
+  the pattern, cached for the process (they hold ints only).  The
+  representative words are the Lyndon words plus the squares of odd Lyndon
+  words for the reversed letter order (``_is_rep``).  Each other word w is
+  the lowest word of one shuffle row, that of w's longest proper prefix that
+  is a representative with the rest of w; ``exactlin.echelonize``
+  back-substitutes these triangular integer rows to reduced row echelon
+  form, and each eliminated (pivot) word is rewritten into the
+  representative words;
+* the relabelling layer, ``_super_lyndon`` and ``ShuffleQuotient._table``:
+  a multiset's list and table are its pattern's, decoded through its sorted
+  alphabet.  A list is generated where it is read, and a table only where
+  ``reduce_word`` reads one.
+
+A reduction row keeps its coefficients as ``echelonize`` returns them,
+``int``s unless one is not an integer, so ``reduce_word`` and ``reduce``
+stay in int arithmetic on integral tables, and ``ShuffleQuotient.tables`` is
+a read-only view of the store itself.  A built table's words are also filed
+in one word -> row index holding the same row objects, so ``reduce_word`` is
+one dict lookup; the rows are read-only wherever they are reached.  The
+coderivation lifts and the Harrison coboundary are the tensor ones of
+``tensorco`` read through that reduction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add
 from types import MappingProxyType
@@ -131,15 +141,17 @@ def _distinct_permutations(pool: list) -> list:
     return out
 
 
-def _coded_words(multiset: tuple) -> tuple:
-    """(alphabet, odd, coded) for a sorted letter multiset: its distinct
-    letters in sorted order, their parities, and its distinct words with
-    the letters coded 0..k-1 in that order, so the coded words come in the
-    lexicographic order of the Letter words."""
-    alphabet = sorted(set(multiset))
-    code = {x: i for i, x in enumerate(alphabet)}
-    return (alphabet, [x.degree % 2 for x in alphabet],
-            _distinct_permutations([code[x] for x in multiset]))
+def _pattern(multiset: tuple) -> tuple:
+    """(alphabet, coded, odd) for a sorted letter multiset: its distinct
+    letters in order, the multiset with each letter coded by its position
+    there, and the letters' parities.  (coded, odd) keys the coded layer:
+    multisets with one multiplicity pattern and one parity per code share
+    it, and their coded words decode in the lexicographic order of their
+    Letter words."""
+    alphabet = list(dict.fromkeys(multiset))
+    code = dict(zip(alphabet, range(len(alphabet))))
+    return (alphabet, tuple(map(code.__getitem__, multiset)),
+            tuple([x.degree % 2 for x in alphabet]))
 
 
 def _lyndon(w: tuple) -> bool:
@@ -157,12 +169,49 @@ def _is_rep(w: tuple, odd) -> bool:
                           and sum(odd[c] for c in w[:h]) % 2 == 1 and _lyndon(w[:h]))
 
 
+@cache
+def _coded_lists(coded: tuple, odd: tuple) -> tuple:
+    """(words, reps) of a coded multiset: its distinct words in
+    lexicographic order, and the positions there of its representatives
+    (``_is_rep``)."""
+    words = tuple(_distinct_permutations(list(coded)))
+    return words, tuple(i for i, w in enumerate(words) if _is_rep(w, odd))
+
+
+@cache
+def _coded_rows(coded: tuple, odd: tuple) -> tuple:
+    """The reduction rows of a coded multiset, one (pivot, ((position,
+    coefficient), ...)) per eliminated word: each word not a representative
+    rewritten into the representatives, by positions in ``_coded_lists``.
+
+    One row per eliminated word w = u.v, u its longest proper prefix that is
+    a representative: the shuffle of u and v, whose lowest word is w.
+    ``echelonize`` reduces them; if their pivots are not exactly the
+    eliminated words, this raises ``ArithmeticError``."""
+    words, reps = _coded_lists(coded, odd)
+    index = {w: i for i, w in enumerate(words)}
+    kept = set(reps)
+    eliminated = [i for i in range(len(words)) if i not in kept]
+    rows = []
+    for w in map(words.__getitem__, eliminated):
+        p = next(p for p in range(len(w) - 1, 0, -1) if _is_rep(w[:p], odd))
+        rows.append({index[x]: c for x, c in _shuffle(w[:p], w[p:], odd).items()})
+    rows, pivots = echelonize(rows, len(words))
+    if pivots != eliminated:
+        raise ArithmeticError(f"the shuffle relations of {coded} (parities {odd}) "
+                              "do not eliminate exactly its non-representatives")
+    return tuple((col, tuple((u, -v) for u, v in row.items() if u != col))
+                 for row, col in zip(rows, pivots))
+
+
 def _super_lyndon(multiset: tuple) -> list:
     """The representative words of a sorted letter multiset (``_is_rep``),
-    generated in the lexicographic order of the distinct permutations, the
-    order of the reduction table's list."""
-    alphabet, odd, coded = _coded_words(multiset)
-    return [tuple(alphabet[c] for c in w) for w in coded if _is_rep(w, odd)]
+    in the lexicographic order of its words, the order of the reduction
+    table's list: its pattern's coded list, decoded."""
+    alphabet, coded, odd = _pattern(multiset)
+    words, reps = _coded_lists(coded, odd)
+    decode = alphabet.__getitem__
+    return [tuple(map(decode, words[i])) for i in reps]
 
 
 class GradedLetters:
@@ -262,14 +311,18 @@ def graded_multisets(walk: GradedLetters, length: int, grades) -> list:
 class ShuffleQuotient:
     """Reduction to representatives modulo shuffle images, per letter multiset.
 
-    Tables are built lazily per multiset, by ``reduce_word`` only, and
-    cached; the construction is deterministic (lexicographic word order,
-    lowest-word pivots), so the representative basis does not depend on call
-    order.  ``reps`` is the one store of representative lists: it holds the
+    This is the relabelling layer: a multiset's table and list are decoded,
+    through its sorted alphabet, from the coded ones of its (multiplicity
+    pattern, parities) key, which the process builds once per key; the
+    quotient keeps only the decoded, Letter-keyed objects.  Tables are
+    decoded lazily per multiset, by ``reduce_word`` only, and kept; the
+    construction is deterministic (lexicographic word order, lowest-word
+    pivots), so the representative basis does not depend on call order.
+    ``reps`` is the one store of representative lists: it holds the
     generated list of every multiset met, with or without a table.  A table
-    reads its list there, or stores the one it filters from its own words
-    when there is none, and eliminates every other word; if the pivots of
-    its rows are not exactly those words, it raises ``ArithmeticError``.
+    stores its pattern's list there when there is none; if the stored list
+    is not that list, or the coded rows' pivots are not exactly the words
+    off it, it raises ``ArithmeticError`` and is not kept.
     ``tables`` is a read-only view (``MappingProxyType``) of the built
     tables, multiset -> {word: the row ``reduce_word`` returns}.  Building a
     table also files each of its words in ``_rows``, one word -> row index
@@ -286,31 +339,22 @@ class ShuffleQuotient:
         self.reps: dict[tuple, list] = {}
 
     def _table(self, multiset: tuple) -> dict:
-        """Build and store the table of a multiset none of whose words is
-        in the index, and file its words there."""
-        alphabet, odd, coded = _coded_words(multiset)
-        words = [tuple(alphabet[c] for c in w) for w in coded]
-        reps = self.reps.get(multiset)
-        if reps is None:
-            # the list ``_super_lyndon`` would generate, from these words
-            reps = self.reps[multiset] = [u for u, w in zip(words, coded)
-                                          if _is_rep(w, odd)]
-        reps = set(reps)
-        index = {w: i for i, w in enumerate(coded)}
-        # One row per other word w = u.v, u its longest proper prefix that is
-        # a representative: the shuffle of u and v, whose lowest word is w.
-        eliminated = [i for i, w in enumerate(words) if w not in reps]
-        rows = []
-        for w in (coded[i] for i in eliminated):
-            p = next(p for p in range(len(w) - 1, 0, -1) if _is_rep(w[:p], odd))
-            rows.append({index[x]: c for x, c in _shuffle(w[:p], w[p:], odd).items()})
-        rows, pivots = echelonize(rows, len(coded))
-        if pivots != eliminated:
-            raise ArithmeticError(f"the shuffle relations of {multiset} do not "
-                                  "eliminate exactly its non-representatives")
+        """Decode, store and index the table of a sorted multiset none of
+        whose words is in the index.  The multiset's stored list, or the
+        pattern's list stored now when there is none, must be the list the
+        coded rows eliminate against, or this raises ``ArithmeticError``."""
+        alphabet, coded, odd = _pattern(multiset)
+        coded_words, reps = _coded_lists(coded, odd)
+        rows = _coded_rows(coded, odd)
+        decode = alphabet.__getitem__
+        words = [tuple(map(decode, w)) for w in coded_words]
+        listed = [words[i] for i in reps]
+        if self.reps.setdefault(multiset, listed) != listed:
+            raise ArithmeticError(f"the stored list of {multiset} is not the "
+                                  "list its shuffle relations leave")
         table = {w: {w: 1} for w in words}
-        for row, col in zip(rows, pivots):
-            table[words[col]] = {words[u]: -v for u, v in row.items() if u != col}
+        for col, row in rows:
+            table[words[col]] = {words[u]: c for u, c in row}
         self._tables[multiset] = table
         self._rows.update(table)
         return table

@@ -20,7 +20,7 @@ is made only where a value is stored or divided: ``exactlin.echelonize``'s
 division by a pivot that does not divide an entry, ``fraction_table`` (the
 ``FiniteAlgebra`` product, the ``LieData`` bracket and differential tables,
 ``GerstBasis.wedge_table``/``bracket_table``), ``chcoh.Cochain`` (its
-``values``) and the ``polyvec.Polyvec`` test oracle.  ``int_coeffs`` reads
+``values``) and the tests' ``Polyvec`` oracle.  ``int_coeffs`` reads
 stored values back as ints where they are integers (``d_ch`` reads a
 cochain so).
 """

@@ -9,12 +9,14 @@ from gerstenhaber.chcoh import (Truncation, f3_111, is_coboundary, is_cocycle,
                                 real_polyvec_context)
 from gerstenhaber.genv import (GerstBasis, exterior_of_lie, h_bracket,
                                h_bracket_raw, h_mu, polyvec_basis,
-                               sandbox_gerstenhaber, zero_gerstenhaber)
+                               sandbox_gerstenhaber)
 from gerstenhaber.graded import koszul_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient
 from gerstenhaber.suites import suite_genv
 from gerstenhaber.tensorco import add_term, int_view
+import oracles
+from oracles import zero_gerstenhaber
 
 
 def brute_bracket(a, b, basis):
@@ -151,7 +153,7 @@ def test_polyvec_constants_are_computed_on_first_read_and_once(monkeypatch):
 @pytest.mark.parametrize("d, kmax", [(5, 5), (5, 2), (6, 6), (6, 3)])
 def test_polyvec_constants_match_the_polyvec_oracle(d, kmax):
     """Past the pinned table digests (d <= 4): on a seeded sample of letter
-    pairs, wedge and bracket equal ``polyvec.wedge``/``schouten`` on the
+    pairs, wedge and bracket equal ``oracles.wedge``/``schouten`` on the
     letters' polyvectors, and a product of tensor degree above kmax is cut
     to {} (at kmax = d every such product is zero anyway)."""
     rng = SplitMix64(10 * d + kmax)
@@ -159,9 +161,9 @@ def test_polyvec_constants_match_the_polyvec_oracle(d, kmax):
     cut = nonzero = 0
     for _ in range(400):
         a, b = rng.choice(basis.letters), rng.choice(basis.letters)
-        pa, pb = pv.letter_polyvec(d, a), pv.letter_polyvec(d, b)
-        for got, want in ((basis.wedge(a, b), pv.wedge(pa, pb)),
-                          (basis.bracket(a, b), pv.schouten(pa, pb))):
+        pa, pb = oracles.letter_polyvec(d, a), oracles.letter_polyvec(d, b)
+        for got, want in ((basis.wedge(a, b), oracles.wedge(pa, pb)),
+                          (basis.bracket(a, b), oracles.schouten(pa, pb))):
             if want.k > kmax:
                 assert got == {}
                 cut += not want.is_zero()

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
@@ -463,12 +465,30 @@ def test_word_index_holds_the_table_rows():
     assert len(lazy._rows) == len(lazy.tables[ms]) == 12
 
 
+def clear_coded_store():
+    """Empty the process-wide coded store, so a count of coded builds does
+    not depend on which tests ran before."""
+    shuffleco._coded_lists.cache_clear()
+    shuffleco._coded_rows.cache_clear()
+
+
+def pattern(multiset: tuple) -> tuple:
+    """The (multiplicity pattern, parities) key of a sorted multiset, coded
+    here apart from ``shuffleco``."""
+    alphabet = sorted(set(multiset))
+    return (tuple(map(alphabet.index, multiset)),
+            tuple(x.degree % 2 for x in alphabet))
+
+
 def test_representatives_return_the_stored_list(monkeypatch):
     """``representatives`` returns the list stored for the multiset: the same
     object for every order of its letters, generated without a table (no
     ``echelonize`` or ``_shuffle`` call), kept when a later ``reduce_word``
-    builds the table once, and a sorted tuple is looked up without
-    sorting."""
+    builds the table, and a sorted tuple is looked up without sorting.  The
+    table costs one coded build of the multiset's pattern (one ``echelonize``
+    call, one ``_shuffle`` per eliminated word), and the same table on a
+    second quotient none."""
+    clear_coded_store()
     letters = polyvec_basis(2, 1).letters
     ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
     builds, shuffles = [], []
@@ -489,8 +509,12 @@ def test_representatives_return_the_stored_list(monkeypatch):
     assert builds == [] and shuffles == [] and not quo.tables
     quo.reduce_word(tuple(shuffled))
     quo.reduce_word(ms)
-    assert len(builds) == 1 and shuffles
+    assert len(builds) == 1 and len(shuffles) == len(quo.tables[ms]) - len(reps) > 0
     assert quo.representatives(ms) is reps
+    other = ShuffleQuotient()
+    assert other.reduce_word(ms) == quo.reduce_word(ms)
+    assert other.tables[ms] == quo.tables[ms] and other.reps[ms] == reps
+    assert len(builds) == 1 and len(shuffles) == len(quo.tables[ms]) - len(reps)
 
     def no_sort(*args, **kwargs):
         raise AssertionError("a sorted multiset was sorted again")
@@ -523,11 +547,13 @@ def test_generated_representatives_equal_the_table_lists(d, kmax, length, count)
 
 
 def test_a_table_built_first_lists_its_words_once(monkeypatch):
-    """A table built before its multiset's list stores the list it filters
-    from its own words: building every table of d = 2, k <= 2 up to length
-    4 on a fresh quotient lists each multiset's distinct permutations once
-    (494 top-level ``_distinct_permutations`` calls), and every stored list
-    equals the split-row oracle's."""
+    """A table built before its multiset's list stores the list of its
+    pattern's coded words: building every table of d = 2, k <= 2 up to
+    length 4 on a fresh quotient and an empty coded store lists the
+    distinct permutations once per (multiplicity pattern, parities) key
+    (64 top-level ``_distinct_permutations`` calls for the 494 multisets),
+    and every stored list equals the split-row oracle's."""
+    clear_coded_store()
     permute = shuffleco._distinct_permutations
     calls = [0]
     depth = [0]
@@ -545,7 +571,8 @@ def test_a_table_built_first_lists_its_words_once(monkeypatch):
     quo = ShuffleQuotient()
     for ms in multisets:
         quo.reduce_word(ms)
-    assert calls[0] == len(multisets) == 494
+    assert len(multisets) == 494
+    assert calls[0] == len(set(map(pattern, multisets))) == 64
     monkeypatch.undo()
     assert all(quo.reps[ms] == split_row_table(ms)[1] for ms in multisets)
 
@@ -575,9 +602,12 @@ def test_generated_representatives_equal_the_table_list_on_random_alphabets(ms):
 
 
 def test_a_generated_list_that_disagrees_with_the_table_raises(monkeypatch):
-    """A table eliminates every word not in the multiset's stored list and
-    checks that exactly those words are pivots: a list missing one word
-    makes ``reduce_word`` raise and keeps the table out."""
+    """A table is decoded only when the multiset's stored list is its
+    pattern's list, and the coded rows only when their pivots are exactly
+    the words off that list: a stored list missing one word, or a coded
+    list missing one word, makes ``reduce_word`` raise and keeps the table
+    out; the coded store then keeps nothing for the pattern."""
+    clear_coded_store()
     letters = polyvec_basis(2, 1).letters
     ms = tuple(sorted([letters[3], letters[1], letters[0], letters[1]]))
     generate = shuffleco._super_lyndon
@@ -585,9 +615,80 @@ def test_a_generated_list_that_disagrees_with_the_table_raises(monkeypatch):
     monkeypatch.setattr(shuffleco, "_super_lyndon", lambda ms: generate(ms)[1:])
     quo = ShuffleQuotient()
     assert quo.representatives(ms) == generate(ms)[1:]
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="stored list"):
         quo.reduce_word(ms)
     assert ms not in quo.tables
+    monkeypatch.undo()
+    clear_coded_store()
+    lists = shuffleco._coded_lists
+    monkeypatch.setattr(shuffleco, "_coded_lists",
+                        lambda *key: (lists(*key)[0], lists(*key)[1][1:]))
+    quo = ShuffleQuotient()
+    with pytest.raises(ArithmeticError, match="do not eliminate"):
+        quo.reduce_word(ms)
+    assert ms not in quo.tables and ms not in quo.reps
+    assert shuffleco._coded_rows.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert quo.reduce_word(ms) == split_row_table(ms)[0][ms]
+
+
+def coded_builds(monkeypatch) -> list:
+    """Empty the coded store and record each ``echelonize`` call it makes."""
+    clear_coded_store()
+    builds = []
+    monkeypatch.setattr(shuffleco, "echelonize",
+                        lambda *args: builds.append(args) or echelonize(*args))
+    return builds
+
+
+def test_one_pattern_over_other_letters_shares_one_coded_build(monkeypatch):
+    """Two multisets with one multiplicity pattern and the same parities,
+    over letters of other names and degrees, read one coded build, and each
+    decoded table and list equals the split-row oracle's."""
+    first = [Letter(("s", i), deg) for i, deg in enumerate((0, 1, 2))]
+    second = [Letter(("t", i), deg) for i, deg in enumerate((-2, 3, -4))]
+    pair = [(x[0], x[1], x[1], x[2]) for x in (first, second)]
+    assert pattern(pair[0]) == pattern(pair[1])
+    builds = coded_builds(monkeypatch)
+    quo = ShuffleQuotient()
+    for ms in pair:
+        quo.reduce_word(ms)
+    assert len(builds) == 1
+    for ms in pair:
+        table, reps = split_row_table(ms)
+        assert quo.tables[ms] == table and quo.reps[ms] == reps
+    assert quo.tables[pair[0]].keys().isdisjoint(quo.tables[pair[1]])
+
+
+def test_multisets_that_differ_in_one_parity_get_their_own_builds(monkeypatch):
+    """Two multisets whose letters differ only in the parity of one letter
+    have one multiplicity pattern but two coded builds, and their tables
+    each equal the split-row oracle's: a.a.b.b lists the square of b.a when
+    b.a is odd, and not when it is even."""
+    odd = [Letter(("p", i), deg) for i, deg in enumerate((0, 1))]
+    even = [Letter(("p", i), deg) for i, deg in enumerate((0, 2))]
+    pair = [(x[0], x[0], x[1], x[1]) for x in (odd, even)]
+    assert pattern(pair[0])[0] == pattern(pair[1])[0]
+    builds = coded_builds(monkeypatch)
+    quo = ShuffleQuotient()
+    for ms in pair:
+        quo.reduce_word(ms)
+    assert len(builds) == 2
+    for ms in pair:
+        table, reps = split_row_table(ms)
+        assert quo.tables[ms] == table and quo.reps[ms] == reps
+    assert len(quo.reps[pair[0]]) == len(quo.reps[pair[1]]) + 1
+
+
+def test_a_dropped_quotient_is_freed():
+    """The coded store holds ints only: a quotient with built tables and
+    lists is freed once dropped."""
+    quo = eager_quotient(polyvec_basis(2, 1).letters, 3)
+    assert quo.tables and quo.reps
+    ref = weakref.ref(quo)
+    del quo
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("parities", [p for k in (1, 2, 3)
