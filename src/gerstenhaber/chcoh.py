@@ -528,10 +528,11 @@ def _split_walk(ctx: ChContext, lens: tuple, grades) -> list:
         p = big[s]
         prev = acc[-1] if s and big[s - 1] == p else None
         # the k-th p-letter combination of rest leaves the k-th from last of
-        # its (len(rest) - p)-letter ones; the dict keeps each sub-multiset once
+        # its (len(rest) - p)-letter ones; the dict keeps each sub-multiset
+        # once, and each is sorted, as rest is (a walk over the sorted letters)
         for sub, left in dict(zip(combinations(rest, p), reversed(
                 list(combinations(rest, len(rest) - p))))).items():
-            for w in ctx.quotient.representatives(sub):
+            for w in ctx.quotient._sorted_reps(sub):
                 if prev is None or packet_sort_key(w) > packet_sort_key(prev) \
                         or w == prev and not pdeg(w) % 2:
                     split(left, s + 1, acc + (w,))

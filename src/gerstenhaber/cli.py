@@ -36,7 +36,8 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=50)
     verify.add_argument("--suite", default="all")
     verify.add_argument("--corrupt-sandbox", action="store_true",
-                        help="deliberately break the sandbox bracket (testing aid)")
+                        help="deliberately break the sandbox bracket of the genv "
+                        "suite (testing aid; --suite genv or all)")
     for sp in (dims, cocycle, differential):
         sp.add_argument("--d", type=int, default=3)
         sp.add_argument("--kmax", type=int, default=None)
@@ -96,6 +97,10 @@ def cmd_verify(args) -> int:
         return 2
     if args.trials < 1:
         sys.stderr.write(f"verify: need trials >= 1, got {args.trials}\n")
+        return 2
+    if args.corrupt_sandbox and "genv" not in names:
+        sys.stderr.write(f"verify: --corrupt-sandbox needs --suite genv or all, "
+                         f"got {args.suite}\n")
         return 2
     results = run_suites(names, args.seed, args.trials,
                          corrupt=args.corrupt_sandbox)

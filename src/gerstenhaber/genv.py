@@ -18,11 +18,15 @@ from .polyvec import basis as pv_basis
 from .polyvec import (_merge_dirs, check_mono, hom_ident, hom_letter,
                       schouten_monos, wedge_monos)
 from .shuffleco import ShuffleQuotient, Word, _shuffle, lift_coderivation
-from .tensorco import (ONE, add_scaled, add_term, associativity, derivation,
-                       extend, fraction_table, jacobi, symmetry)
+from .tensorco import (add_scaled, add_term, associativity, derivation,
+                       fraction_table, jacobi, symmetry)
 
 Vec = dict   # dict[Letter, int | Fraction], int unless not an integer
 Elem = dict  # dict[Word, int | Fraction], as Vec
+
+# The keys (``GerstBasis._constants``) of the structures that passed
+# ``GerstBasis.validate`` in this process: idents and int/Fraction values only
+_validated: set = set()
 
 
 class GerstBasis:
@@ -45,6 +49,11 @@ class GerstBasis:
     antisymmetric with Jacobi in the shifted one, and each [a, .] a
     derivation of the wedge (Leibniz).  Each residual is checked once per
     orbit of arguments on which it agrees up to sign (see ``validate``).
+    A structure whose constants already passed in this process is not
+    checked again: a module-level set keeps each passing key (its letters'
+    idents and degrees and the wedge and bracket constants on every ordered
+    ident pair), never a failing one, and holds idents and values only, no
+    ``Letter`` or basis.
     An algebra given by tables passes ``tensorco.int_view``s of them.
     """
 
@@ -91,9 +100,26 @@ class GerstBasis:
     def unshifted(self, letter: Letter) -> int:
         return letter.degree + 1
 
+    def _constants(self) -> tuple:
+        """The values ``validate`` reads: (ident, degree) in letter order,
+        then the wedge and the bracket on every ordered ident pair in loop
+        order, each as a frozenset of its (ident, coefficient) items."""
+        idents = [a.ident for a in self.letters]
+        pairs = [(a, b) for a in idents for b in idents]
+        return (tuple((a.ident, a.degree) for a in self.letters),
+                tuple(frozenset(self.wedge_op(a, b).items()) for a, b in pairs),
+                tuple(frozenset(self.bracket_op(a, b).items()) for a, b in pairs))
+
     def validate(self):
         """Check the axioms on basis pairs and triples; raise ValueError
         naming the first that fails, else return self.
+
+        The verdict is a function of ``_constants()`` alone, and the
+        process keeps each key that passed in a module-level set: a key
+        already there returns self with no check run.  A failure is never
+        kept, so a failing structure is checked again each time and raises
+        the same first error.  The set holds idents and int/Fraction
+        values, no ``Letter`` or basis.
 
         The degree checks run on every ordered pair.  Each residual runs
         once per orbit of arguments on which it agrees up to sign, on the
@@ -112,6 +138,9 @@ class GerstBasis:
         The residuals run on letter idents, with degrees read from ident ->
         degree dicts and the constants from the two ops, so integral
         constants are checked in int arithmetic."""
+        key = self._constants()
+        if key in _validated:
+            return self
         idents = [a.ident for a in self.letters]
         udeg = {a.ident: a.degree + 1 for a in self.letters}
         sdeg = {a.ident: a.degree for a in self.letters}
@@ -141,6 +170,7 @@ class GerstBasis:
                         raise ValueError("Leibniz axiom fails")
                     if x <= y <= z and jacobi(bracket, shifted_deg, a, b, c):
                         raise ValueError("graded Jacobi fails")
+        _validated.add(key)
         return self
 
 
@@ -211,14 +241,18 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
         elif len(sa) == 1:
             # [e, b ^ rest] = [e, b] ^ rest + b ^ [e, rest]; e has degree 1
             b0, rest = ident(sb[:1]), ident(sb[1:])
-            add_scaled(out, extend(wedge, bracket(i, b0), {rest: ONE}))
-            add_scaled(out, extend(wedge, {b0: ONE}, bracket(i, rest)))
+            for k, v in bracket(i, b0).items():
+                add_scaled(out, wedge(k, rest), v)
+            for k, v in bracket(i, rest).items():
+                add_scaled(out, wedge(b0, k), v)
         else:
             # [a ^ beta, c] = a ^ [beta, c] + (-1)^(|beta|(|c|-1)) [a, c] ^ beta
             a0, beta = ident(sa[:1]), ident(sa[1:])
-            add_scaled(out, extend(wedge, {a0: ONE}, bracket(beta, j)))
+            for k, v in bracket(beta, j).items():
+                add_scaled(out, wedge(a0, k), v)
             sign = -1 if ((len(sa) - 1) * (len(sb) - 1)) % 2 else 1
-            add_scaled(out, extend(wedge, bracket(a0, j), {beta: ONE}), sign)
+            for k, v in bracket(a0, j).items():
+                add_scaled(out, wedge(k, beta), sign * v)
         return out
 
     return GerstBasis(letters, wedge, bracket, name=name).validate()

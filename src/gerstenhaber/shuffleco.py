@@ -365,9 +365,16 @@ class ShuffleQuotient:
         sorted tuple is looked up without sorting.  Builds no table."""
         if type(letters) is not tuple or letters not in self.reps:
             letters = tuple(sorted(letters))
-            if letters not in self.reps:
-                self.reps[letters] = _super_lyndon(letters)
-        return self.reps[letters]
+        return self._sorted_reps(letters)
+
+    def _sorted_reps(self, multiset: tuple) -> list:
+        """``representatives`` of a multiset its caller already holds as a
+        sorted tuple, which is not sorted again."""
+        try:
+            return self.reps[multiset]
+        except KeyError:
+            reps = self.reps[multiset] = _super_lyndon(multiset)
+            return reps
 
     def rep_words(self, alphabet, length: int) -> list:
         """Representative words of ``length`` letters over ``alphabet``,
@@ -375,7 +382,7 @@ class ShuffleQuotient:
         sorted alphabet."""
         words: list = []
         for ms in combinations_with_replacement(sorted(alphabet), length):
-            words.extend(self.representatives(ms))
+            words.extend(self._sorted_reps(ms))
         return words
 
     def reduce_word(self, word: Word) -> dict:

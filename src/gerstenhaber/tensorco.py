@@ -78,7 +78,10 @@ def extend(op, x: dict, y: dict | None = None) -> dict:
 
 
 # The graded identities, each written once as a residual: the sparse element
-# lhs - rhs, empty exactly when the identity holds on the given keys.  ``op``
+# lhs - rhs, empty exactly when the identity holds on the given keys.
+# ``associativity``, ``jacobi`` and ``derivation`` add each op value of a
+# term straight into one output dict with ``add_scaled``, so they build no
+# intermediate element and no one-key dict.  ``op``
 # maps two keys, ``D`` and ``cop`` one key, to a sparse element (the keys of
 # a coproduct value are pairs); ``deg`` is the degree of a key, and only its
 # parity is read.  The residuals only read the values of op, D and cop.  The
@@ -127,8 +130,12 @@ def symmetry(op, deg, a, b, sign=1) -> dict:
 
 def associativity(op, a, b, c) -> dict:
     """op(op(a, b), c) - op(a, op(b, c))."""
-    out = extend(op, op(a, b), {c: ONE})
-    return add_scaled(out, extend(op, {a: ONE}, op(b, c)), -1)
+    out: dict = {}
+    for k, v in op(a, b).items():
+        add_scaled(out, op(k, c), v)
+    for k, v in op(b, c).items():
+        add_scaled(out, op(a, k), -v)
+    return out
 
 
 def jacobi(op, deg, a, b, c) -> dict:
@@ -136,18 +143,24 @@ def jacobi(op, deg, a, b, c) -> dict:
     rotations (x, y, z) of (a, b, c)."""
     out: dict = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        add_scaled(out, extend(op, op(x, y), {z: ONE}),
-                   -1 if deg(x) * deg(z) % 2 else 1)
+        sign = -1 if deg(x) * deg(z) % 2 else 1
+        for k, v in op(x, y).items():
+            add_scaled(out, op(k, z), sign * v)
     return out
 
 
 def derivation(D, d_deg, op, deg, a, b) -> dict:
     """Leibniz rule for D of degree d_deg over op:
     D(op(a, b)) - op(D a, b) - (-1)^(d_deg a) op(a, D b)."""
-    out = extend(D, op(a, b))
-    add_scaled(out, extend(op, D(a), {b: ONE}), -1)
-    return add_scaled(out, extend(op, {a: ONE}, D(b)),
-                      1 if d_deg * deg(a) % 2 else -1)
+    out: dict = {}
+    for k, v in op(a, b).items():
+        add_scaled(out, D(k), v)
+    for k, v in D(a).items():
+        add_scaled(out, op(k, b), -v)
+    sign = 1 if d_deg * deg(a) % 2 else -1
+    for k, v in D(b).items():
+        add_scaled(out, op(a, k), sign * v)
+    return out
 
 
 def square_zero(D, x) -> dict:

@@ -10,7 +10,11 @@ The engine does not call any of these:
   and its product with a sparse column vector, for checking exact solves
   and matrix identities;
 * ``zero_gerstenhaber``: the abelian, zero-product algebra on which every
-  operator vanishes.
+  operator vanishes;
+* ``associativity``, ``jacobi`` and ``derivation``: the former bodies of the
+  ``tensorco`` residuals, which build each term through ``extend`` and a
+  one-key dict, and ``exterior_bracket``: the former bracket recursion of
+  ``genv.exterior_of_lie``, written the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from gerstenhaber.exactlin import SparseMat, echelonize
 from gerstenhaber.genv import GerstBasis
 from gerstenhaber.graded import Letter
 from gerstenhaber.polyvec import Mono, check_mono, schouten_monos, wedge_monos
-from gerstenhaber.tensorco import extend, int_view
+from gerstenhaber.tensorco import ONE, add_scaled, add_term, extend, int_view
 
 
 class Polyvec:
@@ -177,3 +181,60 @@ def zero_gerstenhaber(dim: int = 2) -> GerstBasis:
     d_ch drops out."""
     letters = [Letter(("z", i), 0) for i in range(dim)]
     return GerstBasis(letters, int_view({}), int_view({}))
+
+
+def associativity(op, a, b, c) -> dict:
+    """op(op(a, b), c) - op(a, op(b, c))."""
+    out = extend(op, op(a, b), {c: ONE})
+    return add_scaled(out, extend(op, {a: ONE}, op(b, c)), -1)
+
+
+def jacobi(op, deg, a, b, c) -> dict:
+    """The sum of (-1)^(xz) op(op(x, y), z) over the cyclic rotations
+    (x, y, z) of (a, b, c)."""
+    out: dict = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        add_scaled(out, extend(op, op(x, y), {z: ONE}),
+                   -1 if deg(x) * deg(z) % 2 else 1)
+    return out
+
+
+def derivation(D, d_deg, op, deg, a, b) -> dict:
+    """D(op(a, b)) - op(D a, b) - (-1)^(d_deg a) op(a, D b)."""
+    out = extend(D, op(a, b))
+    add_scaled(out, extend(op, D(a), {b: ONE}), -1)
+    return add_scaled(out, extend(op, {a: ONE}, D(b)),
+                      1 if d_deg * deg(a) % 2 else -1)
+
+
+def exterior_bracket(wedge, lie_table: dict):
+    """The bracket op of ``genv.exterior_of_lie`` on the sandbox idents
+    ("sb", r, s) over the basis's ``wedge`` op, as a memoised recursion."""
+    memo: dict = {}
+
+    def ident(s: tuple) -> tuple:
+        return ("sb", len(s), s)
+
+    def bracket(i, j) -> dict:
+        if (i, j) in memo:
+            return memo[i, j]
+        sa, sb = i[2], j[2]
+        out: dict = {}
+        if not sa or not sb:
+            pass
+        elif len(sa) == 1 and len(sb) == 1:
+            for gen, c in lie_table.get((sa[0], sb[0]), {}).items():
+                add_term(out, ident((gen,)), c)
+        elif len(sa) == 1:
+            b0, rest = ident(sb[:1]), ident(sb[1:])
+            add_scaled(out, extend(wedge, bracket(i, b0), {rest: ONE}))
+            add_scaled(out, extend(wedge, {b0: ONE}, bracket(i, rest)))
+        else:
+            a0, beta = ident(sa[:1]), ident(sa[1:])
+            add_scaled(out, extend(wedge, {a0: ONE}, bracket(beta, j)))
+            sign = -1 if ((len(sa) - 1) * (len(sb) - 1)) % 2 else 1
+            add_scaled(out, extend(wedge, bracket(a0, j), {beta: ONE}), sign)
+        memo[i, j] = out
+        return out
+
+    return bracket

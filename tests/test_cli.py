@@ -37,6 +37,16 @@ def test_verify_corrupted_sandbox_fails(capsys):
     assert "[" in out
 
 
+@pytest.mark.parametrize("suite", ["shuffle", "chcoh", "tensorco", "symco", "ginfty"])
+def test_corrupt_sandbox_outside_genv_is_a_usage_error(suite, capsys):
+    """Only the genv suite draws corrupted sandboxes: on any other suite the
+    flag would change nothing and the report would read all PASS."""
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "7",
+                         "--trials", "3", "--corrupt-sandbox")
+    assert code == 2 and out == ""
+    assert "--corrupt-sandbox needs --suite genv or all" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2

@@ -523,6 +523,33 @@ def test_representatives_return_the_stored_list(monkeypatch):
     assert quo.representatives(ms) is reps
 
 
+def test_rep_words_and_the_split_walk_sort_no_multiset(monkeypatch):
+    """``rep_words`` and ``chcoh``'s graded monomial walk hold each multiset
+    as a sorted tuple already, and the quotient does not sort it again,
+    even when its list is not stored yet: ``rep_words`` sorts its alphabet
+    once, and the walk, once set up, sorts nothing in ``shuffleco``.  Their
+    lists and monomials are those made before the sort was counted."""
+    from gerstenhaber.chcoh import monomials_for_shape, real_polyvec_context
+
+    letters = polyvec_basis(2, 2).letters
+    want_words = [w for ms in combinations_with_replacement(letters, 3)
+                  for w in ShuffleQuotient().representatives(ms[::-1])]
+    shapes = [((2, 2), range(-1, 3)), ((3, 1), {0, 1}), ((2, 1, 1), {1})]
+    want_monos = [monomials_for_shape(real_polyvec_context(2, 2), shape, grades)
+                  for shape, grades in shapes]
+    ctx = real_polyvec_context(2, 2)
+    assert ctx.graded_letters.letters == letters  # the walk's set-up, built now
+    sorts = []
+    monkeypatch.setattr(shuffleco, "sorted",
+                        lambda *a, **k: sorts.append(a) or sorted(*a, **k), raising=False)
+    assert ShuffleQuotient().rep_words(letters[::-1], 3) == want_words
+    assert len(sorts) == 1
+    sorts.clear()
+    assert [monomials_for_shape(ctx, shape, grades)
+            for shape, grades in shapes] == want_monos
+    assert sorts == [] and len(ctx.quotient.reps) > 20 and all(want_monos)
+
+
 @pytest.mark.parametrize("d, kmax, length, count", [
     (2, 2, 4, 494),
     (3, 1, 3, 285),

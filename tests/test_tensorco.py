@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -9,12 +10,14 @@ from gerstenhaber.graded import Letter, shifted, word_deg
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.shuffleco import ShuffleQuotient, bat, delta
 from gerstenhaber.suites import _corrupt_sandbox, random_assoc_algebra, suite_tensorco
-from gerstenhaber.tensorco import (ONE as UNIT, FiniteAlgebra,
+from gerstenhaber.tensorco import (ONE as UNIT, FiniteAlgebra, add_term,
                                    associativity, coassociativity,
                                    coderivation, coderivation_lift_tensor,
                                    cojacobi, cosymmetry, d_hochschild,
                                    deconcat, derivation, jacobi, m2,
                                    m_differential, square_zero, symmetry)
+
+import oracles
 
 ONE = Letter(("a", "1"), 0)
 X = Letter(("a", "x"), 0)
@@ -257,3 +260,70 @@ def test_residual_fires_on_broken_input_only(name):
     broken, valid = RESIDUAL_CASES[name]()
     assert any(broken)
     assert not any(valid)
+
+
+def random_op(rng, keys, arity: int):
+    """A seeded random sparse op on ``keys``: each argument tuple maps to
+    {} or to up to two terms with coefficients in {+-1, +-2, 1/2}."""
+    table = {}
+    for args in product(keys, repeat=arity):
+        val: dict = {}
+        for _ in range(rng.randint(0, 2)):
+            add_term(val, rng.choice(keys), rng.choice([-2, -1, 1, 2, Fraction(1, 2)]))
+        table[args] = val
+    return lambda *args: table[args]
+
+
+def test_direct_residuals_equal_their_extend_bodies():
+    """``associativity``, ``jacobi`` and ``derivation`` add into one dict;
+    each equals its former ``extend`` body (``oracles``) on seeded random
+    sparse ops, on a commutative op (where associativity(a, b, a) cancels
+    to {}) and on the polyvector Gerstenhaber algebra (where every term
+    cancels)."""
+    keys = list(range(4))
+    results = Counter()
+
+    def compare(op, D, deg, d_deg, a, b, c):
+        for got, want in ((associativity(op, a, b, c), oracles.associativity(op, a, b, c)),
+                          (jacobi(op, deg, a, b, c), oracles.jacobi(op, deg, a, b, c)),
+                          (derivation(D, d_deg, op, deg, a, b),
+                           oracles.derivation(D, d_deg, op, deg, a, b))):
+            assert got == want
+            results[bool(want)] += 1
+
+    for seed in range(12):
+        rng = SplitMix64(seed)
+        op, D = random_op(rng, keys, 2), random_op(rng, keys, 1)
+        deg = [rng.randint(0, 1) for _ in keys].__getitem__
+        if seed % 3 == 0:
+            op = lambda a, b, _op=op: _op(*sorted((a, b)))
+            assert all(not associativity(op, a, b, a) for a in keys for b in keys)
+        for a, b, c in product(keys, repeat=3):
+            compare(op, D, deg, seed % 2, a, b, c)
+    pv = polyvec_basis(2)
+    udeg = lambda x: x.degree + 1
+    for a, b, c in product(pv.letters[::2], repeat=3):
+        assert not associativity(pv.wedge, a, b, c)
+        assert not jacobi(pv.bracket, letter_deg, a, b, c)
+        compare(pv.wedge, partial(pv.bracket, a), udeg, a.degree, a, b, c)
+        compare(pv.bracket, partial(pv.bracket, a), letter_deg, a.degree, a, b, c)
+    assert results[True] > 1000 and results[False] > 1000
+
+
+def test_exterior_bracket_recursion_is_the_former_one():
+    """The sandbox bracket adds each wedge term into its constant directly;
+    every constant, key order included, is the former ``extend`` recursion's."""
+    rng = SplitMix64(23)
+    for _ in range(12):
+        basis = sandbox_gerstenhaber(rng)
+        table = {}
+        for a in basis.letters:
+            for b in basis.letters:
+                if a.degree == b.degree == 0:
+                    table[a.ident[2][0], b.ident[2][0]] = {
+                        g[2][0]: c for g, c in basis.bracket_op(a.ident, b.ident).items()}
+        former = oracles.exterior_bracket(basis.wedge_op, table)
+        for a in basis.letters:
+            for b in basis.letters:
+                got = basis.bracket_op(a.ident, b.ident)
+                assert list(got.items()) == list(former(a.ident, b.ident).items())

@@ -298,6 +298,7 @@ def test_validate_checks_each_residual_once_per_orbit(monkeypatch):
     associativity on x < z (8 * 28 triples), Leibniz on y <= z (8 * 36),
     Jacobi on the 120 triples x <= y <= z."""
     basis = next(b for b in sandboxes(11, 8) if len(b.letters) == 8)
+    genv._validated.clear()
     calls = Counter()
     for name in ("symmetry", "associativity", "derivation", "jacobi"):
         monkeypatch.setattr(genv, name, lambda *a, _f=getattr(genv, name), _n=name, **k:
@@ -305,6 +306,109 @@ def test_validate_checks_each_residual_once_per_orbit(monkeypatch):
     assert basis.validate() is basis
     assert calls == {"symmetry": 72, "associativity": 224, "derivation": 288,
                      "jacobi": 120}
+
+
+def count_residual_calls(monkeypatch) -> Counter:
+    """A Counter of the residual calls ``validate`` makes from now on."""
+    calls = Counter()
+    for name in ("symmetry", "associativity", "derivation", "jacobi"):
+        monkeypatch.setattr(genv, name, lambda *a, _f=getattr(genv, name), _n=name, **k:
+                            calls.update([_n]) or _f(*a, **k))
+    return calls
+
+
+def full_check(n: int) -> Counter:
+    """The residual calls of a passing check on n letters (see above)."""
+    return Counter({"symmetry": n * (n + 1), "associativity": n * n * (n - 1) // 2,
+                    "derivation": n * n * (n + 1) // 2,
+                    "jacobi": n * (n + 1) * (n + 2) // 6})
+
+
+HEISENBERG = {(1, 2): {3: 2}, (2, 1): {3: -2}}
+
+
+def test_equal_constants_are_checked_once_per_process(monkeypatch):
+    """The first check of a structure runs every residual; a second
+    ``validate`` of the same basis, a fresh ``exterior_of_lie`` of the same
+    table and a table-given basis with equal (Fraction) constants run
+    none.  Another table is checked in full."""
+    genv._validated.clear()
+    calls = count_residual_calls(monkeypatch)
+    basis = genv.exterior_of_lie(3, HEISENBERG)
+    assert calls == full_check(8)
+    calls.clear()
+    assert basis.validate() is basis
+    again = genv.exterior_of_lie(3, dict(HEISENBERG))
+    tables = GerstBasis(basis.letters, int_view(basis.wedge_table),
+                        int_view(basis.bracket_table))
+    assert tables.validate() is tables
+    assert again is not basis and not calls
+    assert len(genv._validated) == 1
+    other = genv.exterior_of_lie(3, {(1, 2): {3: 1}, (2, 1): {3: -1}})
+    assert calls == full_check(8) and other._constants() != basis._constants()
+    assert len(genv._validated) == 2
+
+
+def test_one_constant_off_a_stored_structure_gets_the_oracle_verdict(monkeypatch):
+    """Each mutant of a stored sandbox differs from it in one constant (or
+    in one and its graded-symmetric partner): it is not a store hit, so it
+    is checked in full and gets the oracle verdict; a pass is stored and a
+    failure is not, and raises the same error when checked again."""
+    genv._validated.clear()
+    bases = sandboxes(11, 8)
+    calls = count_residual_calls(monkeypatch)
+    verdicts = Counter()
+    for base in bases:
+        key = base._constants()
+        assert key in genv._validated
+        idents = [a.ident for a in base.letters]
+        udeg = {a.ident: a.degree + 1 for a in base.letters}
+        sdeg = {a.ident: a.degree for a in base.letters}
+        cases = [(wt, base.bracket_table)
+                 for wt in mutants(base.wedge_table, idents, udeg, 1)]
+        cases += [(base.wedge_table, bt)
+                  for bt in mutants(base.bracket_table, idents, sdeg, -1)]
+        for wt, bt in cases:
+            mutant = GerstBasis(base.letters, int_view(wt), int_view(bt))
+            mkey = mutant._constants()
+            assert mkey != key
+            stored = mkey in genv._validated
+            want = verdict(lambda: gerst_oracle(mutant))
+            calls.clear()
+            assert verdict(mutant.validate) == want
+            assert (mkey in genv._validated) == (want is None)
+            if want is None and not stored:
+                assert calls == full_check(len(base.letters))
+            if want is not None:
+                assert verdict(mutant.validate) == want
+            verdicts[want] += 1
+    assert verdicts[None] > 20 and verdicts.total() - verdicts[None] > 500
+
+
+def test_the_store_keeps_no_letter_or_basis_alive():
+    """The store holds idents and int/Fraction values, no ``Letter`` (an
+    int subclass): a validated basis and its two ops are freed once
+    dropped, and its key stays."""
+    import gc
+    import weakref
+
+    genv._validated.clear()
+    basis = genv.exterior_of_lie(2, {(1, 2): {1: 2, 2: -1}, (2, 1): {1: -2, 2: 1}})
+    key = basis._constants()
+    assert genv._validated == {key}
+
+    def atoms(x):
+        if isinstance(x, (tuple, frozenset)):
+            for y in x:
+                yield from atoms(y)
+        else:
+            yield x
+    assert {type(x) for x in atoms(key)} <= {str, int, Fraction}
+    refs = [weakref.ref(obj) for obj in (basis, basis.wedge_op, basis.bracket_op)]
+    del basis
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert genv._validated == {key}
 
 
 def lie_cases(rng, n):
