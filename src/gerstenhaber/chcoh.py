@@ -147,8 +147,16 @@ class ChContext:
     families of a packet (``families``, see ``packet_families``).  Each
     packet operation is a ``functools.cache`` on the context, so it lives as
     long as the context does; ``h_bracket`` and ``h_mu`` are looked up in
-    this module when a value is computed.  The values are shared: read
-    them, do not change them.
+    this module when a value is computed.  The context also keeps each
+    coboundary block it assembles (``blocks``, the one store ``_block_matrix``
+    is reached through): ``is_coboundary``'s block of row grade gW under
+    (level N, ``trunc.nmax``, gW), which fixes its rows (the level-N
+    monomials of grade gW) and its columns (the level-(N - 1) monomials of
+    grade gW + 1), and ``assemble_matrix``'s (matrix, rows, columns) under
+    its source shapes.  A block is held until the context is dropped, large
+    ones too: at d = 8 the level-4 block of degree -4, weight 0 is
+    19 758 x 1304.
+    The values are shared: read them, do not change them.
     """
 
     def __init__(self, source: GerstBasis, target: GerstBasis, f1: dict):
@@ -174,6 +182,7 @@ class ChContext:
         self.quotient = ShuffleQuotient()
         self._monomials: dict[tuple, list] = {}  # see monomials_for_shape
         self.mono_grades: dict = {}
+        self.blocks: dict = {}
         self.degree = cache(pdeg)
         self.sort_key = cache(packet_sort_key)
         self.bracket = cache(lambda x, y: h_bracket(x, y, self.source, self.quotient))
@@ -609,6 +618,8 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
     rank comparison, and a preimage is assembled when every block is solvable.
     Only the blocks of the row grades in f's grade support are built and
     solved: every other block has right-hand side zero, which zero solves.
+    Each block is kept on the context under (N, ``trunc.nmax``, row grade),
+    so a warm context assembles none it has solved before.
     The preimage lists the solutions degree by degree, in the order in which
     the rows first reach each degree, and within a degree by column in
     enumeration order, so it does not depend on how a degree splits into
@@ -649,8 +660,11 @@ def is_coboundary(f, ctx: ChContext, trunc: Truncation):
                 b[ri * nt + tindex[lo]] = c
         if not b and not block:
             continue
-        x = solve_in_column_span(
-            _block_matrix(ctx, rows, [cols[i] for i in block], table), b)
+        # (N, nmax, gW) fixes the rows and the columns
+        key = (N, trunc.nmax, gW)
+        if key not in ctx.blocks:
+            ctx.blocks[key] = _block_matrix(ctx, rows, [cols[i] for i in block], table)
+        x = solve_in_column_span(ctx.blocks[key], b)
         if x is None:
             return None
         by_degree.setdefault(mono_deg(rows[0]), {}).update(
@@ -667,15 +681,20 @@ def assemble_matrix(ctx: ChContext, src_shapes):
 
     Rows run over all monomials of the shapes reachable from the sources
     times target letters, columns over source monomials times target
-    letters.  Returns (matrix, row index list, column index list).
+    letters.  Returns (matrix, row index list, column index list), kept on
+    the context under the source shapes: shared values, read them, do not
+    change them.
     """
-    cols = []
-    for shape in src_shapes:
-        cols.extend(monomials_for_shape(ctx, shape))
-    rows = []
-    for shape in reachable_shapes(src_shapes):
-        rows.extend(monomials_for_shape(ctx, shape))
-    return _block_matrix(ctx, rows, cols, PacketTable()), rows, cols
+    key = tuple(map(tuple, src_shapes))
+    if key not in ctx.blocks:
+        cols = []
+        for shape in src_shapes:
+            cols.extend(monomials_for_shape(ctx, shape))
+        rows = []
+        for shape in reachable_shapes(src_shapes):
+            rows.extend(monomials_for_shape(ctx, shape))
+        ctx.blocks[key] = _block_matrix(ctx, rows, cols, PacketTable()), rows, cols
+    return ctx.blocks[key]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from .tensorco import (add_scaled, add_term, associativity, derivation,
 Vec = dict   # dict[Letter, int | Fraction], int unless not an integer
 Elem = dict  # dict[Word, int | Fraction], as Vec
 
-# The keys (``GerstBasis._constants``) of the structures that passed
-# ``GerstBasis.validate`` in this process: idents and int/Fraction values only
+# The verdict keys (``GerstBasis.verdict_key`` or ``_constants``) of the
+# structures that passed ``GerstBasis.validate`` in this process: strings,
+# idents and int/Fraction values only
 _validated: set = set()
 
 
@@ -49,20 +50,23 @@ class GerstBasis:
     antisymmetric with Jacobi in the shifted one, and each [a, .] a
     derivation of the wedge (Leibniz).  Each residual is checked once per
     orbit of arguments on which it agrees up to sign (see ``validate``).
-    A structure whose constants already passed in this process is not
-    checked again: a module-level set keeps each passing key (its letters'
-    idents and degrees and the wedge and bracket constants on every ordered
-    ident pair), never a failing one, and holds idents and values only, no
-    ``Letter`` or basis.
+    A structure that already passed in this process is not checked again:
+    a module-level set keeps each passing verdict key, never a failing one,
+    and holds idents and values only, no ``Letter`` or basis.  The key is
+    ``verdict_key`` when the basis is given one, a small value its two ops
+    are a function of (``exterior_of_lie`` passes its dimension and Lie
+    table), and otherwise ``_constants()``: its letters' idents and degrees
+    and the wedge and bracket constants on every ordered ident pair.
     An algebra given by tables passes ``tensorco.int_view``s of them.
     """
 
-    def __init__(self, letters, wedge, bracket, name=""):
+    def __init__(self, letters, wedge, bracket, name="", verdict_key=None):
         self.letters = sorted(letters)
         self.by_ident = {a.ident: a for a in self.letters}
         self.wedge_op = wedge
         self.bracket_op = bracket
         self.name = name
+        self.verdict_key = verdict_key
         # the letter-pair constants behind wedge, bracket and mu2
         self._wedge = cache(lambda a, b: self._on_letters(self.wedge_op(a.ident, b.ident)))
         self._bracket = cache(lambda a, b: self._on_letters(self.bracket_op(a.ident, b.ident)))
@@ -114,11 +118,12 @@ class GerstBasis:
         """Check the axioms on basis pairs and triples; raise ValueError
         naming the first that fails, else return self.
 
-        The verdict is a function of ``_constants()`` alone, and the
-        process keeps each key that passed in a module-level set: a key
-        already there returns self with no check run.  A failure is never
-        kept, so a failing structure is checked again each time and raises
-        the same first error.  The set holds idents and int/Fraction
+        The verdict is a function of ``_constants()`` alone, and so of
+        ``verdict_key`` when there is one; the process keeps each key that
+        passed (``verdict_key``, else ``_constants()``) in a module-level
+        set: a key already there returns self with no check run.  A failure
+        is never kept, so a failing structure is checked again each time and
+        raises the same first error.  The set holds idents and int/Fraction
         values, no ``Letter`` or basis.
 
         The degree checks run on every ordered pair.  Each residual runs
@@ -138,7 +143,7 @@ class GerstBasis:
         The residuals run on letter idents, with degrees read from ident ->
         degree dicts and the constants from the two ops, so integral
         constants are checked in int arithmetic."""
-        key = self._constants()
+        key = self._constants() if self.verdict_key is None else self.verdict_key
         if key in _validated:
             return self
         idents = [a.ident for a in self.letters]
@@ -217,6 +222,8 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
     its pair is read and kept for the basis's lifetime.  The result is a
     Gerstenhaber algebra whose axioms ``GerstBasis.validate`` checks on one
     basis pair or triple per orbit on which a residual agrees up to sign.
+    Both ops are a function of ``dim`` and ``lie_table``, so these two,
+    with the table's values as frozensets, are the basis's ``verdict_key``.
     """
     def ident(s: tuple) -> tuple:
         return ("sb", len(s), s)
@@ -255,7 +262,9 @@ def exterior_of_lie(dim: int, lie_table: dict, name="sandbox") -> GerstBasis:
                 add_scaled(out, wedge(k, beta), sign * v)
         return out
 
-    return GerstBasis(letters, wedge, bracket, name=name).validate()
+    key = ("exterior_of_lie", dim,
+           frozenset((pair, frozenset(val.items())) for pair, val in lie_table.items()))
+    return GerstBasis(letters, wedge, bracket, name=name, verdict_key=key).validate()
 
 
 def sandbox_gerstenhaber(rng) -> GerstBasis:

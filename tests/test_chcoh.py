@@ -1,9 +1,11 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from gerstenhaber import chcoh
 from gerstenhaber.chcoh import (ChContext, Cochain, PacketTable, TaylorFamily,
                                 Truncation, TruncationError,
                                 _coboundary_monomials,
@@ -692,6 +694,76 @@ def test_warm_context_round_trip_matches_a_fresh_context():
     assert warm.bracket.cache_info().currsize and warm.families.cache_info().currsize
     assert round_trip_repr(g, warm, trunc) == first
     assert round_trip_repr(g, real_polyvec_context(3, 1), trunc) == first
+
+
+def seeded_cochain(ctx, shapes, level, seed, keep=3) -> Cochain:
+    """A cochain of the given level on about 1/keep of the monomials of
+    ``shapes``, with values in {-2, -1, 1, 2}."""
+    one = ctx.target.letters[0]
+    rng = SplitMix64(seed)
+    return Cochain({mono: {one: Fraction(rng.choice([-2, -1, 1, 2]))}
+                    for shape in shapes for mono in monomials_for_shape(ctx, shape)
+                    if rng.randrange(keep) == 0}, level)
+
+
+def count_assembly(monkeypatch) -> Counter:
+    """A Counter of the ``_block_matrix`` and ``d_ch_terms`` calls made
+    from now on."""
+    calls = Counter()
+    for name in ("_block_matrix", "d_ch_terms"):
+        monkeypatch.setattr(chcoh, name, lambda *a, _f=getattr(chcoh, name), _n=name:
+                            calls.update([_n]) or _f(*a))
+    return calls
+
+
+def test_warm_context_solves_another_cochain_from_its_kept_blocks(monkeypatch):
+    """A second ``is_coboundary`` on a context, on another seeded cochain of
+    the same level whose grades the first one covered, assembles nothing:
+    no ``_block_matrix`` and no ``d_ch_terms`` call.  Its preimage is the
+    one a fresh context returns, repr included."""
+    warm = real_polyvec_context(3, 1)
+    trunc = Truncation(3, 1, 4, 4)
+    f1 = d_ch(seeded_cochain(warm, level_shapes(2, 4), 2, 84, keep=1), warm, trunc)
+    f2 = d_ch(seeded_cochain(warm, level_shapes(2, 4), 2, 85), warm, trunc)
+    assert f2.values != f1.values and f2.grade_support <= f1.grade_support
+    assert is_coboundary(f1, warm, trunc) is not None
+    calls = count_assembly(monkeypatch)
+    pre = is_coboundary(f2, warm, trunc)
+    assert not calls
+    monkeypatch.undo()
+    fresh = is_coboundary(f2, real_polyvec_context(3, 1), trunc)
+    assert pre is not None and repr(pre.values) == repr(fresh.values)
+    assert d_ch(pre, warm, trunc).values == f2.values
+
+
+def test_kept_blocks_are_keyed_by_level_and_packet_count():
+    """One context deciding d(g) for g of levels 2 and 3, at nmax 3 and then
+    4, gives what a fresh context gives each time: a block kept for one
+    level or one packet count is not read for another."""
+    warm = real_polyvec_context(2, 1)
+    for nmax in (3, 4):
+        trunc = Truncation(2, 1, 4, nmax)
+        for level in (2, 3):
+            # shapes with a part to spare, so d(g) fits under nmax
+            shapes = [s for s in level_shapes(level, nmax) if len(s) < nmax]
+            g = seeded_cochain(warm, shapes, level, 86 + 2 * nmax + level)
+            f = d_ch(g, warm, trunc)
+            pre = is_coboundary(f, warm, trunc)
+            fresh = is_coboundary(f, real_polyvec_context(2, 1), trunc)
+            assert pre is not None and repr(pre.values) == repr(fresh.values)
+
+
+def test_assemble_matrix_keeps_each_block_by_its_source_shapes(monkeypatch):
+    """The level-1 outer matrix and the level-2 inner matrix of criterion 3
+    have one source shape list: the second call assembles nothing and
+    returns the kept matrix and lists."""
+    ctx = real_polyvec_context(2, 1)
+    calls = count_assembly(monkeypatch)
+    outer = assemble_matrix(ctx, reachable_shapes(level_shapes(1, 3)))
+    assert calls["_block_matrix"] == 1
+    inner = assemble_matrix(ctx, level_shapes(2, 3))
+    assert calls["_block_matrix"] == 1 and inner is outer
+    assert (inner[0].nrows, inner[0].ncols) == (110, 22)
 
 
 def test_dropped_basis_context_and_table_are_freed():

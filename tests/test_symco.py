@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerstenhaber.exactlin import rank
 from gerstenhaber.graded import Letter, koszul_sign, unshuffle_sign
 from gerstenhaber.prng import SplitMix64
 from gerstenhaber.suites import random_lie, suite_symco
-from gerstenhaber.symco import (LieData, d_chevalley, d_chevalley_classical,
-                                ell2, ell_lift, sdeg, sym_coproduct, sym_key)
+from gerstenhaber.symco import (LieData, classical_matrix, d_chevalley,
+                                d_chevalley_classical, ell2, ell_lift, sdeg,
+                                sym_coproduct, sym_key)
 from gerstenhaber.tensorco import add_term
 
 E1, E2 = Letter(("g", 1), 0), Letter(("g", 2), 0)
@@ -252,3 +254,29 @@ def test_abelian_trivial_action_gives_zero():
     F = lambda ls: {out: Fraction(1)}
     dF = d_chevalley(F, 0, abelian, habelian, lambda a: {})
     assert dF([E1, E2]) == {}
+
+
+@pytest.mark.parametrize("operator,dims", [
+    ("dH", [2, 1, 1, 1, 1, 1]),
+    ("dHa", [2, 1, 1, 0, 0, 0, 0, 0]),
+    ("dC", [1, 1, 0]),
+])
+def test_classical_exports_have_the_known_cohomology(operator, dims):
+    """dim H^n = ncols(d^n) - rank d^n - rank d^(n-1) of each classical
+    export, at levels 0 .. len(dims) - 1, is the known one, and each
+    d^(n+1) d^n is zero:
+      - ``dH``: the Hochschild cohomology HH^n(A, A) of the dual numbers
+        A = R[x]/(x^2) is A for n = 0 and one-dimensional for every n >= 1
+        in characteristic 0 (Loday, *Cyclic Homology*, 1992);
+      - ``dHa``: the Harrison cohomology of A in itself is A, then Der(A, A)
+        and T^1 = A/(2x), each of dimension 1, and it vanishes in degrees
+        >= 3 for a complete intersection in characteristic 0 (Harrison,
+        *Trans. AMS* 104, 1962; Barr, *J. Algebra* 8, 1968);
+      - ``dC``: the Chevalley-Eilenberg cohomology of aff(1), [l1, l2] = l1,
+        with trivial coefficients R is 1, 1, 0 (Chevalley-Eilenberg,
+        *Trans. AMS* 63, 1948)."""
+    mats = [classical_matrix(operator, n) for n in range(len(dims))]
+    ranks = [rank(m) for m in mats]
+    assert [m.ncols - r - (ranks[n - 1] if n else 0)
+            for n, (m, r) in enumerate(zip(mats, ranks))] == dims
+    assert all(up.mul(m).is_zero() for m, up in zip(mats, mats[1:]))

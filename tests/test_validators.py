@@ -329,9 +329,11 @@ HEISENBERG = {(1, 2): {3: 2}, (2, 1): {3: -2}}
 
 def test_equal_constants_are_checked_once_per_process(monkeypatch):
     """The first check of a structure runs every residual; a second
-    ``validate`` of the same basis, a fresh ``exterior_of_lie`` of the same
-    table and a table-given basis with equal (Fraction) constants run
-    none.  Another table is checked in full."""
+    ``validate`` of the same basis and a fresh ``exterior_of_lie`` of the
+    same table run none.  A table-given basis with equal (Fraction)
+    constants is keyed by its constants, not by the Lie table: the first is
+    checked in full, a second runs none.  Another table is checked in
+    full."""
     genv._validated.clear()
     calls = count_residual_calls(monkeypatch)
     basis = genv.exterior_of_lie(3, HEISENBERG)
@@ -339,14 +341,18 @@ def test_equal_constants_are_checked_once_per_process(monkeypatch):
     calls.clear()
     assert basis.validate() is basis
     again = genv.exterior_of_lie(3, dict(HEISENBERG))
-    tables = GerstBasis(basis.letters, int_view(basis.wedge_table),
-                        int_view(basis.bracket_table))
-    assert tables.validate() is tables
     assert again is not basis and not calls
     assert len(genv._validated) == 1
+    tables = [GerstBasis(basis.letters, int_view(basis.wedge_table),
+                         int_view(basis.bracket_table)) for _ in range(2)]
+    assert tables[0].validate() is tables[0]
+    assert calls == full_check(8)
+    calls.clear()
+    assert tables[1].validate() is tables[1] and not calls
+    assert len(genv._validated) == 2
     other = genv.exterior_of_lie(3, {(1, 2): {3: 1}, (2, 1): {3: -1}})
     assert calls == full_check(8) and other._constants() != basis._constants()
-    assert len(genv._validated) == 2
+    assert len(genv._validated) == 3
 
 
 def test_one_constant_off_a_stored_structure_gets_the_oracle_verdict(monkeypatch):
@@ -360,7 +366,7 @@ def test_one_constant_off_a_stored_structure_gets_the_oracle_verdict(monkeypatch
     verdicts = Counter()
     for base in bases:
         key = base._constants()
-        assert key in genv._validated
+        assert base.verdict_key in genv._validated
         idents = [a.ident for a in base.letters]
         udeg = {a.ident: a.degree + 1 for a in base.letters}
         sdeg = {a.ident: a.degree for a in base.letters}
@@ -394,7 +400,7 @@ def test_the_store_keeps_no_letter_or_basis_alive():
 
     genv._validated.clear()
     basis = genv.exterior_of_lie(2, {(1, 2): {1: 2, 2: -1}, (2, 1): {1: -2, 2: 1}})
-    key = basis._constants()
+    key = basis.verdict_key
     assert genv._validated == {key}
 
     def atoms(x):
